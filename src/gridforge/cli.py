@@ -20,7 +20,7 @@ from gridforge.constructors import (
 )
 from gridforge.coxeter import CLAIMED_INCIDENCE, build_system, incidence_counts
 from gridforge.export import to_obj, to_off
-from gridforge.formats import dumps_complex, jsonable_to_complex
+from gridforge.formats import dumps_complex, load_complex
 from gridforge.honeycombs import (
     closed_orientable_435, crosscap_abstract_34, hyperbolic_pants_435,
     hyperbolic_torus_435, pants_4335, surface_4335, torus_4335,
@@ -37,12 +37,6 @@ def _write(path, text):
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _load(path):
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return jsonable_to_complex(data)
 
 
 def _genus_or_crosscaps(args, what):
@@ -131,7 +125,7 @@ def _yesno(flag):
 
 
 def _cmd_validate(args):
-    report = validate_surface(_load(args.path))
+    report = validate_surface(load_complex(args.path))
     lines = [
         f"surface: {_yesno(report.is_surface)}",
         f"closed: {_yesno(report.is_closed)}",
@@ -146,7 +140,7 @@ def _cmd_validate(args):
 
 
 def _cmd_classify(args):
-    report = classify(_load(args.path))
+    report = classify(load_complex(args.path))
     lines = [report.class_name]
     if report.is_surface:
         lines += [
@@ -170,8 +164,8 @@ def _parse_cell(text):
 
 
 def _cmd_sum(args):
-    a = _load(args.first)
-    b = _load(args.second)
+    a = load_complex(args.first)
+    b = load_complex(args.second)
     out = connected_sum_embedded(a, _parse_cell(args.face_a),
                                  b, _parse_cell(args.face_b), axis=args.axis)
     _write(args.output, dumps_complex(out))
@@ -203,7 +197,7 @@ def _cmd_stats(args):
 
 
 def _cmd_export(args):
-    obj = _load(args.path)
+    obj = load_complex(args.path)
     if args.format == "json":
         text = dumps_complex(obj)
     elif args.format == "off":

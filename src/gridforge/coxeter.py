@@ -172,6 +172,8 @@ class CoxeterSystem:
                     rows.append(tuple(row))
             gens.append(tuple(rows))
         self.generators = tuple(gens)
+        # s_0 s_1 turns the base square a quarter (see square_vertex_cycle)
+        self.quarter_turn = _mat_mul(gens[0], gens[1])
 
         self._verify()
         det = _qf_det([list(r) for r in self.bilinear])
@@ -299,6 +301,18 @@ ENUM_CAP_ENV = "GRIDFORGE_ENUM_CAP"
 DEFAULT_ENUM_CAP = 2_000_000
 
 
+def _enum_cap():
+    raw = os.environ.get(ENUM_CAP_ENV, str(DEFAULT_ENUM_CAP))
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{ENUM_CAP_ENV} must be a positive integer, "
+                         f"got {raw!r}")
+    return cap
+
+
 def enumerate_parabolic(system, gens):
     """All elements of the standard parabolic <s_i : i in gens>, sorted.
 
@@ -312,7 +326,7 @@ def enumerate_parabolic(system, gens):
     hit = _ENUM_CACHE.get(cache_key)
     if hit is not None:
         return hit
-    cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+    cap = _enum_cap()
     mats = [system.generators[i] for i in sorted(gens)]
     ident = _identity(system.rank)
     seen = {ident}
@@ -485,15 +499,13 @@ def square_vertex_cycle(square):
     if square.dim != 2:
         raise ValueError("not a square cell")
     gens0 = system.parabolic_gens(0)
-    rot = _mat_mul(system.generators[0], system.generators[1])
-    out = []
-    rep = square.rep
-    for _ in range(4):
-        out.append(CosetKey(system, gens0, rep))
-        rep = _mat_mul(rep, rot)
+    reps = [square.rep]
+    for _ in range(3):
+        reps.append(_mat_mul(reps[-1], system.quarter_turn))
+    out = tuple(CosetKey(system, gens0, rep) for rep in reps)
     if len(set(out)) != 4:
         raise AssertionError("square corners are not distinct")
-    return tuple(out)
+    return out
 
 
 def incidence_counts(system, d):

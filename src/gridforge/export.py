@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from gridforge.lattice import GriddedComplex, is_lattice_ambient
-from gridforge.surface import declared_vertices, square_cycles
+from gridforge.surface import square_index
 from gridforge.field import qf_from_ring
 
 
@@ -32,7 +32,7 @@ def _klein_frame(system):
 
 def _klein_coords(system, keys):
     b, timelike, spacelike = _klein_frame(system)
-    out = {}
+    out = []
     for key in keys:
         x = np.array([float(qf_from_ring(e)) for e in key.vec])
         denom = -float(x @ b @ timelike)
@@ -40,20 +40,29 @@ def _klein_coords(system, keys):
             x, denom = -x, -denom
         if denom == 0:
             raise ValueError("vertex on the ideal boundary")
-        out[key] = tuple(float(x @ b @ s) / denom for s in spacelike)
+        out.append(tuple(float(x @ b @ s) / denom for s in spacelike))
     return out
+
+
+def _gridded_index(obj):
+    if not isinstance(obj, GriddedComplex):
+        raise ValueError("only gridded complexes have coordinates")
+    return square_index(obj)
+
+
+def _points(ambient, vertices):
+    """Coordinates of the given vertices, in their order."""
+    if is_lattice_ambient(ambient):
+        return [tuple(c / 2.0 for c in v) for v in vertices]
+    from gridforge.coxeter import build_system
+
+    return _klein_coords(build_system(ambient), vertices)
 
 
 def vertex_coordinates(obj):
     """Map each vertex of a gridded complex to a tuple of floats."""
-    if not isinstance(obj, GriddedComplex):
-        raise ValueError("only gridded complexes have coordinates")
-    verts = declared_vertices(obj)
-    if is_lattice_ambient(obj.ambient):
-        return {v: tuple(c / 2.0 for c in v) for v in verts}
-    from gridforge.coxeter import build_system
-
-    return _klein_coords(build_system(obj.ambient), verts)
+    vertices = _gridded_index(obj).vertices
+    return dict(zip(vertices, _points(obj.ambient, vertices)))
 
 
 def _fmt(x):
@@ -62,28 +71,24 @@ def _fmt(x):
 
 
 def _mesh(obj):
-    coords = vertex_coordinates(obj)
-    verts = sorted(coords)
-    index = {v: i for i, v in enumerate(verts)}
-    faces = sorted(tuple(index[v] for v in cyc) for cyc in square_cycles(obj))
-    return [coords[v] for v in verts], faces
+    """Points in sorted vertex order, faces as sorted 4-tuples of point
+    positions, and the number of edges."""
+    index = _gridded_index(obj)
+    return (_points(obj.ambient, index.vertices), sorted(index.squares),
+            len(index.edges))
 
 
 def to_off(obj):
     """OFF text; complexes in 4 coordinates use the nOFF extension."""
-    points, faces = _mesh(obj)
+    points, faces, n_edges = _mesh(obj)
     dim = len(points[0]) if points else 3
-    edges = set()
-    for f in faces:
-        for i in range(4):
-            edges.add(frozenset((f[i], f[(i + 1) % 4])))
     lines = []
     if dim == 3:
         lines.append("OFF")
     else:
         lines.append("nOFF")
         lines.append(str(dim))
-    lines.append(f"{len(points)} {len(faces)} {len(edges)}")
+    lines.append(f"{len(points)} {len(faces)} {n_edges}")
     for p in points:
         lines.append(" ".join(_fmt(c) for c in p))
     for f in faces:
@@ -94,7 +99,7 @@ def to_off(obj):
 def to_obj(obj):
     """Wavefront OBJ text; extra coordinates beyond 3 are dropped and 2D
     complexes get a zero third coordinate."""
-    points, faces = _mesh(obj)
+    points, faces, _ = _mesh(obj)
     lines = []
     if points and len(points[0]) > 3:
         lines.append(f"# first 3 of {len(points[0])} coordinates")

@@ -11,11 +11,18 @@ The manifold test is local: every edge must lie in at most two squares,
 and the link of every vertex (the graph whose nodes are the edges at the
 vertex, with one arc per incident square) must be a single cycle or a
 single simple path.
+
+Validation, classification, the Euler characteristic and mesh export
+read one SquareIndex: a single square_cycles pass turned into dense int
+vertex ids, int squares, an edge multiplicity table and the vertex links.
+On honeycomb complexes that pass costs ring-matrix products and exact
+coset keys, so each of them pays for it once; classify validates on the
+index it builds.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from gridforge import lattice
@@ -99,21 +106,61 @@ def square_cycles(obj):
     raise TypeError(f"not a square complex: {type(obj).__name__}")
 
 
+@dataclass(frozen=True)
+class SquareIndex:
+    """The squares of a complex in dense integer form.
+
+    A vertex's id is its position in the sorted vertices, so ids compare
+    as the vertices do.  squares are the cycles of square_cycles, in the
+    same order, as id 4-tuples; cycles are the same squares in vertex
+    objects.  edges maps each edge (a, b) with a < b to the number of
+    squares containing it, in order of first sight.  links[v] has one arc
+    (u, w) per square corner at v, where u and w are the corner's two
+    neighbours: the link of v has a node per edge at v, named by its
+    other end.
+    """
+
+    vertices: list
+    cycles: list
+    squares: list
+    edges: dict
+    links: list
+
+
+def square_index(obj):
+    """The SquareIndex of a complex, from one square_cycles pass.
+
+    Each corner costs one hash lookup to find its vertex, and each vertex
+    one more to rank it; everything after that works on ints.
+    """
+    # abstract complexes may declare vertices that no square uses
+    first = ({v: i for i, v in enumerate(obj.vertices)}
+             if isinstance(obj, AbstractSquareComplex) else {})
+    raw = [tuple(first.setdefault(v, len(first)) for v in cyc)
+           for cyc in square_cycles(obj)]
+    vertices = sorted(first)
+    rank = [0] * len(vertices)
+    for new, v in enumerate(vertices):
+        rank[first[v]] = new
+    squares = [tuple(rank[i] for i in r) for r in raw]
+    edges = {}
+    links = [[] for _ in vertices]
+    for s in squares:
+        for i in range(4):
+            v, w = s[i], s[(i + 1) % 4]
+            links[v].append((s[i - 1], w))
+            e = _edge(v, w)
+            edges[e] = edges.get(e, 0) + 1
+    cycles = [tuple(vertices[i] for i in s) for s in squares]
+    return SquareIndex(vertices, cycles, squares, edges, links)
+
+
 def declared_vertices(obj):
-    if isinstance(obj, AbstractSquareComplex):
-        return set(obj.vertices)
-    verts = set()
-    for cyc in square_cycles(obj):
-        verts.update(cyc)
-    return verts
+    return set(square_index(obj).vertices)
 
 
 def _edge(u, v):
     return (u, v) if u < v else (v, u)
-
-
-def _cycle_edges(cyc):
-    return [_edge(cyc[i], cyc[(i + 1) % 4]) for i in range(4)]
 
 
 @dataclass(frozen=True)
@@ -161,53 +208,26 @@ def _component_name(orientable, genus, crosscaps, circles):
     return name
 
 
-def validate_surface(obj):
-    """Check the manifold conditions; returns a SurfaceReport.
-
-    The report carries V/E/F counts and the Euler characteristic whether or
-    not the check passes; failures lists each violation with a witness cell.
-    """
-    cycles = square_cycles(obj)
-    verts = declared_vertices(obj)
-
-    edge_mult = Counter()
-    for cyc in cycles:
-        for e in _cycle_edges(cyc):
-            edge_mult[e] += 1
-
-    failures = []
-    for e, m in sorted(edge_mult.items()):
-        if m > 2:
-            failures.append(f"edge {e} lies in {m} squares")
-
-    used = set()
-    for cyc in cycles:
-        used.update(cyc)
-    for v in sorted(verts - used):
-        failures.append(f"vertex {v} is isolated")
-
-    # vertex links: nodes are the edges at v, one arc per incident square
-    at_vertex = defaultdict(list)
-    for cyc in cycles:
-        for i in range(4):
-            v = cyc[i]
-            e_prev = _edge(v, cyc[(i - 1) % 4])
-            e_next = _edge(v, cyc[(i + 1) % 4])
-            at_vertex[v].append((e_prev, e_next))
-    for v in sorted(at_vertex):
-        arcs = at_vertex[v]
-        deg = Counter()
-        adj = defaultdict(list)
-        for e1, e2 in arcs:
-            deg[e1] += 1
-            deg[e2] += 1
-            adj[e1].append(e2)
-            adj[e2].append(e1)
-        nodes = set(deg)
-        if any(d > 2 for d in deg.values()):
-            failures.append(f"vertex {v} link has an edge in more than 2 squares")
+def _validate(index):
+    vertices, squares, edges = index.vertices, index.squares, index.edges
+    failures = [f"edge {(vertices[a], vertices[b])} lies in {edges[a, b]} "
+                "squares"
+                for a, b in sorted(e for e, m in edges.items() if m > 2)]
+    failures += [f"vertex {vertices[v]} is isolated"
+                 for v, arcs in enumerate(index.links) if not arcs]
+    # vertex links: nodes are the edges at v, named by their other ends
+    for v, arcs in enumerate(index.links):
+        if not arcs:
             continue
-        start = next(iter(nodes))
+        adj = defaultdict(list)
+        for u, w in arcs:
+            adj[u].append(w)
+            adj[w].append(u)
+        if any(len(nbrs) > 2 for nbrs in adj.values()):
+            failures.append(f"vertex {vertices[v]} link has an edge in more "
+                            "than 2 squares")
+            continue
+        start = next(iter(adj))
         seen = {start}
         stack = [start]
         while stack:
@@ -216,58 +236,62 @@ def validate_surface(obj):
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        if seen != nodes:
-            failures.append(f"vertex {v} link is disconnected")
+        if len(seen) != len(adj):
+            failures.append(f"vertex {vertices[v]} link is disconnected")
             continue
-        odd = sum(1 for d in deg.values() if d == 1)
-        if odd not in (0, 2):
-            failures.append(f"vertex {v} link is neither a cycle nor a path")
+        if sum(1 for nbrs in adj.values() if len(nbrs) == 1) not in (0, 2):
+            failures.append(f"vertex {vertices[v]} link is neither a cycle "
+                            "nor a path")
 
-    V = len(verts)
-    E = len(edge_mult)
-    F = len(cycles)
-    is_closed = bool(cycles) and all(m == 2 for m in edge_mult.values())
+    V = len(vertices)
+    E = len(edges)
+    F = len(squares)
+    is_closed = bool(squares) and all(m == 2 for m in edges.values())
     return SurfaceReport(
-        is_surface=not failures and bool(cycles),
+        is_surface=not failures and bool(squares),
         is_closed=is_closed and not failures,
         vertex_count=V,
         edge_count=E,
         square_count=F,
         euler_characteristic=V - E + F,
         failures=tuple(failures) if failures else
-        (() if cycles else ("complex has no squares",)),
+        (() if squares else ("complex has no squares",)),
     )
 
 
+def validate_surface(obj):
+    """Check the manifold conditions; returns a SurfaceReport.
+
+    The report carries V/E/F counts and the Euler characteristic whether or
+    not the check passes; failures lists each violation with a witness cell.
+    """
+    return _validate(square_index(obj))
+
+
 def euler_characteristic(obj):
-    cycles = square_cycles(obj)
-    verts = declared_vertices(obj)
-    edges = set()
-    for cyc in cycles:
-        edges.update(_cycle_edges(cyc))
-    return len(verts) - len(edges) + len(cycles)
+    index = square_index(obj)
+    return len(index.vertices) - len(index.edges) + len(index.squares)
 
 
-def _orient_components(cycles, comp_of_square, n_components):
+def _orient_components(index, comp_of_square, n_components):
     """Two-colour the dual graph; returns per-component orientability.
 
     A shared edge forces neighbouring squares to traverse it in opposite
     directions.  An inconsistency yields a witness loop of squares whose
     orientations cannot be reconciled.
     """
+    squares = index.squares
     by_edge = defaultdict(list)
-    for idx, cyc in enumerate(cycles):
+    for idx, s in enumerate(squares):
         for i in range(4):
-            u, v = cyc[i], cyc[(i + 1) % 4]
-            e = _edge(u, v)
-            forward = e == (u, v)
-            by_edge[e].append((idx, forward))
+            u, v = s[i], s[(i + 1) % 4]
+            by_edge[_edge(u, v)].append((idx, u < v))
 
     sign = {}
     parent = {}
     orientable = [True] * n_components
     witness = [None] * n_components
-    for root in range(len(cycles)):
+    for root in range(len(squares)):
         if root in sign:
             continue
         sign[root] = 1
@@ -276,10 +300,9 @@ def _orient_components(cycles, comp_of_square, n_components):
         while stack:
             cur = stack.pop()
             for i in range(4):
-                u, v = cycles[cur][i], cycles[cur][(i + 1) % 4]
-                e = _edge(u, v)
-                cur_fwd = e == (u, v)
-                for other, other_fwd in by_edge[e]:
+                u, v = squares[cur][i], squares[cur][(i + 1) % 4]
+                cur_fwd = u < v
+                for other, other_fwd in by_edge[_edge(u, v)]:
                     if other == cur:
                         continue
                     need = -sign[cur] if other_fwd == cur_fwd else sign[cur]
@@ -291,7 +314,8 @@ def _orient_components(cycles, comp_of_square, n_components):
                         comp = comp_of_square[cur]
                         if orientable[comp]:
                             orientable[comp] = False
-                            witness[comp] = _dual_loop(parent, cur, other, cycles)
+                            witness[comp] = _dual_loop(parent, cur, other,
+                                                       index.cycles)
     return orientable, witness
 
 
@@ -313,7 +337,7 @@ def _dual_loop(parent, a, b, cycles):
     return tuple(cycles[i] for i in loop)
 
 
-def _boundary_circles(vertices, boundary_edges):
+def _boundary_circles(boundary_edges):
     """Decompose multiplicity-1 edges into closed vertex cycles."""
     adj = defaultdict(list)
     for u, v in boundary_edges:
@@ -357,16 +381,16 @@ def classify(obj):
     components are reported by genus, nonorientable ones by crosscap
     number, each together with its count of boundary circles.
     """
-    base = validate_surface(obj)
+    index = square_index(obj)
+    base = _validate(index)
     if not base.is_surface:
         return base
 
-    cycles = square_cycles(obj)
-    verts = sorted(declared_vertices(obj))
-    index = {v: i for i, v in enumerate(verts)}
+    squares, edges = index.squares, index.edges
+    n = len(index.vertices)
 
     # connected components over the vertex-edge graph
-    parent = list(range(len(verts)))
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -379,37 +403,32 @@ def classify(obj):
         if rx != ry:
             parent[rx] = ry
 
-    for cyc in cycles:
+    for s in squares:
         for i in range(4):
-            union(index[cyc[i]], index[cyc[(i + 1) % 4]])
+            union(s[i], s[(i + 1) % 4])
 
-    roots = sorted({find(i) for i in range(len(verts))})
+    roots = sorted({find(v) for v in range(n)})
     comp_id = {r: i for i, r in enumerate(roots)}
     n_comp = len(roots)
-    comp_of_vertex = {v: comp_id[find(index[v])] for v in verts}
-    comp_of_square = [comp_of_vertex[cyc[0]] for cyc in cycles]
-
-    edge_mult = Counter()
-    for cyc in cycles:
-        for e in _cycle_edges(cyc):
-            edge_mult[e] += 1
+    comp_of_vertex = [comp_id[find(v)] for v in range(n)]
+    comp_of_square = [comp_of_vertex[s[0]] for s in squares]
 
     V = [0] * n_comp
     E = [0] * n_comp
     F = [0] * n_comp
-    for v in verts:
-        V[comp_of_vertex[v]] += 1
-    for e in edge_mult:
-        E[comp_of_vertex[e[0]]] += 1
+    for c in comp_of_vertex:
+        V[c] += 1
+    for a, _ in edges:
+        E[comp_of_vertex[a]] += 1
     for c in comp_of_square:
         F[c] += 1
 
-    boundary_edges = [e for e, m in edge_mult.items() if m == 1]
+    boundary_edges = [e for e, m in edges.items() if m == 1]
     circles_by_comp = [0] * n_comp
-    for circ in _boundary_circles(verts, boundary_edges):
+    for circ in _boundary_circles(boundary_edges):
         circles_by_comp[comp_of_vertex[circ[0]]] += 1
 
-    orientable, witnesses = _orient_components(cycles, comp_of_square, n_comp)
+    orientable, witnesses = _orient_components(index, comp_of_square, n_comp)
 
     comps = []
     for i in range(n_comp):

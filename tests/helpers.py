@@ -143,3 +143,14 @@ def orientation_flip(cyc_a, cyc_b):
         if (v, u) in directed(cyc_b):
             return +1
     return None
+
+
+def brute_counts(squares):
+    """(V, E, F) of a set of doubled-coordinate squares, collecting the
+    vertices and edges of each square by the face relation."""
+    verts = set()
+    edges = set()
+    for s in squares:
+        verts |= brute_faces(s, 0)
+        edges |= brute_faces(s, 1)
+    return len(verts), len(edges), len(set(squares))

@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from gridforge import coxeter
 from gridforge.cli import main
 from gridforge.constructors import spiral_tree
 
@@ -138,6 +139,26 @@ def test_malformed_json_exits_2(tmp_path):
     code, _, err = run(["validate", str(path)])
     assert code == 2
     assert "line 1" in err and "column" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "export"])
+def test_malformed_json_message_is_exact(tmp_path, command):
+    path = tmp_path / "broken.json"
+    path.write_text('{"format": "gridded", "squares": [[1,')
+    code, out, err = run([command, str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: malformed JSON at line 1 column 38: Expecting value\n"
+
+
+@pytest.mark.parametrize("raw", ["abc", "", "0", "-3", "2.5"])
+def test_bad_enum_cap_names_the_variable(monkeypatch, raw):
+    monkeypatch.setenv(coxeter.ENUM_CAP_ENV, raw)
+    # the cap is read when a parabolic is enumerated, not on a cache hit
+    monkeypatch.setattr(coxeter, "_ENUM_CACHE", {})
+    code, out, err = run(["stats", "{4,3,5}"])
+    assert (code, out) == (2, "")
+    assert err == ("error: GRIDFORGE_ENUM_CAP must be a positive integer, "
+                   f"got {raw!r}\n")
 
 
 def test_schema_error_exits_2(tmp_path):

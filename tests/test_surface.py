@@ -1,16 +1,22 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    orientation_flip, random_polyomino, solid_betti_numbers,
+    brute_counts, orientation_flip, random_polyomino, solid_betti_numbers,
     solid_is_well_composed,
 )
+from gridforge import coxeter, surface
 from gridforge.constructors import box_column, frame_torus, sphere_cube
+from gridforge.export import to_off
+from gridforge.honeycombs import hyperbolic_torus_435
 from gridforge.lattice import GriddedComplex, cube_union_boundary
 from gridforge.surface import (
-    AbstractSquareComplex, GridCollisionError, classify, connected_sum_abstract,
-    connected_sum_embedded, euler_characteristic, to_abstract, validate_surface,
+    AbstractSquareComplex, GridCollisionError, SurfaceReport, classify,
+    connected_sum_abstract, connected_sum_embedded, euler_characteristic,
+    square_index, to_abstract, validate_surface,
 )
 
 
@@ -229,3 +235,114 @@ def test_known_solids_match_homology_oracle():
     rep = classify(GriddedComplex("Z3", cube_union_boundary(shell)))
     assert len(rep.components) == 2
     assert all(c.genus == 0 for c in rep.components)
+
+
+def test_square_index_ids_follow_vertex_order():
+    t = grid_torus()
+    index = square_index(t)
+    assert index.vertices == sorted(t.vertices)
+    assert index.cycles == list(t.squares)
+    assert [tuple(index.vertices[i] for i in sq)
+            for sq in index.squares] == index.cycles
+    assert all(a < b for a, b in index.edges)
+    assert sorted(index.edges.values()) == [2] * 18
+    # every vertex of the 3 x 3 torus is a corner of 4 squares
+    assert [len(arcs) for arcs in index.links] == [4] * 9
+
+
+def test_square_index_keeps_isolated_vertices():
+    c = AbstractSquareComplex(frozenset([0, 1, 2, 3, 9]), ((0, 1, 2, 3),))
+    index = square_index(c)
+    assert index.vertices == [0, 1, 2, 3, 9]
+    assert index.squares == [(0, 1, 2, 3)]
+    assert index.links[4] == []
+    assert index.links[0] == [(3, 1)]
+
+
+@pytest.mark.parametrize("build", [sphere_cube, hyperbolic_torus_435])
+@pytest.mark.parametrize("command", [validate_surface, classify, to_off])
+def test_each_command_walks_the_squares_once(monkeypatch, build, command):
+    obj = build()
+    passes, corner_walks = [], []
+    cycles = surface.square_cycles
+    vertex_cycle = coxeter.square_vertex_cycle
+    monkeypatch.setattr(surface, "square_cycles",
+                        lambda o: passes.append(o) or cycles(o))
+    monkeypatch.setattr(coxeter, "square_vertex_cycle",
+                        lambda sq: corner_walks.append(sq) or vertex_cycle(sq))
+    command(obj)
+    assert passes == [obj]
+    if build is sphere_cube:
+        assert corner_walks == []
+    else:
+        assert sorted(corner_walks) == sorted(obj.squares)
+
+
+@pytest.mark.parametrize("obj,counts,failures", [
+    (GriddedComplex("Z3", {(1, 1, 0), (1, 0, 1), (1, 0, -1)}), (8, 10, 3),
+     ("edge ((0, 0, 0), (2, 0, 0)) lies in 3 squares",
+      "vertex (0, 0, 0) link has an edge in more than 2 squares",
+      "vertex (2, 0, 0) link has an edge in more than 2 squares")),
+    (GriddedComplex("Z2", {(1, 1), (3, 3)}), (7, 8, 2),
+     ("vertex (2, 2) link is disconnected",)),
+    (AbstractSquareComplex(frozenset([0, 1, 2, 3, 9]), ((0, 1, 2, 3),)),
+     (5, 4, 1), ("vertex 9 is isolated",)),
+    (AbstractSquareComplex(frozenset(), ()), (0, 0, 0),
+     ("complex has no squares",)),
+    (AbstractSquareComplex(frozenset(range(17)), (
+        (0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 6, 7), (10, 11, 12, 13),
+        (10, 14, 15, 16))), (17, 18, 5),
+     ("edge (0, 1) lies in 3 squares", "vertex 8 is isolated",
+      "vertex 9 is isolated",
+      "vertex 0 link has an edge in more than 2 squares",
+      "vertex 1 link has an edge in more than 2 squares",
+      "vertex 10 link is disconnected")),
+], ids=["edge-in-3", "pinched", "isolated", "empty", "mixed"])
+def test_failure_reports_are_pinned(obj, counts, failures):
+    v, e, f = counts
+    expected = SurfaceReport(
+        is_surface=False, is_closed=False, vertex_count=v, edge_count=e,
+        square_count=f, euler_characteristic=v - e + f, failures=failures)
+    assert validate_surface(obj) == expected
+    assert classify(obj) == expected
+
+
+def test_witness_and_component_order_are_pinned():
+    assert classify(mobius_strip()).nonorientable_witness == (
+        (4, 5, 7, 6), (2, 3, 5, 4), (0, 1, 3, 2), (0, 1, 6, 7))
+    for shift, name in ((20, "orientable genus 0; orientable genus 1"),
+                        (-20, "orientable genus 1; orientable genus 0")):
+        far = {tuple(a + b for a, b in zip(s, (shift, 0, 0)))
+               for s in frame_torus().squares}
+        rep = classify(GriddedComplex("Z3", sphere_cube().squares | far))
+        assert rep.class_name == "2 components: " + name
+
+
+def _check_against_abstract_and_brute_count(g):
+    def summary(rep):
+        return (rep.vertex_count, rep.edge_count, rep.square_count,
+                rep.euler_characteristic, rep.class_name)
+
+    rep = classify(g)
+    assert summary(rep) == summary(classify(to_abstract(g)))
+    v, e, f = brute_counts(g.squares)
+    assert summary(rep)[:4] == (v, e, f, v - e + f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 10))
+def test_polyomino_boundaries_match_abstract_and_brute_count(seed, n_cubes):
+    cubes = random_polyomino(random.Random(seed), n_cubes)
+    _check_against_abstract_and_brute_count(
+        GriddedComplex("Z3", cube_union_boundary(cubes)))
+
+
+# the 36 squares of the 2 x 2 x 2 box of cubes
+BOX_SQUARES = sorted(s for s in itertools.product(range(5), repeat=3)
+                     if sum(x % 2 for x in s) == 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.sampled_from(BOX_SQUARES)))
+def test_box_square_subsets_match_abstract_and_brute_count(squares):
+    _check_against_abstract_and_brute_count(GriddedComplex("Z3", squares))
