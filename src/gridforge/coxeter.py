@@ -13,17 +13,22 @@ integer 4-tuples and never suffer rounding.  Cosets are identified either
 by an exact fixed-point vector (hyperbolic systems, where the bilinear
 form is invertible) or by the lexicographically least matrix in the coset
 (degenerate Euclidean systems, whose parabolics are small).
+
+Ring-matrix products are the dominant cost, so they are formed only where
+a matrix is read.  A hyperbolic cell reached from another one, as a face,
+a corner or an image, is keyed by one matrix-vector product rep * x_d and
+keeps its representative as a pair of factors, multiplied on first read.
+The least matrix of a coset is built one row at a time, finishing only
+the candidates still tied for least.
 """
 
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from functools import lru_cache
 
 from gridforge.field import (
-    QF, RONE, RZERO, cos_pi, qf_from_ring, ring_from_qf, ring_key, radd,
-    rmul, rneg,
+    QF, RONE, RZERO, cos_pi, qf_from_ring, ring_from_qf, ring_key, rneg,
 )
 
 SYSTEM_LABELS = {
@@ -37,30 +42,34 @@ SYSTEM_LABELS = {
 _TWO_COS_RING = {2: RZERO, 3: RONE, 4: (0, 1, 0, 0), 5: (0, 0, 1, 0)}
 
 
+def _dot(row, col):
+    """Sum of row[k] * col[k] over Z[sqrt2, phi], skipping zero terms.
+
+    The product of two ring elements is field.rmul written out inline;
+    phi^2 = phi + 1 and sqrt2^2 = 2 give the four coordinates.
+    """
+    a = b = c = d = 0
+    for x, y in zip(row, col):
+        if x != RZERO and y != RZERO:
+            p1, q1, r1, s1 = x
+            p2, q2, r2, s2 = y
+            rr = r1 * r2
+            ss = s1 * s2
+            rs = r1 * s2 + s1 * r2
+            a += p1 * p2 + rr + 2 * (q1 * q2 + ss)
+            b += p1 * q2 + q1 * p2 + rs
+            c += p1 * r2 + r1 * p2 + rr + 2 * (q1 * s2 + s1 * q2 + ss)
+            d += p1 * s2 + s1 * p2 + q1 * r2 + r1 * q2 + rs
+    return (a, b, c, d)
+
+
 def _mat_mul(a, b):
     cols = tuple(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in cols:
-            acc = RZERO
-            for x, y in zip(row, col):
-                if x != RZERO and y != RZERO:
-                    acc = radd(acc, rmul(x, y))
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
+    return tuple([tuple([_dot(row, col) for col in cols]) for row in a])
 
 
 def _mat_vec(m, v):
-    out = []
-    for row in m:
-        acc = RZERO
-        for x, y in zip(row, v):
-            if x != RZERO and y != RZERO:
-                acc = radd(acc, rmul(x, y))
-        out.append(acc)
-    return tuple(out)
+    return tuple([_dot(row, v) for row in m])
 
 
 def _transpose(m):
@@ -172,8 +181,6 @@ class CoxeterSystem:
                     rows.append(tuple(row))
             gens.append(tuple(rows))
         self.generators = tuple(gens)
-        # s_0 s_1 turns the base square a quarter (see square_vertex_cycle)
-        self.quarter_turn = _mat_mul(gens[0], gens[1])
 
         self._verify()
         det = _qf_det([list(r) for r in self.bilinear])
@@ -187,6 +194,17 @@ class CoxeterSystem:
                                        for i in range(rank))
         else:
             self.fixed_vectors = None
+        # q = s_0 s_1 turns the base square a quarter: the corners of a
+        # square w P_2 are the vertices w q^k P_0 (see square_vertex_cycle).
+        # Each turn q^k is kept with q^k x_0, which keys its corner in
+        # hyperbolic systems.
+        quarter = _mat_mul(gens[0], gens[1])
+        turns = [_identity(rank), quarter]
+        for _ in range(2):
+            turns.append(_mat_mul(turns[-1], quarter))
+        self.corner_turns = tuple(
+            (q, None if self.affine else _mat_vec(q, self.fixed_vectors[0]))
+            for q in turns)
 
     def _verify(self):
         ident = _identity(self.rank)
@@ -313,11 +331,15 @@ def _enum_cap():
     return cap
 
 
+class EnumerationCapError(RuntimeError):
+    """A parabolic subgroup has more elements than GRIDFORGE_ENUM_CAP."""
+
+
 def enumerate_parabolic(system, gens):
     """All elements of the standard parabolic <s_i : i in gens>, sorted.
 
     Breadth-first closure over the generator matrices.  Aborts with
-    RuntimeError if the subgroup exceeds the cap in GRIDFORGE_ENUM_CAP
+    EnumerationCapError if the subgroup exceeds the cap in GRIDFORGE_ENUM_CAP
     (default 2,000,000), which guards against asking for an infinite
     parabolic of an affine or hyperbolic system.
     """
@@ -340,7 +362,7 @@ def enumerate_parabolic(system, gens):
                     seen.add(wg)
                     nxt.append(wg)
                     if len(seen) > cap:
-                        raise RuntimeError(
+                        raise EnumerationCapError(
                             f"parabolic {sorted(gens)} of {system.name} "
                             f"exceeds {cap} elements; raise {ENUM_CAP_ENV} "
                             "if this is intended")
@@ -354,18 +376,49 @@ def parabolic_order(system, gens):
     return len(enumerate_parabolic(system, gens))
 
 
+def _least_product(rep, parabolic):
+    """min(_mat_mul(rep, p) for p in parabolic) under matrix_key.
+
+    Row i of rep * p is rep[i] dotted with the columns of p, so the rows
+    are formed in order and only the candidates tied on every row so far
+    go on to the next.  The elements of a parabolic share most of their
+    columns (the 16 elements stabilising a {4,3,5} square have 18
+    distinct columns among them, the 80 of a {4,3,3,5} square 38), so a
+    row costs one dot per distinct column.  Candidates tied on every row
+    are equal products, so the one returned is the matrix the full min
+    picks; for an invertible rep it is the only one left.
+    """
+    tied = [((), tuple(zip(*p))) for p in parabolic]
+    for row in rep:
+        dots = {col: _dot(row, col)
+                for col in {col for _, cols in tied for col in cols}}
+        keys = {col: ring_key(e) for col, e in dots.items()}
+        row_keys = [tuple([keys[col] for col in cols]) for _, cols in tied]
+        least = min(row_keys)
+        tied = [(rows + (tuple([dots[col] for col in cols]),), cols)
+                for (rows, cols), key in zip(tied, row_keys) if key == least]
+    return tied[0][0]
+
+
 class CosetKey:
     """A cell of the honeycomb: the coset rep * P_d of a maximal parabolic.
 
     Two keys are equal iff the cosets agree.  Hyperbolic systems decide
-    this through the exact fixed-point vector rep * x_d (a one-matrix-vector
-    operation); Euclidean systems fall back to the lexicographically least
-    matrix of the coset.  min_rep() gives that canonical matrix either way.
+    this through the exact fixed-point vector rep * x_d; Euclidean systems
+    fall back to the lexicographically least matrix of the coset.
+    min_rep() gives that canonical matrix either way, built row by row.
+
+    A key is made from its representative, or, in hyperbolic systems,
+    from its vector `vec` and a pair of `factors` whose product is the
+    representative.  That product is formed on the first read of `rep`,
+    so a cell that is only hashed and compared costs one matrix-vector
+    product.  Euclidean keys need the matrix at once and form it eagerly.
     """
 
-    __slots__ = ("system", "gens", "rep", "dim", "vec", "_key", "_minrep")
+    __slots__ = ("system", "gens", "dim", "vec", "_rep", "_factors", "_key",
+                 "_minrep")
 
-    def __init__(self, system, gens, rep):
+    def __init__(self, system, gens, rep=None, vec=None, factors=None):
         gens = frozenset(gens)
         missing = sorted(set(range(system.rank)) - gens)
         if len(missing) != 1:
@@ -373,26 +426,32 @@ class CosetKey:
                              f"got generator set {sorted(gens)}")
         self.system = system
         self.gens = gens
-        self.rep = rep
         self.dim = missing[0]
+        self._rep = rep
+        self._factors = factors
         self._minrep = None
         if system.fixed_vectors is not None:
-            self.vec = _mat_vec(rep, system.fixed_vectors[self.dim])
-            self._key = tuple(ring_key(e) for e in self.vec)
+            if vec is None:
+                vec = _mat_vec(self.rep, system.fixed_vectors[self.dim])
+            self.vec = vec
+            self._key = tuple([ring_key(e) for e in vec])
         else:
             self.vec = None
-            self._minrep = min(
-                (_mat_mul(rep, p) for p in enumerate_parabolic(system, gens)),
-                key=matrix_key)
-            self._key = matrix_key(self._minrep)
+            self._key = matrix_key(self.min_rep())
+
+    @property
+    def rep(self):
+        """A matrix of the coset (the product of the factors, if given)."""
+        if self._rep is None:
+            self._rep = _mat_mul(*self._factors)
+            self._factors = None
+        return self._rep
 
     def min_rep(self):
         """Lexicographically least matrix of the coset (canonical form)."""
         if self._minrep is None:
-            self._minrep = min(
-                (_mat_mul(self.rep, p)
-                 for p in enumerate_parabolic(self.system, self.gens)),
-                key=matrix_key)
+            self._minrep = _least_product(
+                self.rep, enumerate_parabolic(self.system, self.gens))
         return self._minrep
 
     def _ident(self):
@@ -432,8 +491,9 @@ _TRANSVERSAL_CACHE = {}
 
 
 def _transversal(system, d, j):
-    """Coset reps t such that the j-cells incident to a d-cell w P_d are
-    exactly the w t P_j, each exactly once."""
+    """Pairs (t, t * x_j) such that the j-cells incident to a d-cell w P_d
+    are exactly the w t P_j, each exactly once.  The vector t * x_j is
+    None in affine systems."""
     key = (system.name, d, j)
     hit = _TRANSVERSAL_CACHE.get(key)
     if hit is not None:
@@ -445,10 +505,21 @@ def _transversal(system, d, j):
         k = CosetKey(system, gens_j, p)
         if k not in seen:
             seen.add(k)
-            reps.append(p)
+            reps.append((p, k.vec))
     reps = tuple(reps)
     _TRANSVERSAL_CACHE[key] = reps
     return reps
+
+
+def _product_key(system, gens, a, b, bx):
+    """The cell a b P, where bx = b * x_d is given in hyperbolic systems.
+
+    There the key is the one matrix-vector product a * bx and a b is left
+    for the first read of its rep; affine keys form a b at once.
+    """
+    if bx is None:
+        return CosetKey(system, gens, _mat_mul(a, b))
+    return CosetKey(system, gens, vec=_mat_vec(a, bx), factors=(a, b))
 
 
 def cell_faces(cell, j):
@@ -458,8 +529,9 @@ def cell_faces(cell, j):
     if j == cell.dim:
         return (cell,)
     gens_j = system.parabolic_gens(j)
-    out = [CosetKey(system, gens_j, _mat_mul(cell.rep, t))
-           for t in _transversal(system, cell.dim, j)]
+    rep = cell.rep
+    out = [_product_key(system, gens_j, rep, t, tx)
+           for t, tx in _transversal(system, cell.dim, j)]
     return tuple(sorted(out))
 
 
@@ -477,7 +549,7 @@ def neighbor(top_cell, face):
 
 def transform(g, cell):
     """Apply a group element (ring matrix) to a cell."""
-    return CosetKey(cell.system, cell.gens, _mat_mul(g, cell.rep))
+    return _product_key(cell.system, cell.gens, g, cell.rep, cell.vec)
 
 
 def stabilizer(cell):
@@ -499,10 +571,9 @@ def square_vertex_cycle(square):
     if square.dim != 2:
         raise ValueError("not a square cell")
     gens0 = system.parabolic_gens(0)
-    reps = [square.rep]
-    for _ in range(3):
-        reps.append(_mat_mul(reps[-1], system.quarter_turn))
-    out = tuple(CosetKey(system, gens0, rep) for rep in reps)
+    rep = square.rep
+    out = tuple(_product_key(system, gens0, rep, q, qx)
+                for q, qx in system.corner_turns)
     if len(set(out)) != 4:
         raise AssertionError("square corners are not distinct")
     return out

@@ -126,20 +126,6 @@ class QF:
             return NotImplemented
         return o * self.inverse()
 
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = QF(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         o = QF._coerce(other)
         if o is None:
@@ -229,8 +215,6 @@ def cos_pi(m):
 
 RZERO = (0, 0, 0, 0)
 RONE = (1, 0, 0, 0)
-RSQRT2 = (0, 1, 0, 0)
-RPHI = (0, 0, 1, 0)
 
 
 def radd(x, y):

@@ -161,6 +161,15 @@ def test_bad_enum_cap_names_the_variable(monkeypatch, raw):
                    f"got {raw!r}\n")
 
 
+def test_exceeded_enum_cap_is_an_error_line(monkeypatch):
+    monkeypatch.setenv(coxeter.ENUM_CAP_ENV, "3")
+    monkeypatch.setattr(coxeter, "_ENUM_CACHE", {})
+    code, out, err = run(["stats", "{4,3,5}"])
+    assert (code, out) == (2, "")
+    assert err == ("error: parabolic [1, 2, 3] of {4,3,5} exceeds 3 "
+                   "elements; raise GRIDFORGE_ENUM_CAP if this is intended\n")
+
+
 def test_schema_error_exits_2(tmp_path):
     path = tmp_path / "odd.json"
     path.write_text('{"format": "dodecahedron"}')

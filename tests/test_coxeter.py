@@ -4,15 +4,18 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridforge import coxeter
 from gridforge.coxeter import (
     CLAIMED_INCIDENCE, CosetKey, build_system, cell_faces, enumerate_parabolic,
     identity_cell, incidence_counts, mat_inverse, matrix_key, neighbor,
     parabolic_order, square_vertex_cycle, stabilizer, transform, _identity,
-    _mat_mul, _mat_vec, _transpose,
+    _mat_mul, _mat_vec, _transpose, _transversal,
 )
-from gridforge.field import RZERO, ring_key
+from gridforge.field import RZERO, radd, ring_key, rmul
+from gridforge.formats import dumps_complex
+from gridforge.honeycombs import tree_of_life_435
 from gridforge.lattice import cell_dim, coface_count
 from gridforge.surface import _cycle_key
 
@@ -293,3 +296,154 @@ def test_square_cycle_consecutive_corners_share_an_edge():
         shared = [e for e in edges
                   if a in cell_faces(e, 0) and b in cell_faces(e, 0)]
         assert len(shared) == 1
+
+
+# --- the fused ring kernel and lazily formed representatives -------------
+
+def naive_mat_vec(m, v):
+    """Matrix times vector with the reference field.rmul and field.radd."""
+    out = []
+    for row in m:
+        acc = RZERO
+        for x, y in zip(row, v):
+            acc = radd(acc, rmul(x, y))
+        out.append(acc)
+    return tuple(out)
+
+
+def naive_mat_mul(a, b):
+    cols = [naive_mat_vec(a, col) for col in zip(*b)]
+    return tuple(zip(*cols))
+
+
+def naive_word(system, word):
+    w = _identity(system.rank)
+    for i in word:
+        w = naive_mat_mul(w, system.generators[i % system.rank])
+    return w
+
+
+ring_entries = st.one_of(st.just(RZERO),
+                         st.tuples(*[st.integers(-40, 40)] * 4))
+words = st.lists(st.integers(0, 4), max_size=12)
+
+
+def small_dims(name):
+    """Cell dimensions with parabolics small enough to enumerate per
+    example: the vertex group of {4,3,3,5} (order 14400) is left out."""
+    rank = build_system(name).rank
+    return [d for d in range(rank) if (name, d) != ("{4,3,3,5}", 0)]
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(ALL_SYSTEMS), words, words, st.data())
+def test_kernel_matches_the_reference_product(name, word_a, word_b, data):
+    s = build_system(name)
+    a, b = naive_word(s, word_a), naive_word(s, word_b)
+    assert _mat_mul(a, b) == naive_mat_mul(a, b)
+    v = tuple(data.draw(st.lists(ring_entries, min_size=s.rank,
+                                 max_size=s.rank)))
+    assert _mat_vec(a, v) == naive_mat_vec(a, v)
+    m = tuple(tuple(data.draw(st.lists(ring_entries, min_size=s.rank,
+                                       max_size=s.rank)))
+              for _ in range(s.rank))
+    assert _mat_mul(m, a) == naive_mat_mul(m, a)
+    assert _mat_mul(a, m) == naive_mat_mul(a, m)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(ALL_SYSTEMS), words, st.data())
+def test_min_rep_is_the_least_product(name, word, data):
+    s = build_system(name)
+    d = data.draw(st.sampled_from(small_dims(name)))
+    gens = s.parabolic_gens(d)
+    w = naive_word(s, word)
+    brute = min((naive_mat_mul(w, p) for p in enumerate_parabolic(s, gens)),
+                key=matrix_key)
+    assert CosetKey(s, gens, w).min_rep() == brute
+
+
+def _assert_same_key(lazy, eager, rep):
+    assert lazy == eager and hash(lazy) == hash(eager)
+    assert lazy.vec == eager.vec
+    assert lazy.rep == rep
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(ALL_SYSTEMS), words, st.data())
+def test_faces_equal_keys_built_from_the_product(name, word, data):
+    s = build_system(name)
+    dims = small_dims(name)
+    d = data.draw(st.sampled_from(dims))
+    j = data.draw(st.sampled_from(dims))
+    cell = CosetKey(s, s.parabolic_gens(d), naive_word(s, word))
+    gens_j = s.parabolic_gens(j)
+    if j == d:
+        assert cell_faces(cell, j) == (cell,)
+        return
+    eager = {}
+    for t, _ in _transversal(s, d, j):
+        rep = naive_mat_mul(cell.rep, t)
+        eager[CosetKey(s, gens_j, rep)] = rep
+    faces = cell_faces(cell, j)
+    assert sorted(eager) == list(faces)
+    for face in faces:
+        match = next(k for k in eager if k == face)
+        _assert_same_key(face, match, eager[match])
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(ALL_SYSTEMS), words)
+def test_square_corners_equal_keys_built_from_the_product(name, word):
+    s = build_system(name)
+    square = CosetKey(s, s.parabolic_gens(2), naive_word(s, word))
+    quarter = naive_mat_mul(s.generators[0], s.generators[1])
+    rep = square.rep
+    corners = square_vertex_cycle(square)
+    for corner in corners:
+        eager = CosetKey(s, s.parabolic_gens(0), rep)
+        _assert_same_key(corner, eager, rep)
+        rep = naive_mat_mul(rep, quarter)
+
+
+@given(words)
+def test_transform_equals_the_key_of_the_product(word):
+    s = build_system("{4,3,5}")
+    g = naive_word(s, word)
+    cube = cell_faces(identity_cell(s, 2), 3)[0]
+    rep = naive_mat_mul(g, cube.rep)
+    _assert_same_key(transform(g, cube), CosetKey(s, cube.gens, rep), rep)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Counts ring-matrix products made through coxeter._mat_mul."""
+    count = [0]
+    inner = coxeter._mat_mul
+
+    def counted(a, b):
+        count[0] += 1
+        return inner(a, b)
+
+    monkeypatch.setattr(coxeter, "_mat_mul", counted)
+    return count
+
+
+def test_square_corners_make_no_products(products):
+    s = build_system("{4,3,5}")
+    w = random_word(s, random.Random(5), 9)
+    square = CosetKey(s, s.parabolic_gens(2), w)
+    products[0] = 0
+    assert len(square_vertex_cycle(square)) == 4
+    assert products[0] == 0
+
+
+def test_tree_build_and_write_product_count(monkeypatch, products):
+    # 664 products with keys from vectors and a row-pruned min_rep; the
+    # eager keys and full min_rep before them made 4284
+    build_system("{4,3,5}")
+    monkeypatch.setattr(coxeter, "_ENUM_CACHE", {})
+    monkeypatch.setattr(coxeter, "_TRANSVERSAL_CACHE", {})
+    products[0] = 0
+    dumps_complex(tree_of_life_435(3))
+    assert products[0] == 664

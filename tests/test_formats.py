@@ -1,5 +1,6 @@
 """JSON serialization of the three complex families."""
 
+import hashlib
 import json
 
 import pytest
@@ -10,7 +11,10 @@ from gridforge.formats import (
     complex_to_jsonable, dumps_complex, jsonable_to_complex, load_complex,
     save_complex,
 )
-from gridforge.honeycombs import crosscap_abstract_34, hyperbolic_pants_435
+from gridforge.honeycombs import (
+    crosscap_abstract_34, hyperbolic_pants_435, hyperbolic_torus_435,
+    pants_4335, torus_4335, tree_of_life_435,
+)
 from gridforge.lattice import GriddedComplex
 from gridforge.surface import AbstractSquareComplex, classify, validate_surface
 
@@ -73,6 +77,28 @@ def test_coset_rep_choice_does_not_change_bytes():
         CosetKey(system, k.gens, _mat_mul(k.rep, parab[i % len(parab)]))
         for i, k in enumerate(sorted(p.squares)))
     assert dumps_complex(GriddedComplex(p.ambient, shuffled)) == dumps_complex(p)
+
+
+# sha256 of the canonical write, fixed across versions of the library: a
+# change to coset arithmetic or canonical form must leave these bytes alone
+PINNED_BUILDS = [
+    (lambda: tree_of_life_435(3),
+     "c739212388eb32a996b4dbb3d752e679ac0cf30201e38fcc1e6ea5d67f79158e"),
+    (hyperbolic_torus_435,
+     "a0772c7af8b44a47bb0ff71fd9bdfe387d4e50fc5f247d2d4f84bacdd3ab1be3"),
+    (torus_4335,
+     "468bc2619bf223d3b068d3ed6e3cc2b3579e79fed1aa62c723e1c060647dcde9"),
+    (pants_4335,
+     "bff0e6456371c503cd6e87468df2f241f5e2be83f0d57f2b03542a1a69b4dbe5"),
+]
+
+
+@pytest.mark.parametrize("build,digest", PINNED_BUILDS,
+                         ids=["tree_of_life_435(3)", "hyperbolic_torus_435",
+                              "torus_4335", "pants_4335"])
+def test_canonical_write_is_pinned(build, digest):
+    text = dumps_complex(build())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_save_and_load(tmp_path):
