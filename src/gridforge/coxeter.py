@@ -25,7 +25,7 @@ the candidates still tied for least.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 from gridforge.field import (
     QF, RONE, RZERO, cos_pi, qf_from_ring, ring_from_qf, ring_key, rneg,
@@ -190,7 +190,8 @@ class CoxeterSystem:
             if sig != (rank - 1, 1):
                 raise AssertionError(f"{name}: expected signature "
                                      f"({rank - 1}, 1), got {sig}")
-            self.fixed_vectors = tuple(self._fixed_vector(i)
+            inverse = _qf_mat_inverse(self.bilinear)
+            self.fixed_vectors = tuple(self._fixed_vector(inverse, i)
                                        for i in range(rank))
         else:
             self.fixed_vectors = None
@@ -244,34 +245,16 @@ class CoxeterSystem:
             prev = minor
         return (pos, neg)
 
-    def _fixed_vector(self, i):
+    def _fixed_vector(self, inverse, i):
         """Primitive ring vector spanning the intersection of the kernels
-        of B(e_j, .) for j != i; its stabiliser in W is exactly P_i."""
-        rows = [list(self.bilinear[j]) for j in range(self.rank) if j != i]
+        of B(e_j, .) for j != i; its stabiliser in W is exactly P_i.
+
+        Column i of `inverse` = B^-1 spans that line, since B B^-1 = I;
+        it is scaled to end in 1 before the integer steps.
+        """
         n = self.rank
-        # Gauss elimination to row echelon form
-        pivots = []
-        r = 0
-        for c in range(n):
-            pivot = next((k for k in range(r, len(rows)) if rows[k][c]), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = rows[r][c].inverse()
-            rows[r] = [x * inv for x in rows[r]]
-            for k in range(len(rows)):
-                if k != r and rows[k][c]:
-                    f = rows[k][c]
-                    rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-            pivots.append(c)
-            r += 1
-        if r != n - 1:
-            raise AssertionError("fixed-point system is degenerate")
-        free = next(c for c in range(n) if c not in pivots)
-        x = [QF(0)] * n
-        x[free] = QF(1)
-        for row, c in zip(rows, pivots):
-            x[c] = -row[free]
+        last = inverse[-1][i].inverse()
+        x = [row[i] * last for row in inverse]
         # clear denominators, making every entry a ring integer
         denom = 1
         for v in x:
@@ -400,6 +383,7 @@ def _least_product(rep, parabolic):
     return tied[0][0]
 
 
+@total_ordering
 class CosetKey:
     """A cell of the honeycomb: the coset rep * P_d of a maximal parabolic.
 
@@ -469,15 +453,6 @@ class CosetKey:
         if not isinstance(other, CosetKey):
             return NotImplemented
         return self._ident() < other._ident()
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        return not self <= other
-
-    def __ge__(self, other):
-        return not self < other
 
     def __repr__(self):
         return f"<{self.system.name} {self.dim}-cell {self._key}>"

@@ -16,18 +16,19 @@ keys are sorted and the text always ends in one newline.  Abstract vertex
 labels are stringified on write and stay strings on load.  In-memory
 `meta` annotations are not serialized.
 
-Loading validates shapes and, for honeycomb cells, checks that each
+Loading validates shapes and, for honeycomb cells, checks that each is
+a square (its mask leaves out generator 2 alone) and that its
 representative is a genuine symmetry (it must preserve the bilinear
-form); bad documents raise ValueError.
+form); bad documents raise ValueError naming the bad entry.
 """
 
 from __future__ import annotations
 
 import json
 
-from gridforge.coxeter import (CosetKey, _mat_mul, _transpose, build_system)
+from gridforge.coxeter import CosetKey, _mat_mul, _transpose, build_system
 from gridforge.lattice import GriddedComplex, is_lattice_ambient
-from gridforge.surface import AbstractSquareComplex
+from gridforge.surface import AbstractSquareComplex, _cycle_key
 
 
 def complex_to_jsonable(obj):
@@ -46,10 +47,8 @@ def complex_to_jsonable(obj):
         names = {v: str(v) for v in obj.vertices}
         if len(set(names.values())) != len(names):
             raise ValueError("vertex labels collide when stringified")
-        squares = sorted(min(
-            (cyc[i:] + cyc[:i])[::d]
-            for i in range(4) for d in (1, -1))
-            for cyc in ([names[v] for v in s] for s in obj.squares))
+        squares = sorted(_cycle_key(tuple(names[v] for v in s))
+                         for s in obj.squares)
         return {"format": "abstract",
                 "vertices": sorted(names.values()),
                 "squares": squares}
@@ -83,17 +82,16 @@ def _load_lattice_squares(ambient, raw):
 def _load_coset_squares(ambient, raw):
     system = build_system(ambient)
     rank = system.rank
+    gens = system.parabolic_gens(2)
+    mask = sum(1 << i for i in gens)
     squares = []
     for i, entry in enumerate(raw):
         where = f"squares[{i}]"
         _require(isinstance(entry, dict) and {"mask", "rep"} <= set(entry),
                  f"{where}: expected an object with mask and rep")
-        mask = entry["mask"]
-        _require(isinstance(mask, int) and 0 <= mask < (1 << rank),
-                 f"{where}: bad generator mask")
-        gens = frozenset(i for i in range(rank) if mask >> i & 1)
-        _require(len(gens) == rank - 1, f"{where}: mask must select all "
-                 "generators but one")
+        _require(isinstance(entry["mask"], int) and entry["mask"] == mask,
+                 f"{where}: mask must be {mask}, every generator but 2 "
+                 "(a square)")
         rep = entry["rep"]
         _require(isinstance(rep, list) and len(rep) == rank
                  and all(isinstance(row, list) and len(row) == rank

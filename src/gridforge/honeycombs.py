@@ -16,22 +16,13 @@ from gridforge.coxeter import (
     build_system, cell_faces, identity_cell, neighbor, square_vertex_cycle,
     stabilizer, transform,
 )
-from gridforge.lattice import GriddedComplex
-from gridforge.surface import (
-    AbstractSquareComplex, GridCollisionError, _cycle_key,
-    connected_sum_abstract, to_abstract,
+from gridforge.lattice import (
+    GriddedComplex, cube_union_boundary as union_boundary,
 )
-
-
-def union_boundary(cubes):
-    """Squares lying in exactly one of the given 3-cells."""
-    cubes = list(cubes)
-    if len(set(cubes)) != len(cubes):
-        raise ValueError("duplicate cube in union")
-    counts = Counter()
-    for c in cubes:
-        counts.update(cell_faces(c, 2))
-    return frozenset(s for s, m in counts.items() if m == 1)
+from gridforge.surface import (
+    AbstractSquareComplex, GridCollisionError, _boundary_circles,
+    connected_sum_abstract, square_index, to_abstract,
+)
 
 
 def opposite_face(cell, face):
@@ -476,26 +467,14 @@ def crosscap_abstract_34():
                 continue
             squares.append(((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)))
 
-    edge_count = Counter()
-    for cyc in squares:
-        for k in range(4):
-            e = frozenset((cyc[k], cyc[(k + 1) % 4]))
-            edge_count[e] += 1
-    boundary = {e for e, m in edge_count.items() if m == 1}
-    adj = {}
-    for e in boundary:
-        u, v = sorted(e)
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    start = min(adj)
-    cycle = [start, sorted(adj[start])[0]]
-    while True:
-        nxt = [v for v in adj[cycle[-1]] if v != cycle[-2]]
-        if nxt[0] == start:
-            break
-        cycle.append(nxt[0])
-    if len(cycle) != 24:
-        raise AssertionError(f"expected a 24-vertex boundary, got {len(cycle)}")
+    index = square_index(AbstractSquareComplex.from_squares(squares))
+    (ids,) = _boundary_circles([e for e, m in index.edges.items() if m == 1])
+    if len(ids) != 24:
+        raise AssertionError(f"expected a 24-vertex boundary, got {len(ids)}")
+    # leave the least vertex towards its smaller neighbour
+    if ids[-1] < ids[1]:
+        ids = ids[:1] + ids[:0:-1]
+    cycle = [index.vertices[i] for i in ids]
 
     ident = {cycle[k + 12]: cycle[k] for k in range(12)}
     glued = [tuple(ident.get(v, v) for v in cyc) for cyc in squares]
@@ -522,10 +501,7 @@ def surface_4335(orientable, genus, boundary_circles=0):
     pieces = max(1, genus, genus + boundary_circles - 2)
     cubes, shared, _ = _cube_row_4335(3 * pieces)
     row = set(cubes)
-    boundary_counts = Counter()
-    for c in cubes:
-        boundary_counts.update(cell_faces(c, 2))
-    row_boundary = {s for s, m in boundary_counts.items() if m == 1}
+    row_boundary = union_boundary(cubes)
 
     sites = []
     for i in range(pieces):

@@ -17,8 +17,11 @@ the rest to a neighbouring even value, a coface does the reverse.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
+
+from gridforge.coxeter import CosetKey, build_system, cell_faces
 
 
 def cell_dim(key):
@@ -114,24 +117,27 @@ def embed_higher(squares, n):
 def cube_union_boundary(cells):
     """Boundary of a union of same-dimension cells.
 
-    Given solid d-cells, returns the (d-1)-faces that belong to exactly one
-    of them.  For a finite union of unit cubes in Z^3 this is the usual
-    boundary surface.
+    Given solid d-cells, either lattice keys or honeycomb cells
+    (gridforge.coxeter.CosetKey), returns the (d-1)-faces that belong to
+    exactly one of them.  For a finite union of cubes in Z^3 or {4,3,5}
+    this is the usual boundary surface.
     """
     cells = list(cells)
     if not cells:
         return frozenset()
-    d = cell_dim(cells[0])
-    for c in cells:
-        if cell_dim(c) != d:
-            raise ValueError("cells must all have the same dimension")
+    if isinstance(cells[0], CosetKey):
+        dims, facets = {c.dim for c in cells}, cell_faces
+    else:
+        dims, facets = {cell_dim(c) for c in cells}, faces
+    if len(dims) != 1:
+        raise ValueError("cells must all have the same dimension")
     if len(set(cells)) != len(cells):
         raise ValueError("duplicate cells in union")
-    count = {}
+    d = dims.pop()
+    counts = Counter()
     for c in cells:
-        for f in faces(c, d - 1):
-            count[f] = count.get(f, 0) + 1
-    return frozenset(f for f, m in count.items() if m == 1)
+        counts.update(facets(c, d - 1))
+    return frozenset(f for f, m in counts.items() if m == 1)
 
 
 def ambient_dim(ambient):
@@ -151,8 +157,9 @@ class GriddedComplex:
 
     For lattice ambients ("Z2", "Z3", "Z4") the squares are doubled integer
     keys.  For the curved honeycombs ("{4,3,5}", "{4,3,3,5}") they are coset
-    keys from gridforge.coxeter.  meta carries construction notes and does
-    not take part in equality.
+    keys from gridforge.coxeter, 2-cells of that honeycomb's system.  Any
+    other ambient or cell raises ValueError.  meta carries construction
+    notes and does not take part in equality.
     """
 
     ambient: str
@@ -166,6 +173,12 @@ class GriddedComplex:
             for s in self.squares:
                 if len(s) != n or cell_dim(s) != 2:
                     raise ValueError(f"not a square of {self.ambient}: {s}")
+            return
+        build_system(self.ambient)  # rejects an unknown ambient
+        for s in self.squares:
+            if (not isinstance(s, CosetKey) or s.system.name != self.ambient
+                    or s.dim != 2):
+                raise ValueError(f"not a square of {self.ambient}: {s!r}")
 
     def __len__(self):
         return len(self.squares)

@@ -178,6 +178,18 @@ def test_schema_error_exits_2(tmp_path):
     assert "unknown format" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "classify", "export"])
+def test_coset_cell_that_is_not_a_square_exits_2(tmp_path, command):
+    path = build(tmp_path, "hyp-pants")
+    data = json.loads(path.read_text())
+    data["squares"][1]["mask"] = 7  # leaves out generator 3: a 3-cell
+    path.write_text(json.dumps(data))
+    code, out, err = run([command, str(path)])
+    assert (code, out) == (2, "")
+    assert err == ("error: squares[1]: mask must be 11, every generator "
+                   "but 2 (a square)\n")
+
+
 def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["build", "not-a-thing"])

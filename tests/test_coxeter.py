@@ -148,9 +148,34 @@ def test_matrix_inverse():
         assert _mat_mul(w, mat_inverse(w)) == ident
 
 
+# the primitive ring vectors keying the cells of each dimension; every
+# coset key and so every build byte depends on these exact multiples
+FIXED_VECTORS = {
+    "{4,3,5}": (
+        ((0, 3, 0, -2), (4, 0, -3, 0), (2, 0, -2, 0), (-1, 0, 0, 0)),
+        ((0, 4, 0, -3), (8, 0, -6, 0), (4, 0, -4, 0), (-2, 0, 0, 0)),
+        ((0, 1, 0, -1), (2, 0, -2, 0), (2, 0, -2, 0), (-1, 0, 0, 0)),
+        ((0, 0, 0, -1), (0, 0, -2, 0), (0, 0, -2, 0), (-2, 0, 0, 0)),
+    ),
+    "{4,3,3,5}": (
+        ((0, 8, 0, -5), (12, 0, -8, 0), (8, 0, -6, 0), (4, 0, -4, 0),
+         (-2, 0, 0, 0)),
+        ((0, 3, 0, -2), (6, 0, -4, 0), (4, 0, -3, 0), (2, 0, -2, 0),
+         (-1, 0, 0, 0)),
+        ((0, 4, 0, -3), (8, 0, -6, 0), (8, 0, -6, 0), (4, 0, -4, 0),
+         (-2, 0, 0, 0)),
+        ((0, 1, 0, -1), (2, 0, -2, 0), (2, 0, -2, 0), (2, 0, -2, 0),
+         (-1, 0, 0, 0)),
+        ((0, 0, 0, -1), (0, 0, -2, 0), (0, 0, -2, 0), (0, 0, -2, 0),
+         (-2, 0, 0, 0)),
+    ),
+}
+
+
 def test_fixed_vectors_have_parabolic_stabilizer():
-    for name in ("{4,3,5}", "{4,3,3,5}"):
+    for name, expected in FIXED_VECTORS.items():
         s = build_system(name)
+        assert s.fixed_vectors == expected
         for d in range(s.rank):
             x = s.fixed_vectors[d]
             assert any(e != RZERO for e in x)

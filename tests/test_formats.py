@@ -5,15 +5,16 @@ import json
 
 import pytest
 
-from gridforge.constructors import crosscap_z4, frame_torus
+from gridforge.constructors import crosscap_z4, frame_torus, tree_of_life
 from gridforge.coxeter import CosetKey, build_system, enumerate_parabolic
 from gridforge.formats import (
     complex_to_jsonable, dumps_complex, jsonable_to_complex, load_complex,
     save_complex,
 )
 from gridforge.honeycombs import (
-    crosscap_abstract_34, hyperbolic_pants_435, hyperbolic_torus_435,
-    pants_4335, torus_4335, tree_of_life_435,
+    closed_orientable_435, crosscap_abstract_34, hyperbolic_pants_435,
+    hyperbolic_torus_435, pants_4335, surface_4335, torus_4335,
+    tree_of_life_435,
 )
 from gridforge.lattice import GriddedComplex
 from gridforge.surface import AbstractSquareComplex, classify, validate_surface
@@ -90,12 +91,25 @@ PINNED_BUILDS = [
      "468bc2619bf223d3b068d3ed6e3cc2b3579e79fed1aa62c723e1c060647dcde9"),
     (pants_4335,
      "bff0e6456371c503cd6e87468df2f241f5e2be83f0d57f2b03542a1a69b4dbe5"),
+    (crosscap_abstract_34,
+     "41bebaf5decf47e125d3768d13249c4ef76b722a9142978371cee9d579383559"),
+    (lambda: surface_4335(False, 2),
+     "e799898113ff2e59d933112534ae0e1ced205f8cd32fefbd05f6f19826b67e01"),
+    (lambda: surface_4335(True, 1, 1),
+     "1b27a9f6a8650dd682f94a42882a36f8836c6f42e1ed8a502487d1846005cabf"),
+    (lambda: tree_of_life(3),
+     "bed53cfb20bec881a49e17657a519dd1a0ceef9b434bbbf81221ee21c597a014"),
+    (lambda: closed_orientable_435(2),
+     "a28cfdc8ea5da5c9fa2396942e75bb724e2cc55dce7962d0532440dce3230686"),
 ]
 
 
 @pytest.mark.parametrize("build,digest", PINNED_BUILDS,
                          ids=["tree_of_life_435(3)", "hyperbolic_torus_435",
-                              "torus_4335", "pants_4335"])
+                              "torus_4335", "pants_4335",
+                              "crosscap_abstract_34", "surface_4335(False,2)",
+                              "surface_4335(True,1,1)", "tree_of_life(3)",
+                              "closed_orientable_435(2)"])
 def test_canonical_write_is_pinned(build, digest):
     text = dumps_complex(build())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -1,13 +1,17 @@
 import random
+import re
 from math import comb
 
 import pytest
 
 from helpers import brute_cofaces, brute_faces
+from gridforge import honeycombs
+from gridforge.coxeter import build_system, cell_faces, identity_cell, neighbor
 from gridforge.lattice import (
     GriddedComplex, cell_dim, coface_count, cofaces, corners_cyclic,
     cube_union_boundary, embed_higher, faces, translate,
 )
+from gridforge.surface import classify
 
 
 def test_cell_dim_by_parity():
@@ -112,16 +116,58 @@ def test_embed_higher():
         embed_higher({(1, 1, 0)}, 2)
 
 
-def test_cube_union_boundary_basics():
-    one = cube_union_boundary([(1, 1, 1)])
-    assert one == frozenset(faces((1, 1, 1), 2))
-    two = cube_union_boundary([(1, 1, 1), (3, 1, 1)])
+def _lattice_cells():
+    """Ambient, a cube, its neighbour through a face, that face and a
+    square of a lattice."""
+    return "Z3", (1, 1, 1), (3, 1, 1), (2, 1, 1), (1, 1, 0)
+
+
+def _coset_cells():
+    """The same for the cosets of {4,3,5}."""
+    s = build_system("{4,3,5}")
+    cube = identity_cell(s, 3)
+    face = cell_faces(cube, 2)[0]
+    return s.name, cube, neighbor(cube, face), face, identity_cell(s, 2)
+
+
+CELL_KINDS = pytest.mark.parametrize("cells", [_lattice_cells, _coset_cells],
+                                     ids=["lattice", "coset"])
+
+
+def test_union_boundary_has_one_implementation():
+    assert honeycombs.union_boundary is cube_union_boundary
+
+
+@CELL_KINDS
+def test_union_boundary_single_cube_is_sphere(cells):
+    ambient, cube, _, _, _ = cells()
+    squares = cube_union_boundary([cube])
+    assert len(squares) == 6
+    r = classify(GriddedComplex(ambient, squares))
+    assert r.class_name == "orientable genus 0"
+    assert (r.vertex_count, r.edge_count) == (8, 12)
+
+
+@CELL_KINDS
+def test_union_boundary_drops_the_shared_face(cells):
+    _, cube, other, shared, _ = cells()
+    two = cube_union_boundary([cube, other])
     assert len(two) == 10
-    assert (2, 1, 1) not in two
-    with pytest.raises(ValueError):
-        cube_union_boundary([(1, 1, 1), (1, 1, 1)])
-    with pytest.raises(ValueError):
-        cube_union_boundary([(1, 1, 1), (1, 1, 0)])
+    assert shared not in two
+
+
+@CELL_KINDS
+def test_union_boundary_rejects_duplicates(cells):
+    _, cube, _, _, _ = cells()
+    with pytest.raises(ValueError, match="duplicate"):
+        cube_union_boundary([cube, cube])
+
+
+@CELL_KINDS
+def test_union_boundary_rejects_mixed_dimensions(cells):
+    _, cube, _, _, square = cells()
+    with pytest.raises(ValueError, match="same dimension"):
+        cube_union_boundary([cube, square])
 
 
 def test_gridded_complex_checks_squares():
@@ -130,6 +176,22 @@ def test_gridded_complex_checks_squares():
         GriddedComplex("Z3", {(1, 1, 1)})
     with pytest.raises(ValueError):
         GriddedComplex("Z2", {(1, 1, 0)})
+
+
+def test_gridded_complex_rejects_unknown_ambient():
+    with pytest.raises(ValueError, match="unknown system 'nonsense'"):
+        GriddedComplex("nonsense", {(1, 1, 0)})
+
+
+def test_gridded_complex_rejects_foreign_coset_cells():
+    square = identity_cell(build_system("{4,3,5}"), 2)
+    GriddedComplex("{4,3,5}", {square})
+    with pytest.raises(ValueError, match=re.escape(repr(square))):
+        GriddedComplex("{4,3,3,5}", {square})
+    s = build_system("{4,3,3,5}")
+    for cell in (identity_cell(s, 3), (1, 1, 0, 0, 0)):
+        with pytest.raises(ValueError, match=re.escape(repr(cell))):
+            GriddedComplex(s.name, {identity_cell(s, 2), cell})
 
 
 def test_gridded_complex_equality_ignores_meta():
