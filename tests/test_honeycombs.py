@@ -6,11 +6,27 @@ from gridforge.coxeter import build_system, cell_faces, identity_cell
 from gridforge.honeycombs import (
     closed_orientable_435, crosscap_abstract_34, hyperbolic_pants_435,
     hyperbolic_torus_435, hypercube_graph_distance, opposite_face,
-    pants_4335, surface_4335, torus_4335, tree_of_life_435,
+    pants_4335, surface_4335, torus_4335, tree_of_life_435, union_boundary,
     _cube_row_4335, _edge_parallel_class, _hypercube_ring,
 )
 from gridforge.lattice import GriddedComplex
 from gridforge.surface import AbstractSquareComplex, classify, validate_surface
+
+
+def test_union_boundary_rejects_duplicates():
+    s = build_system("{4,3,5}")
+    cube = identity_cell(s, 3)
+    with pytest.raises(ValueError):
+        union_boundary([cube, cube])
+
+
+def test_union_boundary_single_cube_is_sphere():
+    s = build_system("{4,3,5}")
+    squares = union_boundary([identity_cell(s, 3)])
+    assert len(squares) == 6
+    r = classify(GriddedComplex(s.name, squares))
+    assert r.class_name == "orientable genus 0"
+    assert (r.vertex_count, r.edge_count) == (8, 12)
 
 
 def test_opposite_face_pairs_up_cube_faces():

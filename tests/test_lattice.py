@@ -116,6 +116,18 @@ def test_embed_higher():
         embed_higher({(1, 1, 0)}, 2)
 
 
+def test_cube_union_boundary_basics():
+    one = cube_union_boundary([(1, 1, 1)])
+    assert one == frozenset(faces((1, 1, 1), 2))
+    two = cube_union_boundary([(1, 1, 1), (3, 1, 1)])
+    assert len(two) == 10
+    assert (2, 1, 1) not in two
+    with pytest.raises(ValueError):
+        cube_union_boundary([(1, 1, 1), (1, 1, 1)])
+    with pytest.raises(ValueError):
+        cube_union_boundary([(1, 1, 1), (1, 1, 0)])
+
+
 def _lattice_cells():
     """Ambient, a cube, its neighbour through a face, that face and a
     square of a lattice."""
