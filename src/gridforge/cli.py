@@ -12,6 +12,7 @@ subgroups larger than GRIDFORGE_ENUM_CAP.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -53,8 +54,13 @@ def _genus_or_crosscaps(args, what):
 def _parse_ends(specs):
     ends = []
     for spec in specs:
-        kind, sep, depth = spec.partition(":")
-        ends.append(EndDecoration(kind, int(depth) if sep else 1))
+        kind, sep, length = spec.partition(":")
+        try:
+            length = int(length) if sep else 1
+        except ValueError:
+            raise ValueError(
+                f"--end {spec!r}: length must be an integer") from None
+        ends.append(EndDecoration(kind, length))
     return ends
 
 
@@ -266,6 +272,11 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    # Apart from a few hundred argparse objects, a command's data form no
+    # reference cycles, and they live until it returns: the cyclic
+    # collector would only rescan them, again and again as they grow.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except GridCollisionError as exc:
@@ -280,6 +291,9 @@ def main(argv=None):
     except (ValueError, OSError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -322,6 +322,10 @@ def prune_and_decorate(base, prune=0, handles=0, crosscaps=0, ends=()):
     attaches a truncated infinite end near a surviving stub, left open with
     one boundary circle.
     """
+    for name, count in (("prune", prune), ("handles", handles),
+                        ("crosscaps", crosscaps)):
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
     tree = base.meta.get("tree")
     if tree is None:
         raise ValueError("complex does not carry tree construction data")

@@ -9,11 +9,11 @@ That keeps straight honeycomb edges straight at the cost of metric
 distortion near the ball's rim.
 
 Abstract complexes carry no embedding and cannot be exported as meshes.
+numpy is imported only by the Klein ball path, so that the commands that
+never draw a honeycomb complex do not pay for loading it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from gridforge.lattice import GriddedComplex, is_lattice_ambient
 from gridforge.surface import square_index
@@ -21,6 +21,8 @@ from gridforge.field import qf_from_ring
 
 
 def _klein_frame(system):
+    import numpy as np
+
     b = np.array([[float(x) for x in row] for row in system.bilinear])
     vals, vecs = np.linalg.eigh(b)
     if not (vals[0] < 0 < vals[1]):
@@ -31,6 +33,8 @@ def _klein_frame(system):
 
 
 def _klein_coords(system, keys):
+    import numpy as np
+
     b, timelike, spacelike = _klein_frame(system)
     out = []
     for key in keys:

@@ -125,7 +125,12 @@ def cube_union_boundary(cells):
     cells = list(cells)
     if not cells:
         return frozenset()
-    if isinstance(cells[0], CosetKey):
+    coset = isinstance(cells[0], CosetKey)
+    other = next((c for c in cells if isinstance(c, CosetKey) != coset), None)
+    if other is not None:
+        raise ValueError("cells mix lattice keys and honeycomb cells: "
+                         f"{other!r} is not like {cells[0]!r}")
+    if coset:
         dims, facets = {c.dim for c in cells}, cell_faces
     else:
         dims, facets = {cell_dim(c) for c in cells}, faces

@@ -14,10 +14,11 @@ single simple path.
 
 Validation, classification, the Euler characteristic and mesh export
 read one SquareIndex: a single square_cycles pass turned into dense int
-vertex ids, int squares, an edge multiplicity table and the vertex links.
-On honeycomb complexes that pass costs ring-matrix products and exact
-coset keys, so each of them pays for it once; classify validates on the
-index it builds.
+vertex ids, int squares, an edge multiplicity table whose positions are
+edge ids, the edge ids of each square's sides and the vertex links.  On
+honeycomb complexes that pass costs ring-matrix products and exact coset
+keys, so each of them pays for it once; classify validates on the index
+it builds, and orients the squares through their sides' edge ids.
 """
 
 from __future__ import annotations
@@ -111,48 +112,64 @@ class SquareIndex:
     """The squares of a complex in dense integer form.
 
     A vertex's id is its position in the sorted vertices, so ids compare
-    as the vertices do.  squares are the cycles of square_cycles, in the
-    same order, as id 4-tuples; cycles are the same squares in vertex
-    objects.  edges maps each edge (a, b) with a < b to the number of
-    squares containing it, in order of first sight.  links[v] has one arc
-    (u, w) per square corner at v, where u and w are the corner's two
-    neighbours: the link of v has a node per edge at v, named by its
-    other end.
+    as the vertices do.  cycles are the cycles of square_cycles, in order;
+    squares are the same cycles as id 4-tuples.  edges maps each edge
+    (a, b) with a < b to the number of squares containing it, in order of
+    first sight, and an edge's id is its position in edges.
+    square_edges[4 * i + k] is the id of side k of square i, the side from
+    its corner k to corner k + 1 (mod 4).  links[v] has one arc (u, w) per
+    square corner at v, where u and w are the corner's two neighbours: the
+    link of v has a node per edge at v, named by its other end.
     """
 
     vertices: list
     cycles: list
     squares: list
     edges: dict
+    square_edges: list
     links: list
 
 
 def square_index(obj):
     """The SquareIndex of a complex, from one square_cycles pass.
 
-    Each corner costs one hash lookup to find its vertex, and each vertex
-    one more to rank it; everything after that works on ints.
+    Each corner costs one hash lookup to find its vertex, each vertex one
+    more to rank it, and each side one to number its edge; everything
+    after that works on ints.
     """
     # abstract complexes may declare vertices that no square uses
     first = ({v: i for i, v in enumerate(obj.vertices)}
              if isinstance(obj, AbstractSquareComplex) else {})
-    raw = [tuple(first.setdefault(v, len(first)) for v in cyc)
-           for cyc in square_cycles(obj)]
+    see = first.setdefault
+    raw = [(see(a, len(first)), see(b, len(first)), see(c, len(first)),
+            see(d, len(first))) for a, b, c, d in square_cycles(obj)]
     vertices = sorted(first)
     rank = [0] * len(vertices)
     for new, v in enumerate(vertices):
         rank[first[v]] = new
-    squares = [tuple(rank[i] for i in r) for r in raw]
-    edges = {}
+    squares = [(rank[a], rank[b], rank[c], rank[d]) for a, b, c, d in raw]
+    ids = {}
+    number = ids.setdefault
+    square_edges = []
     links = [[] for _ in vertices]
-    for s in squares:
-        for i in range(4):
-            v, w = s[i], s[(i + 1) % 4]
-            links[v].append((s[i - 1], w))
-            e = _edge(v, w)
-            edges[e] = edges.get(e, 0) + 1
-    cycles = [tuple(vertices[i] for i in s) for s in squares]
-    return SquareIndex(vertices, cycles, squares, edges, links)
+    for a, b, c, d in squares:
+        links[a].append((d, b))
+        links[b].append((a, c))
+        links[c].append((b, d))
+        links[d].append((c, a))
+        square_edges += (number((a, b) if a < b else (b, a), len(ids)),
+                         number((b, c) if b < c else (c, b), len(ids)),
+                         number((c, d) if c < d else (d, c), len(ids)),
+                         number((d, a) if d < a else (a, d), len(ids)))
+    counts = [0] * len(ids)
+    for e in square_edges:
+        counts[e] += 1
+    edges = dict(zip(ids, counts))
+    # cycles share the vertex objects, where square_cycles made a new one
+    # for every corner
+    cycles = [(vertices[a], vertices[b], vertices[c], vertices[d])
+              for a, b, c, d in squares]
+    return SquareIndex(vertices, cycles, squares, edges, square_edges, links)
 
 
 def declared_vertices(obj):
@@ -208,40 +225,52 @@ def _component_name(orientable, genus, crosscaps, circles):
     return name
 
 
+def _link_failure(arcs):
+    """Why a vertex link is not a single cycle or path, or None.
+
+    The link's nodes are the edges at the vertex, named by their other
+    ends; each arc is one square corner at it.  one and two hold each
+    node's first and second neighbour.  A connected link in which no node
+    has more than two neighbours is a cycle or a path.
+    """
+    one, two = {}, {}
+    for u, w in arcs:
+        for x, y in ((u, w), (w, u)):
+            if x not in one:
+                one[x] = y
+            elif x not in two:
+                two[x] = y
+            else:
+                return "has an edge in more than 2 squares"
+    # walk from an end if there is one
+    start = (u if len(one) == len(two) else
+             next(x for x in one if x not in two))
+    prev, cur, seen = None, start, 1
+    while True:
+        nxt = one[cur]
+        if nxt == prev:
+            nxt = two.get(cur)
+        if nxt is None or nxt == start:
+            break
+        prev, cur = cur, nxt
+        seen += 1
+    return "is disconnected" if seen != len(one) else None
+
+
 def _validate(index):
     vertices, squares, edges = index.vertices, index.squares, index.edges
     failures = [f"edge {(vertices[a], vertices[b])} lies in {edges[a, b]} "
                 "squares"
                 for a, b in sorted(e for e, m in edges.items() if m > 2)]
-    failures += [f"vertex {vertices[v]} is isolated"
-                 for v, arcs in enumerate(index.links) if not arcs]
-    # vertex links: nodes are the edges at v, named by their other ends
+    bad_links = []
     for v, arcs in enumerate(index.links):
         if not arcs:
+            failures.append(f"vertex {vertices[v]} is isolated")
             continue
-        adj = defaultdict(list)
-        for u, w in arcs:
-            adj[u].append(w)
-            adj[w].append(u)
-        if any(len(nbrs) > 2 for nbrs in adj.values()):
-            failures.append(f"vertex {vertices[v]} link has an edge in more "
-                            "than 2 squares")
-            continue
-        start = next(iter(adj))
-        seen = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != len(adj):
-            failures.append(f"vertex {vertices[v]} link is disconnected")
-            continue
-        if sum(1 for nbrs in adj.values() if len(nbrs) == 1) not in (0, 2):
-            failures.append(f"vertex {vertices[v]} link is neither a cycle "
-                            "nor a path")
+        why = _link_failure(arcs)
+        if why is not None:
+            bad_links.append(f"vertex {vertices[v]} link {why}")
+    failures += bad_links
 
     V = len(vertices)
     E = len(edges)
@@ -278,44 +307,51 @@ def _orient_components(index, comp_of_square, n_components):
 
     A shared edge forces neighbouring squares to traverse it in opposite
     directions.  An inconsistency yields a witness loop of squares whose
-    orientations cannot be reconciled.
+    orientations cannot be reconciled.  Every edge must lie in at most two
+    squares, as it does once the complex has validated.
     """
-    squares = index.squares
-    by_edge = defaultdict(list)
-    for idx, s in enumerate(squares):
-        for i in range(4):
-            u, v = s[i], s[(i + 1) % 4]
-            by_edge[_edge(u, v)].append((idx, u < v))
+    squares, square_edges = index.squares, index.square_edges
+    # mate[p] is the position in square_edges of the other side on the
+    # same edge as position p, or -1 on the boundary
+    mate = [-1] * len(square_edges)
+    seen_at = [-1] * len(index.edges)
+    for p, e in enumerate(square_edges):
+        q = seen_at[e]
+        if q < 0:
+            seen_at[e] = p
+        else:
+            mate[p], mate[q] = q, p
 
-    sign = {}
-    parent = {}
+    sign = [0] * len(squares)
+    parent = [None] * len(squares)
     orientable = [True] * n_components
     witness = [None] * n_components
     for root in range(len(squares)):
-        if root in sign:
+        if sign[root]:
             continue
         sign[root] = 1
-        parent[root] = None
         stack = [root]
         while stack:
             cur = stack.pop()
+            s = squares[cur]
             for i in range(4):
-                u, v = squares[cur][i], squares[cur][(i + 1) % 4]
-                cur_fwd = u < v
-                for other, other_fwd in by_edge[_edge(u, v)]:
-                    if other == cur:
-                        continue
-                    need = -sign[cur] if other_fwd == cur_fwd else sign[cur]
-                    if other not in sign:
-                        sign[other] = need
-                        parent[other] = cur
-                        stack.append(other)
-                    elif sign[other] != need:
-                        comp = comp_of_square[cur]
-                        if orientable[comp]:
-                            orientable[comp] = False
-                            witness[comp] = _dual_loop(parent, cur, other,
-                                                       index.cycles)
+                q = mate[4 * cur + i]
+                if q < 0:
+                    continue
+                other = q >> 2
+                # the two sides run the same way iff they start at one vertex
+                same_way = squares[other][q & 3] == s[i]
+                need = -sign[cur] if same_way else sign[cur]
+                if not sign[other]:
+                    sign[other] = need
+                    parent[other] = cur
+                    stack.append(other)
+                elif sign[other] != need:
+                    comp = comp_of_square[cur]
+                    if orientable[comp]:
+                        orientable[comp] = False
+                        witness[comp] = _dual_loop(parent, cur, other,
+                                                   index.cycles)
     return orientable, witness
 
 
@@ -389,28 +425,30 @@ def classify(obj):
     squares, edges = index.squares, index.edges
     n = len(index.vertices)
 
-    # connected components over the vertex-edge graph
+    # connected components over the vertex-edge graph, by union-find with
+    # path halving; each union hangs x's root under y's
     parent = list(range(n))
-
-    def find(x):
+    for s in squares:
+        # the fourth side joins two vertices the other three already joined
+        for x, y in zip(s, s[1:]):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            while parent[y] != y:
+                parent[y] = parent[parent[y]]
+                y = parent[y]
+            if x != y:
+                parent[x] = y
+    root_of = []
+    for x in range(n):
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for s in squares:
-        for i in range(4):
-            union(s[i], s[(i + 1) % 4])
-
-    roots = sorted({find(v) for v in range(n)})
+        root_of.append(x)
+    roots = sorted(set(root_of))
     comp_id = {r: i for i, r in enumerate(roots)}
     n_comp = len(roots)
-    comp_of_vertex = [comp_id[find(v)] for v in range(n)]
+    comp_of_vertex = [comp_id[r] for r in root_of]
     comp_of_square = [comp_of_vertex[s[0]] for s in squares]
 
     V = [0] * n_comp

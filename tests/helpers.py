@@ -154,3 +154,62 @@ def brute_counts(squares):
         verts |= brute_faces(s, 0)
         edges |= brute_faces(s, 1)
     return len(verts), len(edges), len(set(squares))
+
+
+def brute_surface_check(cycles):
+    """Local surface test of squares given as cyclic vertex 4-tuples.
+
+    Returns the edges (as frozensets) that lie in more than two squares,
+    the vertices whose link is not a single cycle or path, and, when there
+    are neither, whether the squares can be oriented coherently (else
+    None).  Every square is compared with every other one.
+    """
+    def sides(cyc):
+        return [frozenset((cyc[i], cyc[(i + 1) % 4])) for i in range(4)]
+
+    def directed(cyc):
+        return [(cyc[i], cyc[(i + 1) % 4]) for i in range(4)]
+
+    count = {}
+    for cyc in cycles:
+        for e in sides(cyc):
+            count[e] = count.get(e, 0) + 1
+    bad_edges = {e for e, m in count.items() if m > 2}
+    bad_vertices = set()
+    for v in {v for cyc in cycles for v in cyc}:
+        # the link of v: a node per edge at v, an arc per square at v
+        arcs = [[e for e in sides(cyc) if v in e] for cyc in cycles
+                if v in cyc]
+        nodes = {e for arc in arcs for e in arc}
+        reached = set(arcs[0])
+        while True:
+            more = {e for arc in arcs if reached & set(arc) for e in arc}
+            if more <= reached:
+                break
+            reached |= more
+        too_many = any(sum(e in arc for arc in arcs) > 2 for e in nodes)
+        if too_many or reached != nodes:
+            bad_vertices.add(v)
+    if bad_edges or bad_vertices:
+        return bad_edges, bad_vertices, None
+    # orientation: a shared edge run the same way by both squares means
+    # that one of them must be flipped
+    flip = {}
+    for start in range(len(cycles)):
+        if start in flip:
+            continue
+        flip[start] = False
+        todo = [start]
+        while todo:
+            a = todo.pop()
+            for b, cyc in enumerate(cycles):
+                for u, w in directed(cycles[a]):
+                    if b == a or {(u, w), (w, u)}.isdisjoint(directed(cyc)):
+                        continue
+                    want = flip[a] ^ ((u, w) in directed(cyc))
+                    if b not in flip:
+                        flip[b] = want
+                        todo.append(b)
+                    elif flip[b] != want:
+                        return bad_edges, bad_vertices, False
+    return bad_edges, bad_vertices, True

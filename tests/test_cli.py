@@ -1,5 +1,6 @@
 """Command line behaviour: catalogue, exit codes, determinism."""
 
+import gc
 import io
 import json
 import subprocess
@@ -8,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from gridforge import coxeter
+from gridforge import cli, coxeter
 from gridforge.cli import main
 from gridforge.constructors import spiral_tree
 
@@ -188,6 +189,56 @@ def test_coset_cell_that_is_not_a_square_exits_2(tmp_path, command):
     assert (code, out) == (2, "")
     assert err == ("error: squares[1]: mask must be 11, every generator "
                    "but 2 (a square)\n")
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--handles", "-1"), ("--prune", "-3"), ("--crosscaps", "-2")])
+def test_pruned_tree_rejects_negative_counts(option, value):
+    code, out, err = run(["build", "pruned-tree", "--depth", "2",
+                          option, value])
+    assert (code, out) == (2, "")
+    assert err == f"error: {option[2:]} must be >= 0, got {value}\n"
+
+
+def test_bad_end_length_names_the_entry():
+    code, out, err = run(["build", "pruned-tree", "--depth", "2",
+                          "--end", "cylinder:x"])
+    assert (code, out) == (2, "")
+    assert err == "error: --end 'cylinder:x': length must be an integer\n"
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("argv,code", [
+    (["stats", "{4,4}"], 0), (["stats", "{9,9}"], 2)], ids=["ok", "error"])
+def test_main_pauses_the_collector_and_restores_it(monkeypatch, collecting,
+                                                   argv, code):
+    during = []
+    stats = cli._cmd_stats
+    monkeypatch.setattr(cli, "_cmd_stats",
+                        lambda args: during.append(gc.isenabled())
+                        or stats(args))
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        result = run(argv)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert result[0] == code
+    assert during == [False]
+    assert after == collecting
+
+
+def test_cli_runs_a_lattice_command_without_numpy(tmp_path):
+    path = build(tmp_path, "sphere")
+    script = ("import sys, gridforge.cli\n"
+              "assert 'numpy' not in sys.modules, 'import'\n"
+              f"assert gridforge.cli.main(['classify', {str(path)!r}]) == 0\n"
+              "assert 'numpy' not in sys.modules, 'classify'\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "orientable genus 0"
 
 
 def test_usage_errors_exit_2(tmp_path):

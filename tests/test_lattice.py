@@ -175,11 +175,27 @@ def test_union_boundary_rejects_duplicates(cells):
         cube_union_boundary([cube, cube])
 
 
-@CELL_KINDS
-def test_union_boundary_rejects_mixed_dimensions(cells):
+def _mixed_dimensions(cells):
     _, cube, _, _, square = cells()
-    with pytest.raises(ValueError, match="same dimension"):
-        cube_union_boundary([cube, square])
+    return [cube, square], "same dimension"
+
+
+def _mixed_kinds(first, second):
+    cells = [first()[1], second()[1]]
+    return cells, ("^cells mix lattice keys and honeycomb cells: "
+                   + re.escape(f"{cells[1]!r} is not like {cells[0]!r}") + "$")
+
+
+@pytest.mark.parametrize("mix", [
+    lambda: _mixed_dimensions(_lattice_cells),
+    lambda: _mixed_dimensions(_coset_cells),
+    lambda: _mixed_kinds(_lattice_cells, _coset_cells),
+    lambda: _mixed_kinds(_coset_cells, _lattice_cells),
+], ids=["lattice", "coset", "lattice-then-coset", "coset-then-lattice"])
+def test_union_boundary_rejects_mixed_dimensions(mix):
+    cells, message = mix()
+    with pytest.raises(ValueError, match=message):
+        cube_union_boundary(cells)
 
 
 def test_gridded_complex_checks_squares():

@@ -1,12 +1,13 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    brute_counts, orientation_flip, random_polyomino, solid_betti_numbers,
-    solid_is_well_composed,
+    brute_counts, brute_surface_check, orientation_flip, random_polyomino,
+    solid_betti_numbers, solid_is_well_composed,
 )
 from gridforge import coxeter, surface
 from gridforge.constructors import box_column, frame_torus, sphere_cube
@@ -248,6 +249,15 @@ def test_square_index_ids_follow_vertex_order():
     assert sorted(index.edges.values()) == [2] * 18
     # every vertex of the 3 x 3 torus is a corner of 4 squares
     assert [len(arcs) for arcs in index.links] == [4] * 9
+    # square_edges names each square's sides in cycle order
+    edges = list(index.edges)
+    assert len(index.square_edges) == 4 * len(index.squares)
+    for i, sq in enumerate(index.squares):
+        assert [edges[e] for e in index.square_edges[4 * i:4 * i + 4]] == [
+            tuple(sorted((sq[k], sq[(k + 1) % 4]))) for k in range(4)]
+    assert sum(index.edges.values()) == 4 * len(index.squares)
+    assert Counter(index.square_edges) == dict(
+        enumerate(index.edges.values()))
 
 
 def test_square_index_keeps_isolated_vertices():
@@ -310,9 +320,15 @@ def test_failure_reports_are_pinned(obj, counts, failures):
 def test_witness_and_component_order_are_pinned():
     assert classify(mobius_strip()).nonorientable_witness == (
         (4, 5, 7, 6), (2, 3, 5, 4), (0, 1, 3, 2), (0, 1, 6, 7))
-    for shift, name in ((20, "orientable genus 0; orientable genus 1"),
-                        (-20, "orientable genus 1; orientable genus 0")):
-        far = {tuple(a + b for a, b in zip(s, (shift, 0, 0)))
+    # with the torus beside the sphere in y or z their sorted vertex ids
+    # interleave, so the order also pins which vertex union-find keeps as
+    # each component's root
+    for shift, name in (
+            ((20, 0, 0), "orientable genus 0; orientable genus 1"),
+            ((-20, 0, 0), "orientable genus 1; orientable genus 0"),
+            ((0, -20, 0), "orientable genus 0; orientable genus 1"),
+            ((0, 0, -20), "orientable genus 0; orientable genus 1")):
+        far = {tuple(a + b for a, b in zip(s, shift))
                for s in frame_torus().squares}
         rep = classify(GriddedComplex("Z3", sphere_cube().squares | far))
         assert rep.class_name == "2 components: " + name
@@ -346,3 +362,63 @@ BOX_SQUARES = sorted(s for s in itertools.product(range(5), repeat=3)
 @given(st.sets(st.sampled_from(BOX_SQUARES)))
 def test_box_square_subsets_match_abstract_and_brute_count(squares):
     _check_against_abstract_and_brute_count(GriddedComplex("Z3", squares))
+
+
+def klein_grid(n=4):
+    """Abstract Klein bottle: the n x n grid, its j sides glued with a flip."""
+    def vertex(i, j):
+        if j == n:
+            i, j = -i, 0
+        return (i % n, j)
+
+    return [(vertex(i, j), vertex(i + 1, j), vertex(i + 1, j + 1),
+             vertex(i, j + 1)) for i in range(n) for j in range(n)]
+
+
+# the Klein bottle, two fins that put an edge in 3 squares and a square
+# that meets the grid at one vertex only
+SQUARE_POOL = klein_grid() + [
+    ((0, 0), (1, 0), (9, 1), (9, 0)), ((0, 0), (1, 0), (8, 1), (8, 0)),
+    ((2, 2), (7, 0), (7, 1), (7, 2)),
+]
+
+
+def _check_against_brute_surface_check(cycles):
+    bad_edges, bad_vertices, orientable = brute_surface_check(cycles)
+    obj = AbstractSquareComplex.from_squares(cycles)
+    rep = classify(obj)
+    assert validate_surface(obj).failures == rep.failures
+    assert rep.is_surface == (orientable is not None)
+    assert rep.orientable == orientable
+    assert {f.partition(" lies in ")[0] for f in rep.failures
+            if f.startswith("edge ")} == {
+        f"edge {tuple(sorted(e))}" for e in bad_edges}
+    assert {f.partition(" link ")[0] for f in rep.failures
+            if " link " in f} == {f"vertex {v}" for v in bad_vertices}
+
+
+def test_klein_grid_is_a_klein_bottle():
+    assert brute_surface_check(klein_grid()) == (set(), set(), False)
+    rep = classify(AbstractSquareComplex.from_squares(klein_grid()))
+    assert rep.class_name == "nonorientable, 2 crosscaps"
+
+
+# columns i = 3 and i = 0 of the grid: a Moebius band
+MOEBIUS_BAND = {4 * i + j for i in (3, 0) for j in range(4)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.sampled_from(range(len(SQUARE_POOL))), min_size=1),
+       st.booleans())
+def test_pool_subsets_match_brute_surface_check(picked, band):
+    if band:
+        picked |= MOEBIUS_BAND
+    _check_against_brute_surface_check([SQUARE_POOL[i]
+                                        for i in sorted(picked)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.sampled_from(BOX_SQUARES), min_size=1))
+def test_box_square_subsets_match_brute_surface_check(squares):
+    _check_against_brute_surface_check(
+        surface.square_cycles(GriddedComplex("Z3", squares)))
