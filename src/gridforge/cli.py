@@ -43,9 +43,10 @@ def _write(path, text):
             fh.write(text)
 
 
-def _genus_or_crosscaps(args, what):
+def _genus_or_crosscaps(args):
     if (args.genus is None) == (args.crosscaps is None):
-        raise ValueError(f"{what} needs exactly one of --genus/--crosscaps")
+        raise ValueError(
+            f"{args.id} needs exactly one of --genus/--crosscaps")
     if args.genus is not None:
         return True, args.genus
     return False, args.crosscaps
@@ -64,68 +65,51 @@ def _parse_ends(specs):
     return ends
 
 
-def _build_object(args):
-    name = args.id
-    if name == "sphere":
-        return sphere_cube()
-    if name in ("torus-paper", "torus-32"):
-        return frame_torus()
-    if name in ("crosscap-r4", "crosscap-30"):
-        return crosscap_z4()
-    if name == "klein-bottle":
-        return klein_bottle()
-    if name == "closed-surface":
-        orientable, count = _genus_or_crosscaps(args, name)
-        return closed_surface(orientable, count)
-    if name == "tree-of-life":
-        return tree_of_life(args.depth)
-    if name == "pruned-tree":
-        return prune_and_decorate(tree_of_life(args.depth), prune=args.prune,
-                                  handles=args.handles,
-                                  crosscaps=args.crosscaps or 0,
-                                  ends=_parse_ends(args.end))
-    if name == "hyp-torus":
-        return hyperbolic_torus_435()
-    if name == "hyp-pants":
-        return hyperbolic_pants_435()
-    if name == "hyp-tree":
-        return tree_of_life_435(args.depth)
-    if name == "hyp-closed":
-        return closed_orientable_435(args.genus if args.genus is not None
-                                     else 1)
-    if name == "h4-torus":
-        return torus_4335()
-    if name == "h4-pants":
-        return pants_4335()
-    if name == "h4-crosscap":
-        return crosscap_abstract_34()
-    if name == "h4-surface":
-        orientable, count = _genus_or_crosscaps(args, name)
-        return surface_4335(orientable, count, args.boundary_circles)
-    raise ValueError(f"unknown catalogue id {name!r}")
+def _spiral_document(depth):
+    tree = spiral_tree(depth)
+    data = {
+        "format": "plane_tree",
+        "depth": tree.depth,
+        "segments": sorted([a[0], a[1], b[0], b[1]]
+                           for a, b in tree.segments),
+        "leaves": sorted([x, y] for x, y in tree.leaves),
+    }
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-BUILD_IDS = (
-    "sphere", "torus-paper", "torus-32", "crosscap-r4", "crosscap-30",
-    "klein-bottle", "closed-surface", "tree-spiral", "tree-of-life",
-    "pruned-tree", "hyp-torus", "hyp-pants", "hyp-tree", "hyp-closed",
-    "h4-torus", "h4-pants", "h4-crosscap", "h4-surface",
-)
+# The catalogue, in the order `build --help` lists it: each id maps the
+# parsed options to a complex, or, for tree-spiral, to the text of its
+# plane-tree document.
+BUILDERS = {
+    "sphere": lambda a: sphere_cube(),
+    "torus-paper": lambda a: frame_torus(),
+    "torus-32": lambda a: frame_torus(),
+    "crosscap-r4": lambda a: crosscap_z4(),
+    "crosscap-30": lambda a: crosscap_z4(),
+    "klein-bottle": lambda a: klein_bottle(),
+    "closed-surface": lambda a: closed_surface(*_genus_or_crosscaps(a)),
+    "tree-spiral": lambda a: _spiral_document(a.depth),
+    "tree-of-life": lambda a: tree_of_life(a.depth),
+    "pruned-tree": lambda a: prune_and_decorate(
+        tree_of_life(a.depth), prune=a.prune, handles=a.handles,
+        crosscaps=a.crosscaps or 0, ends=_parse_ends(a.end)),
+    "hyp-torus": lambda a: hyperbolic_torus_435(),
+    "hyp-pants": lambda a: hyperbolic_pants_435(),
+    "hyp-tree": lambda a: tree_of_life_435(a.depth),
+    "hyp-closed": lambda a: closed_orientable_435(
+        1 if a.genus is None else a.genus),
+    "h4-torus": lambda a: torus_4335(),
+    "h4-pants": lambda a: pants_4335(),
+    "h4-crosscap": lambda a: crosscap_abstract_34(),
+    "h4-surface": lambda a: surface_4335(*_genus_or_crosscaps(a),
+                                         a.boundary_circles),
+}
 
 
 def _cmd_build(args):
-    if args.id == "tree-spiral":
-        tree = spiral_tree(args.depth)
-        data = {
-            "format": "plane_tree",
-            "depth": tree.depth,
-            "segments": sorted([a[0], a[1], b[0], b[1]]
-                               for a, b in tree.segments),
-            "leaves": sorted([x, y] for x, y in tree.leaves),
-        }
-        _write(args.output, json.dumps(data, sort_keys=True, indent=2) + "\n")
-        return 0
-    _write(args.output, dumps_complex(_build_object(args)))
+    built = BUILDERS[args.id](args)
+    _write(args.output,
+           built if isinstance(built, str) else dumps_complex(built))
     return 0
 
 
@@ -224,7 +208,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="construct a catalogued surface")
-    p.add_argument("id", choices=BUILD_IDS)
+    p.add_argument("id", choices=BUILDERS)
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--genus", type=int, default=None)
     p.add_argument("--crosscaps", type=int, default=None)

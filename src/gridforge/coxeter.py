@@ -12,7 +12,11 @@ Z[sqrt2, phi] (see gridforge.field), so group elements are tuples of
 integer 4-tuples and never suffer rounding.  Cosets are identified either
 by an exact fixed-point vector (hyperbolic systems, where the bilinear
 form is invertible) or by the lexicographically least matrix in the coset
-(degenerate Euclidean systems, whose parabolics are small).
+(degenerate Euclidean systems, whose parabolics are small).  One ordered
+elimination of the bilinear form B gives both: its pivots tell the
+signature and whether B is singular, and its inverse the fixed vectors.
+The reflection exchanging two cells of a hyperbolic system is formed in
+closed form from their fixed vectors.
 
 Ring-matrix products are the dominant cost, so they are formed only where
 a matrix is read.  A hyperbolic cell reached from another one, as a face,
@@ -87,53 +91,38 @@ def matrix_key(m):
     return tuple(ring_key(e) for row in m for e in row)
 
 
-def _qf_matrix(m):
-    return [[qf_from_ring(e) for e in row] for row in m]
+def _eliminate(m):
+    """Ordered Gauss-Jordan elimination of a symmetric QF matrix.
 
-
-def _qf_mat_inverse(m):
-    """Exact inverse of a square QF matrix by Gauss-Jordan elimination."""
+    Rows are never swapped, so pivot k is the ratio of the leading
+    principal minors of orders k + 1 and k: the pivot signs give the
+    signature, and a zero last pivot means m is singular.  Returns
+    (pivots, inverse), the inverse being None in that singular case; a
+    zero pivot before the last one raises.  Each pivot is inverted once
+    and zero entries are skipped.
+    """
     n = len(m)
-    a = [list(row) + [QF(1) if i == j else QF(0) for j in range(n)]
+    a = [list(row) + [QF(int(i == j)) for j in range(n)]
          for i, row in enumerate(m)]
+    pivots, inverses = [], []
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def mat_inverse(m):
-    """Inverse of a group element, returned in ring coordinates."""
-    inv = _qf_mat_inverse(_qf_matrix(m))
-    return tuple(tuple(ring_from_qf(x) for x in row) for row in inv)
-
-
-def _qf_det(m):
-    n = len(m)
-    a = [list(row) for row in m]
-    det = QF(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return QF(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv = a[col][col].inverse()
+        pivots.append(a[col][col])
+        if not pivots[-1]:
+            if col < n - 1:
+                raise AssertionError("unexpected zero leading minor")
+            return pivots, None
+        inverses.append(pivots[-1].inverse())
         for r in range(col + 1, n):
             if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+                f = a[r][col] * inverses[col]
+                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[col])]
+    for col in reversed(range(n)):
+        a[col] = [x * inverses[col] for x in a[col]]
+        for r in range(col):
+            if a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[col])]
+    return pivots, [row[n:] for row in a]
 
 
 class CoxeterSystem:
@@ -183,14 +172,14 @@ class CoxeterSystem:
         self.generators = tuple(gens)
 
         self._verify()
-        det = _qf_det([list(r) for r in self.bilinear])
-        self.affine = not det
+        pivots, inverse = _eliminate(self.bilinear)
+        self.affine = inverse is None
         if not self.affine:
-            sig = self._signature()
+            signs = [p.sign() for p in pivots]
+            sig = (signs.count(1), signs.count(-1))
             if sig != (rank - 1, 1):
                 raise AssertionError(f"{name}: expected signature "
                                      f"({rank - 1}, 1), got {sig}")
-            inverse = _qf_mat_inverse(self.bilinear)
             self.fixed_vectors = tuple(self._fixed_vector(inverse, i)
                                        for i in range(rank))
         else:
@@ -229,21 +218,6 @@ class CoxeterSystem:
                 if order != m:
                     raise AssertionError(
                         f"(s{i} s{j}) has order {order}, expected {m}")
-
-    def _signature(self):
-        """(positives, negatives) of B via leading principal minors."""
-        prev = QF(1)
-        pos = neg = 0
-        for k in range(1, self.rank + 1):
-            minor = _qf_det([list(row[:k]) for row in self.bilinear[:k]])
-            if not minor:
-                raise AssertionError("unexpected zero principal minor")
-            if (minor.sign() > 0) == (prev.sign() > 0):
-                pos += 1
-            else:
-                neg += 1
-            prev = minor
-        return (pos, neg)
 
     def _fixed_vector(self, inverse, i):
         """Primitive ring vector spanning the intersection of the kernels
@@ -527,11 +501,21 @@ def transform(g, cell):
     return _product_key(cell.system, cell.gens, g, cell.rep, cell.vec)
 
 
-def stabilizer(cell):
-    """Elements of W fixing the cell, as ring matrices."""
-    w_inv = mat_inverse(cell.rep)
-    return tuple(_mat_mul(_mat_mul(cell.rep, p), w_inv)
-                 for p in enumerate_parabolic(cell.system, cell.gens))
+def reflection(a, b):
+    """The reflection of a hyperbolic system that exchanges cells a and b.
+
+    It is s_d(v) = v - 2 B(d, v) / B(d, d) d for d = a.vec - b.vec, which
+    sends a.vec to b.vec whenever B(a.vec, a.vec) = B(b.vec, b.vec) (as
+    for two cells of one dimension) and fixes the cells whose vectors are
+    B-orthogonal to d.  Returned as a ring matrix; raises ValueError if
+    an entry leaves Z[sqrt2, phi].
+    """
+    d = [qf_from_ring(x) - qf_from_ring(y) for x, y in zip(a.vec, b.vec)]
+    bd = [sum((e * x for e, x in zip(row, d)), QF(0))
+          for row in a.system.bilinear]
+    scale = 2 / sum((x * y for x, y in zip(d, bd)), QF(0))
+    return tuple(tuple(ring_from_qf(int(i == j) - scale * x * y)
+                       for j, y in enumerate(bd)) for i, x in enumerate(d))
 
 
 def square_vertex_cycle(square):

@@ -183,8 +183,6 @@ def _imul(coeff, lo, hi, want_hi):
     return coeff * (lo if want_hi else hi)
 
 
-ZERO = QF(0)
-ONE = QF(1)
 SQRT2 = QF(0, 1)
 SQRT5 = QF(0, 0, 1)
 PHI = QF(Fraction(1, 2), 0, Fraction(1, 2))

@@ -10,11 +10,11 @@ to hypercube through their shared wall).
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 
 from gridforge.coxeter import (
-    build_system, cell_faces, identity_cell, neighbor, square_vertex_cycle,
-    stabilizer, transform,
+    build_system, cell_faces, identity_cell, neighbor, reflection,
+    square_vertex_cycle, transform,
 )
 from gridforge.lattice import (
     GriddedComplex, cube_union_boundary as union_boundary,
@@ -211,48 +211,41 @@ def tree_of_life_435(depth):
     return GriddedComplex(system.name, union_boundary(cubes), meta)
 
 
-def _straight_path(start, entry, length, blocked):
-    """March `length` cubes straight from `start`, whose entry face is
-    `entry`.  Returns (cubes, entry faces, final exit face) or None if the
-    path would run through a blocked cube."""
-    cubes, entries = [], []
-    cube, face = start, entry
-    for _ in range(length):
-        if cube in blocked or cube in cubes:
-            return None
-        cubes.append(cube)
-        entries.append(face)
-        face = opposite_face(cube, face)
-        cube = neighbor(cube, face)
-    return cubes, entries, face
-
-
-def _mirror_through(cube, entry):
-    """The symmetry of `cube` exchanging its entry and exit faces while
-    holding each of the other 4 faces in place."""
-    exit_face = opposite_face(cube, entry)
-    sides = [f for f in cell_faces(cube, 2) if f not in (entry, exit_face)]
-    found = []
-    for g in stabilizer(cube):
-        if (transform(g, entry) == exit_face
-                and transform(g, exit_face) == entry
-                and all(transform(g, f) == f for f in sides)):
-            found.append(g)
-    if len(found) != 1:
-        raise AssertionError(f"expected a unique mirror, found {len(found)}")
-    return found[0]
+def _tubes(squares, blocked):
+    """Straight tubes of odd length leaving the blocked cubes through one
+    of `squares`, in the order they are tried: squares sorted, then
+    lengths 1, 3, 5, 7.  A tube is (cubes, walls), walls[k] and
+    walls[k + 1] being the entry and exit faces of cubes[k]; it stops
+    short of a blocked cube and of one it already holds."""
+    for f in sorted(squares):
+        outside = [c for c in cell_faces(f, 3) if c not in blocked]
+        if len(outside) != 1:
+            continue
+        cubes, walls, cube = [], [f], outside[0]
+        while len(cubes) < 7 and cube not in blocked and cube not in cubes:
+            cubes.append(cube)
+            walls.append(opposite_face(cube, walls[-1]))
+            cube = neighbor(cube, walls[-1])
+            if len(cubes) % 2:
+                yield cubes[:], walls[:]
 
 
 def closed_orientable_435(genus):
     """Closed orientable surface of the given genus gridded in {4,3,5}.
 
     Genus 0 is the boundary of one cube and genus 1 the 12-cube ring
-    torus.  Higher genus chains mirror images of that torus: a straight
+    torus.  Higher genus chains mirror images of that torus.  A straight
     tube of odd length leaves a free square of the last copy, and the
-    reflection through the tube's middle cube maps the copy onto a fresh
-    one on the far side, so the tube's far mouth lands exactly on the
-    mirrored square.  Tube length and attachment square are retried until
-    nothing collides.
+    mirror through the tube's middle cube maps the copy onto a fresh one
+    on the far side, with the free square onto the tube's far mouth.  The
+    mirror is the reflection s_d in closed form, for d the difference of
+    the fixed vectors of the middle cube's entry and exit faces
+    (coxeter.reflection).  The copy joins as
+    surface ^ union_boundary(tube) ^ copy, accepted when that set has
+    |surface| + |copy| + 4 * length - 2 squares, so that the three meet
+    in the two mouths only, and the cubes the copy encloses miss every
+    blocked cube and the tube.  Tubes are tried by sorted square, then
+    by length 1, 3, 5, 7.
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
@@ -262,69 +255,44 @@ def closed_orientable_435(genus):
         return GriddedComplex(system.name, union_boundary([cube]),
                               {"kind": "closed_orientable", "genus": 0})
     base = hyperbolic_torus_435()
-    surface = set(base.squares)
     if genus == 1:
-        return GriddedComplex(system.name, frozenset(surface),
+        return GriddedComplex(system.name, base.squares,
                               {"kind": "closed_orientable", "genus": 1})
 
     # the 12 ring cubes plus the enclosed base cube; squares facing any of
     # them are useless attachment sites, so a blocked tube is skipped early
-    solid = set()
+    blocked = set()
     for e in _edge_parallel_class(identity_cell(system, 3),
                                   identity_cell(system, 1)):
-        solid.update(cell_faces(e, 3))
-    # the latest torus copy: its full 48 squares, the one square already
-    # spent as its entry hole, and the cubes it bounds
-    copy_full = set(base.squares)
-    copy_hole = None
-    copy_solid = set(solid)
+        blocked.update(cell_faces(e, 3))
+    # the surface so far, and the latest torus copy: its squares, the one
+    # square already spent as its entry hole, and the cubes it bounds
+    surface = copy = base.squares
+    hole = None
+    copy_solid = set(blocked)
     tube_lengths = []
-
     for _ in range(genus - 1):
-        attached = False
-        for f in sorted(copy_full - {copy_hole}):
-            outside = [c for c in cell_faces(f, 3) if c not in solid]
-            if len(outside) != 1:
-                continue
-            for half in range(1, 5):
-                path = _straight_path(outside[0], f, 2 * half - 1, solid)
-                if path is None:
-                    continue
-                cubes, entries, far = path
-                mirror = _mirror_through(cubes[half - 1], entries[half - 1])
-                if transform(mirror, f) != far:
-                    raise AssertionError("mirror does not map the hole "
-                                         "to the tube's far mouth")
-                new_copy = {transform(mirror, s) for s in copy_full}
-                new_solid = {transform(mirror, c) for c in copy_solid}
-                tube = set()
-                for cube, entry in zip(cubes, entries):
-                    ex = opposite_face(cube, entry)
-                    tube.update(s for s in cell_faces(cube, 2)
-                                if s not in (entry, ex))
-                pieces = (surface - {f}, tube, new_copy - {far})
-                total = sum(len(p) for p in pieces)
-                if len(set().union(*pieces)) != total:
-                    continue
-                if new_solid & solid or new_solid & set(cubes):
-                    continue
-                surface = set().union(*pieces)
-                solid.update(cubes)
-                solid.update(new_solid)
-                copy_full = new_copy
-                copy_hole = far
-                copy_solid = new_solid
-                tube_lengths.append(2 * half - 1)
-                attached = True
+        for cubes, walls in _tubes(copy - {hole}, blocked):
+            mid = len(cubes) // 2
+            mirror = reflection(walls[mid], walls[mid + 1])
+            if transform(mirror, walls[0]) != walls[-1]:
+                raise AssertionError("mirror does not map the hole "
+                                     "to the tube's far mouth")
+            new_copy = {transform(mirror, s) for s in copy}
+            new_solid = {transform(mirror, c) for c in copy_solid}
+            joined = surface ^ union_boundary(cubes) ^ new_copy
+            if (len(joined) == len(surface) + len(copy) + 4 * len(cubes) - 2
+                    and not new_solid & blocked.union(cubes)):
                 break
-            if attached:
-                break
-        if not attached:
+        else:
             raise RuntimeError("could not attach a mirror copy without "
                                "collisions")
+        surface, copy, hole, copy_solid = joined, new_copy, walls[-1], new_solid
+        blocked.update(cubes, new_solid)
+        tube_lengths.append(len(cubes))
     meta = {"kind": "closed_orientable", "genus": genus,
             "tube_lengths": tuple(tube_lengths)}
-    return GriddedComplex(system.name, frozenset(surface), meta)
+    return GriddedComplex(system.name, surface, meta)
 
 
 def _hypercube_ring(hypercube, first=None, avoid=()):
@@ -408,27 +376,6 @@ def _cube_row_4335(count):
     if len(set(cubes)) != count:
         raise AssertionError("row of cubes doubled back")
     return cubes, shared, hypers
-
-
-def hypercube_graph_distance(a, b, limit):
-    """Length of the shortest wall-crossing path between two hypercubes,
-    by breadth-first search; None if farther than `limit`."""
-    if a == b:
-        return 0
-    seen = {a}
-    queue = deque([(a, 0)])
-    while queue:
-        h, d = queue.popleft()
-        if d == limit:
-            continue
-        for wall in cell_faces(h, 3):
-            nxt = neighbor(h, wall)
-            if nxt == b:
-                return d + 1
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, d + 1))
-    return None
 
 
 def pants_4335():

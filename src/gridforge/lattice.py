@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from math import comb
 
 from gridforge.coxeter import CosetKey, build_system, cell_faces
 
@@ -69,13 +68,6 @@ def cofaces(key, k):
                 cell[i] = key[i] + s
             out.append(tuple(cell))
     return tuple(sorted(out))
-
-
-def coface_count(d, k, n):
-    """Number of k-cofaces of a d-cell in the tiling of Z^n, in closed form."""
-    if k < d or k > n:
-        return 0
-    return comb(n - d, k - d) * 2 ** (k - d)
 
 
 def corners_cyclic(square):

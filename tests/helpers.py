@@ -8,6 +8,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
+from math import comb
+
+from gridforge.coxeter import (
+    _mat_mul, cell_faces, enumerate_parabolic, neighbor,
+)
+from gridforge.field import QF, qf_from_ring, ring_from_qf
 
 # Lines appended by the acceptance tests; conftest echoes them after the run.
 ACCEPTANCE_LINES = []
@@ -213,3 +220,67 @@ def brute_surface_check(cycles):
                     elif flip[b] != want:
                         return bad_edges, bad_vertices, False
     return bad_edges, bad_vertices, True
+
+
+def coface_count(d, k, n):
+    """Number of k-cofaces of a d-cell in the tiling of Z^n, in closed form."""
+    if k < d or k > n:
+        return 0
+    return comb(n - d, k - d) * 2 ** (k - d)
+
+
+def hypercube_graph_distance(a, b, limit):
+    """Length of the shortest wall-crossing path between two hypercubes,
+    by breadth-first search; None if farther than `limit`."""
+    if a == b:
+        return 0
+    seen = {a}
+    queue = deque([(a, 0)])
+    while queue:
+        h, d = queue.popleft()
+        if d == limit:
+            continue
+        for wall in cell_faces(h, 3):
+            nxt = neighbor(h, wall)
+            if nxt == b:
+                return d + 1
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, d + 1))
+    return None
+
+
+def qf_matrix(m):
+    return [[qf_from_ring(e) for e in row] for row in m]
+
+
+def qf_mat_inverse(m):
+    """Exact inverse of a square QF matrix by Gauss-Jordan elimination."""
+    n = len(m)
+    a = [list(row) + [QF(1) if i == j else QF(0) for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = a[col][col].inverse()
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def mat_inverse(m):
+    """Inverse of a group element, returned in ring coordinates."""
+    inv = qf_mat_inverse(qf_matrix(m))
+    return tuple(tuple(ring_from_qf(x) for x in row) for row in inv)
+
+
+def stabilizer(cell):
+    """Elements of W fixing the cell, as ring matrices."""
+    w_inv = mat_inverse(cell.rep)
+    return tuple(_mat_mul(_mat_mul(cell.rep, p), w_inv)
+                 for p in enumerate_parabolic(cell.system, cell.gens))

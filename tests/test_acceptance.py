@@ -5,11 +5,14 @@ conftest hook echoes the collected checklist after the run.  Comparisons are
 exact; the two timed enumerations must stay inside a 120 second budget.
 """
 
+import hashlib
 import io
 import json
 import random
 import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+
+import pytest
 
 import helpers
 from gridforge import lattice
@@ -366,6 +369,40 @@ BUILD_COMMANDS = (
     ("build", "h4-surface", "--genus", "1", "--boundary-circles", "1"),
     ("build", "h4-surface", "--crosscaps", "2"),
 )
+
+
+# sha256 of each command's stdout, in BUILD_COMMANDS order: a refactor
+# must leave every catalogue build byte alone
+BUILD_DIGESTS = dict(zip(BUILD_COMMANDS, (
+    "60a978625f8e7d1c2798b1b86e0317e85795e3c1f1ed9666886272e77e60951b",
+    "4e9d89bcd5de946063471c7f290eeb390c6e7782cca8a3cde2b4fa9d25ee581a",
+    "4e9d89bcd5de946063471c7f290eeb390c6e7782cca8a3cde2b4fa9d25ee581a",
+    "9f3b678d42110a9e11cc3c697b3fc629132d82bf676fda3d66c871c9805ea092",
+    "9f3b678d42110a9e11cc3c697b3fc629132d82bf676fda3d66c871c9805ea092",
+    "ce4b2f7c211d593f0465435031d9fc76eba85de8e2a9e905f17c9b8489d8bdef",
+    "3ec8ed3a1328949b5ba733c917317d0f6812f9b4b95dbf6d014c48fd414cb7a4",
+    "ce4b2f7c211d593f0465435031d9fc76eba85de8e2a9e905f17c9b8489d8bdef",
+    "acb3276c2ffd1c2bd54fa47960a1eab73c93c3317a82ee523ea980a35051ed1f",
+    "ccb6046f59f7c65e9de8cd50f5f32e88141e582aba50381cd706afbb6e0a4f5b",
+    "fff33e973b5d8538c1990dc25793ed37f3dae60b6a8bfd4ad4283d721cd5de5f",
+    "a0772c7af8b44a47bb0ff71fd9bdfe387d4e50fc5f247d2d4f84bacdd3ab1be3",
+    "136f067e7efcd7f1a84b2af6257145ade543e12b8c23ad70f21e66fbe1752e39",
+    "e7b2a52606c4593ccfb6ac804bea0c568ff6287fefd4fec507022ea307263f7c",
+    "a28cfdc8ea5da5c9fa2396942e75bb724e2cc55dce7962d0532440dce3230686",
+    "468bc2619bf223d3b068d3ed6e3cc2b3579e79fed1aa62c723e1c060647dcde9",
+    "bff0e6456371c503cd6e87468df2f241f5e2be83f0d57f2b03542a1a69b4dbe5",
+    "41bebaf5decf47e125d3768d13249c4ef76b722a9142978371cee9d579383559",
+    "1b27a9f6a8650dd682f94a42882a36f8836c6f42e1ed8a502487d1846005cabf",
+    "e799898113ff2e59d933112534ae0e1ced205f8cd32fefbd05f6f19826b67e01",
+)))
+
+
+@pytest.mark.parametrize("cmd", BUILD_COMMANDS, ids=" ".join)
+def test_build_bytes_are_pinned(cmd):
+    code, out, err = run_cli(list(cmd))
+    assert code == 0, err
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == BUILD_DIGESTS[cmd]
 
 
 def test_criterion_10_build_determinism():

@@ -6,17 +6,18 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import coface_count, mat_inverse, stabilizer
 from gridforge import coxeter
 from gridforge.coxeter import (
     CLAIMED_INCIDENCE, CosetKey, build_system, cell_faces, enumerate_parabolic,
-    identity_cell, incidence_counts, mat_inverse, matrix_key, neighbor,
-    parabolic_order, square_vertex_cycle, stabilizer, transform, _identity,
+    identity_cell, incidence_counts, matrix_key, neighbor, parabolic_order,
+    reflection, square_vertex_cycle, transform, _eliminate, _identity,
     _mat_mul, _mat_vec, _transpose, _transversal,
 )
-from gridforge.field import RZERO, radd, ring_key, rmul
+from gridforge.field import QF, RZERO, radd, ring_key, rmul
 from gridforge.formats import dumps_complex
-from gridforge.honeycombs import tree_of_life_435
-from gridforge.lattice import cell_dim, coface_count
+from gridforge.honeycombs import opposite_face, tree_of_life_435
+from gridforge.lattice import cell_dim
 from gridforge.surface import _cycle_key
 
 ALL_SYSTEMS = ("{4,4}", "{4,3,4}", "{4,3,3,4}", "{4,3,5}", "{4,3,3,5}")
@@ -293,6 +294,46 @@ def test_stabilizer_fixes_cell():
     assert all(transform(m, cube) == cube for m in st)
     moved = transform(s.generators[3], identity_cell(s, 3))
     assert moved != identity_cell(s, 3)
+
+
+def test_reflection_is_the_stabilizer_element_swapping_two_faces():
+    # the element of the cube's stabilizer exchanging a face with the
+    # opposite one and fixing the other 4, found by search
+    s = build_system("{4,3,5}")
+    rng = random.Random(435)
+    for _ in range(4):
+        cube = CosetKey(s, s.parabolic_gens(3),
+                        random_word(s, rng, rng.randrange(0, 9)))
+        st_cube = stabilizer(cube)
+        faces = cell_faces(cube, 2)
+        for entry in faces:
+            exit_face = opposite_face(cube, entry)
+            sides = [f for f in faces if f not in (entry, exit_face)]
+            found = [g for g in st_cube
+                     if transform(g, entry) == exit_face
+                     and transform(g, exit_face) == entry
+                     and all(transform(g, f) == f for f in sides)]
+            assert found == [reflection(entry, exit_face)]
+
+
+def test_elimination_of_hyperbolic_forms():
+    for name in ("{4,3,5}", "{4,3,3,5}"):
+        s = build_system(name)
+        pivots, inverse = _eliminate(s.bilinear)
+        signs = [p.sign() for p in pivots]
+        assert (signs.count(1), signs.count(-1)) == (s.rank - 1, 1)
+        product = [[sum((inverse[i][k] * s.bilinear[k][j]
+                         for k in range(s.rank)), QF(0))
+                    for j in range(s.rank)] for i in range(s.rank)]
+        assert product == [[QF(int(i == j)) for j in range(s.rank)]
+                           for i in range(s.rank)]
+
+
+def test_elimination_of_affine_forms():
+    for name in ("{4,4}", "{4,3,4}", "{4,3,3,4}"):
+        pivots, inverse = _eliminate(build_system(name).bilinear)
+        assert not pivots[-1] and all(p.sign() > 0 for p in pivots[:-1])
+        assert inverse is None
 
 
 def test_square_vertex_cycle_is_canonical():

@@ -101,6 +101,14 @@ PINNED_BUILDS = [
      "bed53cfb20bec881a49e17657a519dd1a0ceef9b434bbbf81221ee21c597a014"),
     (lambda: closed_orientable_435(2),
      "a28cfdc8ea5da5c9fa2396942e75bb724e2cc55dce7962d0532440dce3230686"),
+    (lambda: closed_orientable_435(3),
+     "5a1f47435f7fbc73292f9d3ee44a8a0df694a4c2926f5acb9847f4d944cf58c0"),
+    (lambda: closed_orientable_435(4),
+     "35d094157d9442f001d70f3b001dfdf3776345bf4c5a0e3a3ac37a1b7c25a5d4"),
+    (lambda: closed_orientable_435(5),
+     "3e585dfc6f3ef29eed180c2809d31d8251ac4f9c24cc806d437a375394e7fde9"),
+    (lambda: closed_orientable_435(6),
+     "49000a7b4abf5bc6229e27e069975e53acb1be75b5fddc86440ffa6fa89c5f75"),
 ]
 
 
@@ -109,7 +117,11 @@ PINNED_BUILDS = [
                               "torus_4335", "pants_4335",
                               "crosscap_abstract_34", "surface_4335(False,2)",
                               "surface_4335(True,1,1)", "tree_of_life(3)",
-                              "closed_orientable_435(2)"])
+                              "closed_orientable_435(2)",
+                              "closed_orientable_435(3)",
+                              "closed_orientable_435(4)",
+                              "closed_orientable_435(5)",
+                              "closed_orientable_435(6)"])
 def test_canonical_write_is_pinned(build, digest):
     text = dumps_complex(build())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

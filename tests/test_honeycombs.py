@@ -2,10 +2,11 @@
 
 import pytest
 
+from helpers import hypercube_graph_distance
 from gridforge.coxeter import build_system, cell_faces, identity_cell
 from gridforge.honeycombs import (
     closed_orientable_435, crosscap_abstract_34, hyperbolic_pants_435,
-    hyperbolic_torus_435, hypercube_graph_distance, opposite_face,
+    hyperbolic_torus_435, opposite_face,
     pants_4335, surface_4335, torus_4335, tree_of_life_435, union_boundary,
     _cube_row_4335, _edge_parallel_class, _hypercube_ring,
 )

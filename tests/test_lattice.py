@@ -4,11 +4,11 @@ from math import comb
 
 import pytest
 
-from helpers import brute_cofaces, brute_faces
+from helpers import brute_cofaces, brute_faces, coface_count
 from gridforge import honeycombs
 from gridforge.coxeter import build_system, cell_faces, identity_cell, neighbor
 from gridforge.lattice import (
-    GriddedComplex, cell_dim, coface_count, cofaces, corners_cyclic,
+    GriddedComplex, cell_dim, cofaces, corners_cyclic,
     cube_union_boundary, embed_higher, faces, translate,
 )
 from gridforge.surface import classify
