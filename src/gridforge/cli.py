@@ -5,8 +5,7 @@ sum (embedded connected sum), stats (incidence numbers of the honeycombs
 against their catalogued values) and export (OFF/OBJ/JSON).
 
 Exit codes: 0 on success, 1 when a build collides or a complex fails to
-be a surface, 2 for usage errors, malformed input files and parabolic
-subgroups larger than GRIDFORGE_ENUM_CAP.
+be a surface, 2 for usage errors and malformed input files.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ from gridforge.constructors import (
     EndDecoration, closed_surface, crosscap_z4, frame_torus, klein_bottle,
     prune_and_decorate, sphere_cube, spiral_tree, tree_of_life,
 )
-from gridforge.coxeter import (
-    CLAIMED_INCIDENCE, EnumerationCapError, build_system, incidence_counts,
-)
+from gridforge.coxeter import CLAIMED_INCIDENCE, build_system, incidence_counts
 from gridforge.export import to_obj, to_off
 from gridforge.formats import dumps_complex, load_complex
 from gridforge.honeycombs import (
@@ -272,7 +269,7 @@ def main(argv=None):
         print(f"error: malformed JSON at line {exc.lineno} column "
               f"{exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, EnumerationCapError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

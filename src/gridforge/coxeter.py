@@ -16,7 +16,8 @@ form is invertible) or by the lexicographically least matrix in the coset
 elimination of the bilinear form B gives both: its pivots tell the
 signature and whether B is singular, and its inverse the fixed vectors.
 The reflection exchanging two cells of a hyperbolic system is formed in
-closed form from their fixed vectors.
+closed form from their fixed vectors, and so is the central symmetry of
+a cell, which swaps each of its faces with the opposite one.
 
 Ring-matrix products are the dominant cost, so they are formed only where
 a matrix is read.  A hyperbolic cell reached from another one, as a face,
@@ -28,11 +29,12 @@ the candidates still tied for least.
 
 from __future__ import annotations
 
-import os
+import math
 from functools import lru_cache, total_ordering
 
 from gridforge.field import (
-    QF, RONE, RZERO, cos_pi, qf_from_ring, ring_from_qf, ring_key, rneg,
+    QF, RONE, RZERO, cos_pi, qf_from_ring, radd, ring_from_qf, ring_key,
+    rmul, rneg, rscale, rsub,
 )
 
 SYSTEM_LABELS = {
@@ -171,7 +173,7 @@ class CoxeterSystem:
             gens.append(tuple(rows))
         self.generators = tuple(gens)
 
-        self._verify()
+        self._verify(m_of)
         pivots, inverse = _eliminate(self.bilinear)
         self.affine = inverse is None
         if not self.affine:
@@ -196,7 +198,7 @@ class CoxeterSystem:
             (q, None if self.affine else _mat_vec(q, self.fixed_vectors[0]))
             for q in turns)
 
-    def _verify(self):
+    def _verify(self, m_of):
         ident = _identity(self.rank)
         b4 = self.bilinear4
         for i, g in enumerate(self.generators):
@@ -206,7 +208,7 @@ class CoxeterSystem:
                 raise AssertionError(f"generator {i} does not preserve the form")
         for i in range(self.rank):
             for j in range(i + 1, self.rank):
-                m = 2 if abs(i - j) > 1 else self.labels[i]
+                m = m_of(i, j)
                 prod = _mat_mul(self.generators[i], self.generators[j])
                 power = prod
                 order = 1
@@ -230,16 +232,10 @@ class CoxeterSystem:
         last = inverse[-1][i].inverse()
         x = [row[i] * last for row in inverse]
         # clear denominators, making every entry a ring integer
-        denom = 1
-        for v in x:
-            for coeff in (v.a, v.b, v.c, v.d):
-                k = coeff.denominator
-                denom = denom * k // _gcd(denom, k)
+        denom = math.lcm(*(c.denominator for v in x
+                           for c in (v.a, v.b, v.c, v.d)))
         vec = [ring_from_qf(QF(2 * denom) * v) for v in x]
-        g = 0
-        for e in vec:
-            for t in e:
-                g = _gcd(g, abs(t))
+        g = math.gcd(*(t for e in vec for t in e))
         vec = tuple(tuple(t // g for t in e) for e in vec)
         pairing = sum((self.bilinear[i][k] * qf_from_ring(vec[k])
                        for k in range(n)), QF(0))
@@ -259,12 +255,6 @@ class CoxeterSystem:
         return f"CoxeterSystem({self.name!r})"
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 @lru_cache(maxsize=None)
 def build_system(name):
     return CoxeterSystem(name)
@@ -272,40 +262,24 @@ def build_system(name):
 
 _ENUM_CACHE = {}
 
-ENUM_CAP_ENV = "GRIDFORGE_ENUM_CAP"
-DEFAULT_ENUM_CAP = 2_000_000
-
-
-def _enum_cap():
-    raw = os.environ.get(ENUM_CAP_ENV, str(DEFAULT_ENUM_CAP))
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{ENUM_CAP_ENV} must be a positive integer, "
-                         f"got {raw!r}")
-    return cap
-
-
-class EnumerationCapError(RuntimeError):
-    """A parabolic subgroup has more elements than GRIDFORGE_ENUM_CAP."""
-
 
 def enumerate_parabolic(system, gens):
     """All elements of the standard parabolic <s_i : i in gens>, sorted.
 
-    Breadth-first closure over the generator matrices.  Aborts with
-    EnumerationCapError if the subgroup exceeds the cap in GRIDFORGE_ENUM_CAP
-    (default 2,000,000), which guards against asking for an infinite
-    parabolic of an affine or hyperbolic system.
+    Breadth-first closure over the generator matrices.  The parabolic is
+    finite exactly when gens is a proper subset of the generators, since
+    every proper sub-diagram of a system here is spherical; any other
+    gens, the whole group or a generator the system lacks, raises
+    ValueError before a product is formed.
     """
     gens = frozenset(gens)
+    if not gens < frozenset(range(system.rank)):
+        raise ValueError(f"parabolic {sorted(gens)} of {system.name} is not "
+                         "a proper subset of its generators")
     cache_key = (system.name, gens)
     hit = _ENUM_CACHE.get(cache_key)
     if hit is not None:
         return hit
-    cap = _enum_cap()
     mats = [system.generators[i] for i in sorted(gens)]
     ident = _identity(system.rank)
     seen = {ident}
@@ -318,11 +292,6 @@ def enumerate_parabolic(system, gens):
                 if wg not in seen:
                     seen.add(wg)
                     nxt.append(wg)
-                    if len(seen) > cap:
-                        raise EnumerationCapError(
-                            f"parabolic {sorted(gens)} of {system.name} "
-                            f"exceeds {cap} elements; raise {ENUM_CAP_ENV} "
-                            "if this is intended")
         frontier = nxt
     result = tuple(sorted(seen, key=matrix_key))
     _ENUM_CACHE[cache_key] = result
@@ -501,21 +470,55 @@ def transform(g, cell):
     return _product_key(cell.system, cell.gens, g, cell.rep, cell.vec)
 
 
+def _signed_reflection(system, d, sign):
+    """sign * s_d as a ring matrix, for s_d(v) = v - 2 B(d, v) / B(d, d) d.
+
+    With u = 4B d and n = d . u = 4 B(d, d), entry (i, j) of s_d is
+    delta_ij - 2 d_i u_j / n.  Scaling by m, the product of the other
+    three Galois conjugates of n, turns the denominator into the integer
+    norm k = n m, so each entry is an exact ring quotient by k; raises
+    ValueError if one is not.
+    """
+    u = _mat_vec(system.bilinear4, d)
+    n = p, q, r, s = _dot(d, u)
+    m = rmul(rmul((p, -q, r, -s), (p + r, q + s, -r, -s)),
+             (p + r, -q - s, -r, s))
+    k = rmul(n, m)[0]
+    scale = rscale(-2 * sign, m)
+    num = [[rmul(sx, y) for y in u] for sx in (rmul(scale, x) for x in d)]
+    for i, row in enumerate(num):
+        row[i] = radd(row[i], (sign * k, 0, 0, 0))
+    if any(t % k for row in num for e in row for t in e):
+        raise ValueError(f"s_d for d = {d} leaves Z[sqrt2, phi]")
+    return tuple(tuple(tuple(t // k for t in e) for e in row) for row in num)
+
+
 def reflection(a, b):
     """The reflection of a hyperbolic system that exchanges cells a and b.
 
     It is s_d(v) = v - 2 B(d, v) / B(d, d) d for d = a.vec - b.vec, which
     sends a.vec to b.vec whenever B(a.vec, a.vec) = B(b.vec, b.vec) (as
     for two cells of one dimension) and fixes the cells whose vectors are
-    B-orthogonal to d.  Returned as a ring matrix; raises ValueError if
-    an entry leaves Z[sqrt2, phi].
+    B-orthogonal to d.  For two top cells sharing a wall it is the
+    reflection in that wall.  Returned as a ring matrix; raises
+    ValueError if an entry leaves Z[sqrt2, phi].
     """
-    d = [qf_from_ring(x) - qf_from_ring(y) for x, y in zip(a.vec, b.vec)]
-    bd = [sum((e * x for e, x in zip(row, d)), QF(0))
-          for row in a.system.bilinear]
-    scale = 2 / sum((x * y for x, y in zip(d, bd)), QF(0))
-    return tuple(tuple(ring_from_qf(int(i == j) - scale * x * y)
-                       for j, y in enumerate(bd)) for i, x in enumerate(d))
+    d = tuple(rsub(x, y) for x, y in zip(a.vec, b.vec))
+    return _signed_reflection(a.system, d, 1)
+
+
+def central_symmetry(cell):
+    """The central symmetry v -> 2 B(c, v) / B(c, c) c - v of a hyperbolic
+    cell, for c = cell.vec, as a ring matrix.
+
+    It fixes the cell and swaps each of its faces with the opposite one.
+    It lies in W only when the longest element of the cell's parabolic is
+    -1, and is then that element conjugated by the representative.  This
+    holds for every cell of {4,3,5} but its edges (parabolic A1 x H2) and
+    every cell of {4,3,3,5} but its squares (B2 x H2); for those two the
+    matrix leaves Z[sqrt2, phi] and ValueError is raised.
+    """
+    return _signed_reflection(cell.system, cell.vec, -1)
 
 
 def square_vertex_cycle(square):

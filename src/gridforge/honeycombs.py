@@ -4,8 +4,10 @@ The same boundary-of-a-cube-union recipe that produces spheres, tori and
 trees in Z^3 also works in the hyperbolic honeycombs, except that cube
 bookkeeping runs on coset cells instead of integer coordinates.  Walking
 "straight" is done cube by cube: exit through the face opposite the entry
-face (and, in the 4-dimensional honeycomb, hand the walk from hypercube
-to hypercube through their shared wall).
+face, the image of the entry face under the cube's central symmetry.  An
+"up" marker is carried into the next cube by the reflection in the wall
+the two cubes share.  In the 4-dimensional honeycomb the walk is handed
+from hypercube to hypercube through their shared wall.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from __future__ import annotations
 from collections import Counter
 
 from gridforge.coxeter import (
-    build_system, cell_faces, identity_cell, neighbor, reflection,
-    square_vertex_cycle, transform,
+    build_system, cell_faces, central_symmetry, identity_cell, neighbor,
+    reflection, square_vertex_cycle, transform,
 )
 from gridforge.lattice import (
     GriddedComplex, cube_union_boundary as union_boundary,
@@ -26,34 +28,18 @@ from gridforge.surface import (
 
 
 def opposite_face(cell, face):
-    """The face of `cell` sharing no vertex with `face`.
-
-    In a cube or hypercube this picks out the unique parallel facet, and
-    likewise the far edge of a square.
-    """
-    verts = set(cell_faces(face, 0))
-    found = [f for f in cell_faces(cell, face.dim)
-             if f != face and not verts & set(cell_faces(f, 0))]
-    if len(found) != 1:
-        raise ValueError(f"cell has {len(found)} faces opposite to {face!r}")
-    return found[0]
+    """The face of `cell` opposite `face`: its image under the cell's
+    central symmetry, such as the parallel facet of a cube or hypercube
+    or the far edge of a square."""
+    return transform(central_symmetry(cell), face)
 
 
 def _edge_parallel_class(cube, edge):
-    """Edges of the cube reachable by repeatedly jumping to the far side
-    of a shared square: the 4 parallel edges of a combinatorial cube."""
-    squares = cell_faces(cube, 2)
-    seen = {edge}
-    frontier = [edge]
-    while frontier:
-        e = frontier.pop()
-        for sq in squares:
-            if e in cell_faces(sq, 1):
-                far = opposite_face(sq, e)
-                if far not in seen:
-                    seen.add(far)
-                    frontier.append(far)
-    return sorted(seen)
+    """The 4 parallel edges of a cube through `edge`: the edge, its
+    opposite in the cube and its opposite in each of its 2 squares."""
+    squares = set(cell_faces(edge, 2)).intersection(cell_faces(cube, 2))
+    return sorted({edge, opposite_face(cube, edge)}
+                  | {opposite_face(sq, edge) for sq in squares})
 
 
 def hyperbolic_torus_435():
@@ -125,24 +111,6 @@ def hyperbolic_pants_435():
     return GriddedComplex(system.name, sphere - holes, meta)
 
 
-def _transport_up(up, wall, next_cube):
-    """Carry an "up" face marker through a shared wall into the next cube.
-
-    The marker and the wall share one edge; of the two faces of the next
-    cube along that edge, one is the wall itself and the other is the
-    transported marker.
-    """
-    shared = set(cell_faces(up, 1)) & set(cell_faces(wall, 1))
-    if len(shared) != 1:
-        raise AssertionError("up marker must be adjacent to the wall")
-    edge = shared.pop()
-    found = [f for f in cell_faces(next_cube, 2)
-             if f != wall and edge in cell_faces(f, 1)]
-    if len(found) != 1:
-        raise AssertionError("wall edge should lie in exactly 2 faces")
-    return found[0]
-
-
 def _pants_unit(stem, entry, up):
     """Grow one pants piece from its stem cube.
 
@@ -152,7 +120,7 @@ def _pants_unit(stem, entry, up):
     """
     exit_face = opposite_face(stem, entry)
     center = neighbor(stem, exit_face)
-    up_c = _transport_up(up, exit_face, center)
+    up_c = transform(reflection(stem, center), up)
     back = opposite_face(center, exit_face)
     down = opposite_face(center, up_c)
     arm_faces = sorted(f for f in cell_faces(center, 2)
@@ -165,7 +133,8 @@ def _pants_unit(stem, entry, up):
         arm = neighbor(center, f)
         cubes.append(arm)
         far = opposite_face(arm, f)
-        holes.append((arm, far, _transport_up(up_c, f, arm)))
+        holes.append((arm, far,
+                      transform(reflection(center, arm), up_c)))
     return cubes, holes
 
 
@@ -198,8 +167,8 @@ def tree_of_life_435(depth):
             if level + 1 < depth:
                 for arm, far, arm_up in holes:
                     child = neighbor(arm, far)
-                    next_layer.append(
-                        (child, far, _transport_up(arm_up, far, child)))
+                    child_up = transform(reflection(arm, child), arm_up)
+                    next_layer.append((child, far, child_up))
         layer = next_layer
 
     dupes = [c for c, m in Counter(cubes).items() if m > 1]

@@ -12,7 +12,7 @@ from collections import deque
 from math import comb
 
 from gridforge.coxeter import (
-    _mat_mul, cell_faces, enumerate_parabolic, neighbor,
+    CosetKey, _identity, _mat_mul, cell_faces, enumerate_parabolic, neighbor,
 )
 from gridforge.field import QF, qf_from_ring, ring_from_qf
 
@@ -284,3 +284,66 @@ def stabilizer(cell):
     w_inv = mat_inverse(cell.rep)
     return tuple(_mat_mul(_mat_mul(cell.rep, p), w_inv)
                  for p in enumerate_parabolic(cell.system, cell.gens))
+
+
+def random_word(system, rng, length):
+    w = _identity(system.rank)
+    for _ in range(length):
+        w = _mat_mul(w, system.generators[rng.randrange(system.rank)])
+    return w
+
+
+def random_cells(system, d, rng, count):
+    """`count` d-cells with representatives of random length below 9."""
+    gens = system.parabolic_gens(d)
+    return [CosetKey(system, gens, random_word(system, rng, rng.randrange(9)))
+            for _ in range(count)]
+
+
+def opposite_face_search(cell, face):
+    """The face of `cell` sharing no vertex with `face`.
+
+    In a cube or hypercube this picks out the unique parallel facet, and
+    likewise the far edge of a square.
+    """
+    verts = set(cell_faces(face, 0))
+    found = [f for f in cell_faces(cell, face.dim)
+             if f != face and not verts & set(cell_faces(f, 0))]
+    if len(found) != 1:
+        raise ValueError(f"cell has {len(found)} faces opposite to {face!r}")
+    return found[0]
+
+
+def edge_parallel_class_search(cube, edge):
+    """Edges of the cube reachable by repeatedly jumping to the far side
+    of a shared square: the 4 parallel edges of a combinatorial cube."""
+    squares = cell_faces(cube, 2)
+    seen = {edge}
+    frontier = [edge]
+    while frontier:
+        e = frontier.pop()
+        for sq in squares:
+            if e in cell_faces(sq, 1):
+                far = opposite_face_search(sq, e)
+                if far not in seen:
+                    seen.add(far)
+                    frontier.append(far)
+    return sorted(seen)
+
+
+def transport_up_search(up, wall, next_cube):
+    """Carry an "up" face marker through a shared wall into the next cube.
+
+    The marker and the wall share one edge; of the two faces of the next
+    cube along that edge, one is the wall itself and the other is the
+    transported marker.
+    """
+    shared = set(cell_faces(up, 1)) & set(cell_faces(wall, 1))
+    if len(shared) != 1:
+        raise AssertionError("up marker must be adjacent to the wall")
+    edge = shared.pop()
+    found = [f for f in cell_faces(next_cube, 2)
+             if f != wall and edge in cell_faces(f, 1)]
+    if len(found) != 1:
+        raise AssertionError("wall edge should lie in exactly 2 faces")
+    return found[0]

@@ -1,6 +1,7 @@
 """Command line behaviour: catalogue, exit codes, determinism."""
 
 import gc
+import hashlib
 import io
 import json
 import subprocess
@@ -9,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from gridforge import cli, coxeter
+from gridforge import cli
 from gridforge.cli import main
 from gridforge.constructors import spiral_tree
 
@@ -151,26 +152,6 @@ def test_malformed_json_message_is_exact(tmp_path, command):
     assert err == "error: malformed JSON at line 1 column 38: Expecting value\n"
 
 
-@pytest.mark.parametrize("raw", ["abc", "", "0", "-3", "2.5"])
-def test_bad_enum_cap_names_the_variable(monkeypatch, raw):
-    monkeypatch.setenv(coxeter.ENUM_CAP_ENV, raw)
-    # the cap is read when a parabolic is enumerated, not on a cache hit
-    monkeypatch.setattr(coxeter, "_ENUM_CACHE", {})
-    code, out, err = run(["stats", "{4,3,5}"])
-    assert (code, out) == (2, "")
-    assert err == ("error: GRIDFORGE_ENUM_CAP must be a positive integer, "
-                   f"got {raw!r}\n")
-
-
-def test_exceeded_enum_cap_is_an_error_line(monkeypatch):
-    monkeypatch.setenv(coxeter.ENUM_CAP_ENV, "3")
-    monkeypatch.setattr(coxeter, "_ENUM_CACHE", {})
-    code, out, err = run(["stats", "{4,3,5}"])
-    assert (code, out) == (2, "")
-    assert err == ("error: parabolic [1, 2, 3] of {4,3,5} exceeds 3 "
-                   "elements; raise GRIDFORGE_ENUM_CAP if this is intended\n")
-
-
 def test_schema_error_exits_2(tmp_path):
     path = tmp_path / "odd.json"
     path.write_text('{"format": "dodecahedron"}')
@@ -288,6 +269,30 @@ def test_export_formats(tmp_path):
     abstract = build(tmp_path, "h4-crosscap")
     code, _, err = run(["export", str(abstract), "--format", "off"])
     assert code == 2
+
+
+# sha256 of `export F --format off` and `--format obj` for a built file F:
+# vertex coordinates, numbering and face corners must stay as they are
+EXPORT_DIGESTS = {
+    ("hyp-torus",): (
+        "ff94859cec477933feed5d5e178c56958ec2b2cc1140af3f49053c69ca62f87c",
+        "d12101c9d468a1beaed016c12c2670d594b9f16171114f8394d83fcc1428f9da"),
+    ("hyp-tree", "--depth", "2"): (
+        "d1748de5ecee70f9291d9d96374dae884609162d279872c6be7932be337968bb",
+        "c43e7d08ec9aa79662f1dfe829a8e48576b28065eb1d91604e7956fcb3a7b83c"),
+    ("h4-torus",): (
+        "66442261089d4566496bac9ac9b56772ad70df1bff56f00edd23359810c9e4dd",
+        "be9147e3d56f8bf6425307589bbf1f10a1f070bc1a64e4d80d6a2431ebeefb9f"),
+}
+
+
+@pytest.mark.parametrize("cmd", EXPORT_DIGESTS, ids=" ".join)
+def test_export_bytes_are_pinned(tmp_path, cmd):
+    path = build(tmp_path, *cmd)
+    for fmt, digest in zip(("off", "obj"), EXPORT_DIGESTS[cmd]):
+        code, out, err = run(["export", str(path), "--format", fmt])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_missing_file_exits_2(tmp_path):

@@ -1,18 +1,22 @@
 """Reflection-group engine: exact matrices, cosets, incidence."""
 
+import itertools
 import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import coface_count, mat_inverse, stabilizer
+from helpers import (
+    coface_count, mat_inverse, opposite_face_search, random_cells,
+    random_word, stabilizer,
+)
 from gridforge import coxeter
 from gridforge.coxeter import (
-    CLAIMED_INCIDENCE, CosetKey, build_system, cell_faces, enumerate_parabolic,
-    identity_cell, incidence_counts, matrix_key, neighbor, parabolic_order,
-    reflection, square_vertex_cycle, transform, _eliminate, _identity,
-    _mat_mul, _mat_vec, _transpose, _transversal,
+    CLAIMED_INCIDENCE, CosetKey, build_system, cell_faces, central_symmetry,
+    enumerate_parabolic, identity_cell, incidence_counts, matrix_key,
+    neighbor, parabolic_order, reflection, square_vertex_cycle, transform,
+    _eliminate, _identity, _mat_mul, _mat_vec, _transpose, _transversal,
 )
 from gridforge.field import QF, RZERO, radd, ring_key, rmul
 from gridforge.formats import dumps_complex
@@ -21,13 +25,6 @@ from gridforge.lattice import cell_dim
 from gridforge.surface import _cycle_key
 
 ALL_SYSTEMS = ("{4,4}", "{4,3,4}", "{4,3,3,4}", "{4,3,5}", "{4,3,3,5}")
-
-
-def random_word(system, rng, length):
-    w = _identity(system.rank)
-    for _ in range(length):
-        w = _mat_mul(w, system.generators[rng.randrange(system.rank)])
-    return w
 
 
 def test_build_all_systems():
@@ -75,17 +72,6 @@ def test_icosahedral_vertex_group_within_budget():
     start = time.monotonic()
     assert parabolic_order(s, s.parabolic_gens(0)) == 14400
     assert time.monotonic() - start < 120.0
-
-
-def test_enumeration_cap(monkeypatch):
-    s = build_system("{4,3,5}")
-    gens = frozenset({0, 2})
-    coxeter._ENUM_CACHE.pop((s.name, gens), None)
-    monkeypatch.setenv(coxeter.ENUM_CAP_ENV, "3")
-    with pytest.raises(RuntimeError, match="GRIDFORGE_ENUM_CAP"):
-        enumerate_parabolic(s, gens)
-    monkeypatch.delenv(coxeter.ENUM_CAP_ENV)
-    assert len(enumerate_parabolic(s, gens)) == 4
 
 
 def test_enumeration_sorted_and_cached():
@@ -505,11 +491,80 @@ def test_square_corners_make_no_products(products):
 
 
 def test_tree_build_and_write_product_count(monkeypatch, products):
-    # 664 products with keys from vectors and a row-pruned min_rep; the
-    # eager keys and full min_rep before them made 4284
+    # exact: opposite faces and up markers are closed-form images, keys
+    # come from fixed vectors and min_rep is built row by row; a face
+    # search or an eager product anywhere on this path raises the count
     build_system("{4,3,5}")
     monkeypatch.setattr(coxeter, "_ENUM_CACHE", {})
     monkeypatch.setattr(coxeter, "_TRANSVERSAL_CACHE", {})
     products[0] = 0
     dumps_complex(tree_of_life_435(3))
-    assert products[0] == 664
+    assert products[0] == 381
+
+
+def test_only_proper_parabolics_are_enumerated(products):
+    s = build_system("{4,3,5}")
+    assert len(enumerate_parabolic(s, {0, 2})) == 4
+    products[0] = 0
+    for name in ALL_SYSTEMS:
+        s = build_system(name)
+        for gens in (range(s.rank), {0, s.rank}):
+            with pytest.raises(ValueError, match="proper subset"):
+                enumerate_parabolic(s, gens)
+    assert products[0] == 0
+
+
+def test_proper_subdiagrams_are_spherical():
+    # the premise of enumerate_parabolic: the form restricted to any proper
+    # subset of the generators is positive definite, so the parabolic is
+    # a finite reflection group
+    for name in ALL_SYSTEMS:
+        s = build_system(name)
+        for size in range(1, s.rank):
+            for sub in itertools.combinations(range(s.rank), size):
+                form = [[s.bilinear[i][j] for j in sub] for i in sub]
+                pivots, _ = _eliminate(form)
+                assert all(p.sign() > 0 for p in pivots), (name, sub)
+
+
+# --- closed-form central symmetries and reflections ----------------------
+
+def is_form_preserving_involution(system, g):
+    return (_mat_mul(g, g) == _identity(system.rank)
+            and _mat_mul(_mat_mul(_transpose(g), system.bilinear4), g)
+            == system.bilinear4)
+
+
+def test_central_symmetry_is_the_stabilizer_element_reversing_a_cube():
+    s = build_system("{4,3,5}")
+    rng = random.Random(3435)
+    for cube in random_cells(s, 3, rng, 4):
+        faces = cell_faces(cube, 2)
+        found = [g for g in stabilizer(cube)
+                 if all(transform(g, f) == opposite_face_search(cube, f)
+                        for f in faces)]
+        assert found == [central_symmetry(cube)]
+
+
+def test_central_symmetry_needs_a_longest_element_of_minus_one():
+    rng = random.Random(5)
+    for name, d in (("{4,3,5}", 1), ("{4,3,3,5}", 2)):
+        for cell in random_cells(build_system(name), d, rng, 3):
+            with pytest.raises(ValueError):
+                central_symmetry(cell)
+
+
+def test_closed_forms_are_form_preserving_involutions():
+    rng = random.Random(2435)
+    for name, dims in (("{4,3,5}", (0, 2, 3)), ("{4,3,3,5}", (0, 1, 3, 4))):
+        s = build_system(name)
+        for d in dims:
+            for cell in random_cells(s, d, rng, 3):
+                g = central_symmetry(cell)
+                assert is_form_preserving_involution(s, g)
+                assert transform(g, cell) == cell
+        for top in random_cells(s, s.rank - 1, rng, 2):
+            for wall in cell_faces(top, s.rank - 2):
+                g = reflection(top, neighbor(top, wall))
+                assert is_form_preserving_involution(s, g)
+                assert transform(g, wall) == wall

@@ -1,9 +1,17 @@
 """Surfaces gridded in the hyperbolic honeycombs."""
 
+import random
+
 import pytest
 
-from helpers import hypercube_graph_distance
-from gridforge.coxeter import build_system, cell_faces, identity_cell
+from helpers import (
+    edge_parallel_class_search, hypercube_graph_distance,
+    opposite_face_search, random_cells, transport_up_search,
+)
+from gridforge.coxeter import (
+    build_system, cell_faces, identity_cell, neighbor, reflection,
+    transform,
+)
 from gridforge.honeycombs import (
     closed_orientable_435, crosscap_abstract_34, hyperbolic_pants_435,
     hyperbolic_torus_435, opposite_face,
@@ -221,3 +229,40 @@ def test_all_435_surfaces_validate():
     for c in (hyperbolic_torus_435(), hyperbolic_pants_435(),
               tree_of_life_435(2), torus_4335(), pants_4335()):
         assert validate_surface(c).is_surface
+
+
+# --- closed forms against the searches they replaced ---------------------
+
+def test_opposite_face_equals_the_vertex_disjoint_search():
+    rng = random.Random(435)
+    for name, dims in (("{4,3,5}", (2, 3)), ("{4,3,3,5}", (1, 3, 4))):
+        s = build_system(name)
+        for d in dims:
+            for cell in random_cells(s, d, rng, 4):
+                for face in cell_faces(cell, d - 1):
+                    assert opposite_face(cell, face) == \
+                        opposite_face_search(cell, face)
+
+
+def test_wall_reflection_equals_the_up_marker_search():
+    s = build_system("{4,3,5}")
+    rng = random.Random(5435)
+    for cube in random_cells(s, 3, rng, 5):
+        faces = cell_faces(cube, 2)
+        for wall in faces:
+            nxt = neighbor(cube, wall)
+            mirror = reflection(cube, nxt)
+            for up in faces:
+                if up in (wall, opposite_face_search(cube, wall)):
+                    continue
+                assert transform(mirror, up) == \
+                    transport_up_search(up, wall, nxt)
+
+
+def test_edge_parallel_class_equals_the_square_walk():
+    s = build_system("{4,3,5}")
+    rng = random.Random(35)
+    for cube in random_cells(s, 3, rng, 3):
+        for edge in cell_faces(cube, 1):
+            assert _edge_parallel_class(cube, edge) == \
+                edge_parallel_class_search(cube, edge)
