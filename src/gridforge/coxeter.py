@@ -9,12 +9,14 @@ cells omit s_{r-1}.
 
 Everything is computed exactly.  Reflection matrices live in the subring
 Z[sqrt2, phi] (see gridforge.field), so group elements are tuples of
-integer 4-tuples and never suffer rounding.  Cosets are identified either
-by an exact fixed-point vector (hyperbolic systems, where the bilinear
-form is invertible) or by the lexicographically least matrix in the coset
-(degenerate Euclidean systems, whose parabolics are small).  One ordered
-elimination of the bilinear form B gives both: its pivots tell the
-signature and whether B is singular, and its inverse the fixed vectors.
+integer 4-tuples and never suffer rounding.  Only the hyperbolic systems
+key their cells as cosets: their bilinear form is invertible, so a coset
+is identified by an exact fixed-point vector, and its canonical matrix is
+its lexicographically least one.  The cells of a Euclidean system are
+lattice keys (gridforge.lattice); its group serves incidence counts only.
+One ordered elimination of the bilinear form B tells the two apart: its
+pivots give the signature and whether B is singular, and its inverse the
+fixed vectors.
 The reflection exchanging two cells of a hyperbolic system is formed in
 closed form from their fixed vectors, and so is the central symmetry of
 a cell, which swaps each of its faces with the opposite one.
@@ -176,27 +178,26 @@ class CoxeterSystem:
         self._verify(m_of)
         pivots, inverse = _eliminate(self.bilinear)
         self.affine = inverse is None
-        if not self.affine:
-            signs = [p.sign() for p in pivots]
-            sig = (signs.count(1), signs.count(-1))
-            if sig != (rank - 1, 1):
-                raise AssertionError(f"{name}: expected signature "
-                                     f"({rank - 1}, 1), got {sig}")
-            self.fixed_vectors = tuple(self._fixed_vector(inverse, i)
-                                       for i in range(rank))
-        else:
-            self.fixed_vectors = None
+        if self.affine:
+            # a Euclidean system has lattice cells, not cosets
+            self.fixed_vectors = self.corner_turns = None
+            return
+        signs = [p.sign() for p in pivots]
+        sig = (signs.count(1), signs.count(-1))
+        if sig != (rank - 1, 1):
+            raise AssertionError(f"{name}: expected signature "
+                                 f"({rank - 1}, 1), got {sig}")
+        self.fixed_vectors = tuple(self._fixed_vector(inverse, i)
+                                   for i in range(rank))
         # q = s_0 s_1 turns the base square a quarter: the corners of a
         # square w P_2 are the vertices w q^k P_0 (see square_vertex_cycle).
-        # Each turn q^k is kept with q^k x_0, which keys its corner in
-        # hyperbolic systems.
+        # Each turn q^k is kept with q^k x_0, which keys its corner.
         quarter = _mat_mul(gens[0], gens[1])
         turns = [_identity(rank), quarter]
         for _ in range(2):
             turns.append(_mat_mul(turns[-1], quarter))
         self.corner_turns = tuple(
-            (q, None if self.affine else _mat_vec(q, self.fixed_vectors[0]))
-            for q in turns)
+            (q, _mat_vec(q, self.fixed_vectors[0])) for q in turns)
 
     def _verify(self, m_of):
         ident = _identity(self.rank)
@@ -330,16 +331,15 @@ def _least_product(rep, parabolic):
 class CosetKey:
     """A cell of the honeycomb: the coset rep * P_d of a maximal parabolic.
 
-    Two keys are equal iff the cosets agree.  Hyperbolic systems decide
-    this through the exact fixed-point vector rep * x_d; Euclidean systems
-    fall back to the lexicographically least matrix of the coset.
-    min_rep() gives that canonical matrix either way, built row by row.
+    Two keys are equal iff the cosets agree, which the exact fixed-point
+    vector rep * x_d decides; min_rep() gives the canonical matrix of the
+    coset, its lexicographically least one, built row by row.  A
+    Euclidean system raises ValueError: its cells are lattice keys.
 
-    A key is made from its representative, or, in hyperbolic systems,
-    from its vector `vec` and a pair of `factors` whose product is the
-    representative.  That product is formed on the first read of `rep`,
-    so a cell that is only hashed and compared costs one matrix-vector
-    product.  Euclidean keys need the matrix at once and form it eagerly.
+    A key is made from its representative, or from its vector `vec` and
+    a pair of `factors` whose product is the representative.  That
+    product is formed on the first read of `rep`, so a cell that is only
+    hashed and compared costs one matrix-vector product.
     """
 
     __slots__ = ("system", "gens", "dim", "vec", "_rep", "_factors", "_key",
@@ -351,20 +351,19 @@ class CosetKey:
         if len(missing) != 1:
             raise ValueError("cells correspond to maximal parabolics; "
                              f"got generator set {sorted(gens)}")
+        if system.affine:
+            raise ValueError(f"{system.name} is a lattice: use ambient "
+                             f"Z{system.rank - 1}")
         self.system = system
         self.gens = gens
         self.dim = missing[0]
         self._rep = rep
         self._factors = factors
         self._minrep = None
-        if system.fixed_vectors is not None:
-            if vec is None:
-                vec = _mat_vec(self.rep, system.fixed_vectors[self.dim])
-            self.vec = vec
-            self._key = tuple([ring_key(e) for e in vec])
-        else:
-            self.vec = None
-            self._key = matrix_key(self.min_rep())
+        if vec is None:
+            vec = _mat_vec(self.rep, system.fixed_vectors[self.dim])
+        self.vec = vec
+        self._key = tuple([ring_key(e) for e in vec])
 
     @property
     def rep(self):
@@ -410,8 +409,7 @@ _TRANSVERSAL_CACHE = {}
 
 def _transversal(system, d, j):
     """Pairs (t, t * x_j) such that the j-cells incident to a d-cell w P_d
-    are exactly the w t P_j, each exactly once.  The vector t * x_j is
-    None in affine systems."""
+    are exactly the w t P_j, each exactly once."""
     key = (system.name, d, j)
     hit = _TRANSVERSAL_CACHE.get(key)
     if hit is not None:
@@ -429,17 +427,6 @@ def _transversal(system, d, j):
     return reps
 
 
-def _product_key(system, gens, a, b, bx):
-    """The cell a b P, where bx = b * x_d is given in hyperbolic systems.
-
-    There the key is the one matrix-vector product a * bx and a b is left
-    for the first read of its rep; affine keys form a b at once.
-    """
-    if bx is None:
-        return CosetKey(system, gens, _mat_mul(a, b))
-    return CosetKey(system, gens, vec=_mat_vec(a, bx), factors=(a, b))
-
-
 def cell_faces(cell, j):
     """Cells of dimension j incident to the given cell (faces when j is
     lower, cofaces when higher), as a sorted tuple of keys."""
@@ -448,7 +435,7 @@ def cell_faces(cell, j):
         return (cell,)
     gens_j = system.parabolic_gens(j)
     rep = cell.rep
-    out = [_product_key(system, gens_j, rep, t, tx)
+    out = [CosetKey(system, gens_j, vec=_mat_vec(rep, tx), factors=(rep, t))
            for t, tx in _transversal(system, cell.dim, j)]
     return tuple(sorted(out))
 
@@ -467,7 +454,8 @@ def neighbor(top_cell, face):
 
 def transform(g, cell):
     """Apply a group element (ring matrix) to a cell."""
-    return _product_key(cell.system, cell.gens, g, cell.rep, cell.vec)
+    return CosetKey(cell.system, cell.gens, vec=_mat_vec(g, cell.vec),
+                    factors=(g, cell.rep))
 
 
 def _signed_reflection(system, d, sign):
@@ -534,8 +522,8 @@ def square_vertex_cycle(square):
         raise ValueError("not a square cell")
     gens0 = system.parabolic_gens(0)
     rep = square.rep
-    out = tuple(_product_key(system, gens0, rep, q, qx)
-                for q, qx in system.corner_turns)
+    out = tuple(CosetKey(system, gens0, vec=_mat_vec(rep, qx),
+                         factors=(rep, q)) for q, qx in system.corner_turns)
     if len(set(out)) != 4:
         raise AssertionError("square corners are not distinct")
     return out

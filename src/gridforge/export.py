@@ -8,6 +8,11 @@ vertex ray v maps to the point with coordinates B(v, s_i) / -B(v, t).
 That keeps straight honeycomb edges straight at the cost of metric
 distortion near the ball's rim.
 
+A coset square's corners start where its representative puts them
+(coxeter.square_vertex_cycle), so to_off and to_obj of a complex built
+in-process follow its squares' representatives.  The command line
+exports a loaded file, whose representatives are canonical.
+
 Abstract complexes carry no embedding and cannot be exported as meshes.
 numpy is imported only by the Klein ball path, so that the commands that
 never draw a honeycomb complex do not pay for loading it.
@@ -25,8 +30,6 @@ def _klein_frame(system):
 
     b = np.array([[float(x) for x in row] for row in system.bilinear])
     vals, vecs = np.linalg.eigh(b)
-    if not (vals[0] < 0 < vals[1]):
-        raise ValueError(f"{system.name} has no Klein model")
     timelike = vecs[:, 0] / np.sqrt(-vals[0])
     spacelike = [vecs[:, i] / np.sqrt(vals[i]) for i in range(1, len(vals))]
     return b, timelike, spacelike

@@ -19,7 +19,9 @@ labels are stringified on write and stay strings on load.  In-memory
 Loading validates shapes and, for honeycomb cells, checks that each is
 a square (its mask leaves out generator 2 alone) and that its
 representative is a genuine symmetry (it must preserve the bilinear
-form); bad documents raise ValueError naming the bad entry.
+form).  A square listed twice, as the same lattice key or as two
+representatives of one coset, and a repeated abstract vertex label are
+rejected too; bad documents raise ValueError naming the bad entries.
 """
 
 from __future__ import annotations
@@ -70,13 +72,24 @@ def _require(cond, message):
         raise ValueError(message)
 
 
-def _load_lattice_squares(ambient, raw):
+def _distinct(items, message):
+    """frozenset(items); an item equal to an earlier one raises
+    ValueError with message formatted by both positions i < j and x."""
+    first = {}
+    for j, x in enumerate(items):
+        i = first.setdefault(x, j)
+        if i != j:
+            raise ValueError(message.format(i=i, j=j, x=x))
+    return frozenset(first)
+
+
+def _load_lattice_squares(raw):
     squares = []
     for i, s in enumerate(raw):
         _require(isinstance(s, list) and all(isinstance(x, int) for x in s),
                  f"squares[{i}]: expected a list of integers")
         squares.append(tuple(s))
-    return GriddedComplex(ambient, frozenset(squares))
+    return squares
 
 
 def _load_coset_squares(ambient, raw):
@@ -112,7 +125,7 @@ def _load_coset_squares(ambient, raw):
             raise ValueError(f"{where}: matrix does not preserve the "
                              "bilinear form")
         squares.append(CosetKey(system, gens, mat))
-    return GriddedComplex(ambient, frozenset(squares))
+    return squares
 
 
 def jsonable_to_complex(data):
@@ -123,9 +136,10 @@ def jsonable_to_complex(data):
         _require(isinstance(ambient, str), "missing ambient")
         raw = data.get("squares")
         _require(isinstance(raw, list), "missing squares")
-        if is_lattice_ambient(ambient):
-            return _load_lattice_squares(ambient, raw)
-        return _load_coset_squares(ambient, raw)
+        squares = (_load_lattice_squares(raw) if is_lattice_ambient(ambient)
+                   else _load_coset_squares(ambient, raw))
+        return GriddedComplex(ambient, _distinct(
+            squares, "squares[{j}]: same square as squares[{i}]"))
     if fmt == "abstract":
         verts = data.get("vertices")
         raw = data.get("squares")
@@ -133,7 +147,8 @@ def jsonable_to_complex(data):
                  and all(isinstance(v, str) for v in verts),
                  "abstract vertices must be strings")
         _require(isinstance(raw, list), "missing squares")
-        vset = set(verts)
+        vset = _distinct(verts, "vertices[{j}]: label {x!r} repeats "
+                               "vertices[{i}]")
         squares = []
         for i, s in enumerate(raw):
             _require(isinstance(s, list) and len(s) == 4
@@ -141,7 +156,7 @@ def jsonable_to_complex(data):
                      f"squares[{i}]: expected 4 vertex labels")
             _require(set(s) <= vset, f"squares[{i}]: unknown vertex")
             squares.append(tuple(s))
-        return AbstractSquareComplex(frozenset(verts), tuple(squares))
+        return AbstractSquareComplex(vset, tuple(squares))
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -22,8 +22,8 @@ from gridforge.lattice import (
     GriddedComplex, cube_union_boundary as union_boundary,
 )
 from gridforge.surface import (
-    AbstractSquareComplex, GridCollisionError, _boundary_circles,
-    connected_sum_abstract, square_index, to_abstract,
+    AbstractSquareComplex, GridCollisionError, connected_sum_abstract,
+    to_abstract,
 )
 
 
@@ -383,15 +383,11 @@ def crosscap_abstract_34():
                 continue
             squares.append(((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)))
 
-    index = square_index(AbstractSquareComplex.from_squares(squares))
-    (ids,) = _boundary_circles([e for e, m in index.edges.items() if m == 1])
-    if len(ids) != 24:
-        raise AssertionError(f"expected a 24-vertex boundary, got {len(ids)}")
-    # leave the least vertex towards its smaller neighbour
-    if ids[-1] < ids[1]:
-        ids = ids[:1] + ids[:0:-1]
-    cycle = [index.vertices[i] for i in ids]
-
+    # the 24-vertex boundary circle, from the least vertex towards its
+    # smaller neighbour
+    cycle = ([(0, j) for j in range(1, 7)] + [(i, 6) for i in range(1, 6)]
+             + [(5, 5)] + [(6, j) for j in range(5, -1, -1)]
+             + [(i, 0) for i in range(5, 0, -1)] + [(1, 1)])
     ident = {cycle[k + 12]: cycle[k] for k in range(12)}
     glued = [tuple(ident.get(v, v) for v in cyc) for cyc in squares]
     return AbstractSquareComplex.from_squares(

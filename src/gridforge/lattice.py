@@ -155,8 +155,8 @@ class GriddedComplex:
     For lattice ambients ("Z2", "Z3", "Z4") the squares are doubled integer
     keys.  For the curved honeycombs ("{4,3,5}", "{4,3,3,5}") they are coset
     keys from gridforge.coxeter, 2-cells of that honeycomb's system.  Any
-    other ambient or cell raises ValueError.  meta carries construction
-    notes and does not take part in equality.
+    other ambient or cell, "{4,3,4}" included, raises ValueError.  meta
+    carries construction notes and does not take part in equality.
     """
 
     ambient: str
@@ -171,7 +171,10 @@ class GriddedComplex:
                 if len(s) != n or cell_dim(s) != 2:
                     raise ValueError(f"not a square of {self.ambient}: {s}")
             return
-        build_system(self.ambient)  # rejects an unknown ambient
+        system = build_system(self.ambient)  # rejects an unknown ambient
+        if system.affine:
+            raise ValueError(f"{self.ambient} is a lattice: use ambient "
+                             f"Z{system.rank - 1}")
         for s in self.squares:
             if (not isinstance(s, CosetKey) or s.system.name != self.ambient
                     or s.dim != 2):

@@ -23,7 +23,6 @@ it builds, and orients the squares through their sides' edge ids.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from gridforge import lattice
@@ -174,10 +173,6 @@ def square_index(obj):
 
 def declared_vertices(obj):
     return set(square_index(obj).vertices)
-
-
-def _edge(u, v):
-    return (u, v) if u < v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -373,41 +368,28 @@ def _dual_loop(parent, a, b, cycles):
     return tuple(cycles[i] for i in loop)
 
 
-def _boundary_circles(boundary_edges):
-    """Decompose multiplicity-1 edges into closed vertex cycles."""
-    adj = defaultdict(list)
-    for u, v in boundary_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    unused = set(boundary_edges)
-    circles = []
-    for start in sorted(adj):
-        while True:
-            first = None
-            for w in adj[start]:
-                e = _edge(start, w)
-                if e in unused:
-                    first = w
-                    break
-            if first is None:
-                break
-            circle = [start]
-            unused.discard(_edge(start, first))
-            prev, cur = start, first
-            while cur != start:
-                circle.append(cur)
-                nxt = None
-                for w in adj[cur]:
-                    e = _edge(cur, w)
-                    if e in unused:
-                        nxt = w
-                        break
-                if nxt is None:
-                    raise AssertionError("boundary walk left an open path")
-                unused.discard(_edge(cur, nxt))
-                prev, cur = cur, nxt
-            circles.append(tuple(circle))
-    return circles
+def _roots(n, paths):
+    """The root of each of n vertices once consecutive vertices of each
+    path are joined: union-find with path halving, where each union hangs
+    x's root under y's."""
+    parent = list(range(n))
+    for path in paths:
+        for x, y in zip(path, path[1:]):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            while parent[y] != y:
+                parent[y] = parent[parent[y]]
+                y = parent[y]
+            if x != y:
+                parent[x] = y
+    roots = []
+    for x in range(n):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        roots.append(x)
+    return roots
 
 
 def classify(obj):
@@ -425,26 +407,9 @@ def classify(obj):
     squares, edges = index.squares, index.edges
     n = len(index.vertices)
 
-    # connected components over the vertex-edge graph, by union-find with
-    # path halving; each union hangs x's root under y's
-    parent = list(range(n))
-    for s in squares:
-        # the fourth side joins two vertices the other three already joined
-        for x, y in zip(s, s[1:]):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            while parent[y] != y:
-                parent[y] = parent[parent[y]]
-                y = parent[y]
-            if x != y:
-                parent[x] = y
-    root_of = []
-    for x in range(n):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        root_of.append(x)
+    # connected components over the vertex-edge graph; a square's fourth
+    # side joins two vertices its other three already joined
+    root_of = _roots(n, squares)
     roots = sorted(set(root_of))
     comp_id = {r: i for i, r in enumerate(roots)}
     n_comp = len(roots)
@@ -461,10 +426,14 @@ def classify(obj):
     for c in comp_of_square:
         F[c] += 1
 
-    boundary_edges = [e for e, m in edges.items() if m == 1]
+    # a boundary vertex's link is a path, whose two ends are its two
+    # boundary edges, so each component of those edges is one circle
     circles_by_comp = [0] * n_comp
-    for circ in _boundary_circles(boundary_edges):
-        circles_by_comp[comp_of_vertex[circ[0]]] += 1
+    if not base.is_closed:
+        boundary = [e for e, m in edges.items() if m == 1]
+        ends = _roots(n, boundary)
+        for r in {ends[a] for a, _ in boundary}:
+            circles_by_comp[comp_of_vertex[r]] += 1
 
     orientable, witnesses = _orient_components(index, comp_of_square, n_comp)
 

@@ -222,6 +222,28 @@ def brute_surface_check(cycles):
     return bad_edges, bad_vertices, True
 
 
+def brute_boundary_circles(cycles):
+    """Number of connected pieces of the edges that lie in exactly one of
+    the squares (cyclic vertex 4-tuples), found by flood fill.  On a
+    surface each piece is one boundary circle."""
+    count = {}
+    for cyc in cycles:
+        for i in range(4):
+            e = frozenset((cyc[i], cyc[(i + 1) % 4]))
+            count[e] = count.get(e, 0) + 1
+    todo = {e for e, m in count.items() if m == 1}
+    pieces = 0
+    while todo:
+        pieces += 1
+        front = [todo.pop()]
+        while front:
+            e = front.pop()
+            touching = {f for f in todo if e & f}
+            todo -= touching
+            front += touching
+    return pieces
+
+
 def coface_count(d, k, n):
     """Number of k-cofaces of a d-cell in the tiling of Z^n, in closed form."""
     if k < d or k > n:

@@ -4,15 +4,22 @@ import gc
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from gridforge import cli
 from gridforge.cli import main
 from gridforge.constructors import spiral_tree
+from gridforge.coxeter import _mat_mul, build_system
+
+# a subprocess finds the package in the checkout, installed or not
+SRC_ENV = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 
 def run(argv):
@@ -172,6 +179,56 @@ def test_coset_cell_that_is_not_a_square_exits_2(tmp_path, command):
                    "but 2 (a square)\n")
 
 
+@pytest.mark.parametrize("command", ["validate", "classify", "export"])
+def test_euclidean_coset_document_exits_2(tmp_path, command):
+    # {4,3,4} is the cubic lattice: its squares are Z3 keys, not cosets
+    identity = [[[int(i == j), 0, 0, 0] for j in range(4)] for i in range(4)]
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps({"format": "gridded", "ambient": "{4,3,4}",
+                                "squares": [{"mask": 11, "rep": identity}]}))
+    code, out, err = run([command, str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: {4,3,4} is a lattice: use ambient Z3\n"
+
+
+def _with_lattice_duplicate(tmp_path):
+    return {"format": "gridded", "ambient": "Z3",
+            "squares": [[1, 1, 0], [1, 1, 0]]}
+
+
+def _with_coset_duplicate(tmp_path):
+    # the same square as squares[2], by another representative of its coset
+    data = json.loads(build(tmp_path, "hyp-pants").read_text())
+    system = build_system("{4,3,5}")
+    rep = tuple(tuple(tuple(e) for e in row)
+                for row in data["squares"][2]["rep"])
+    other = _mat_mul(rep, system.generators[0])
+    assert other != rep
+    data["squares"].append({"mask": 11, "rep": [[list(e) for e in row]
+                                                for row in other]})
+    return data
+
+
+def _with_repeated_label(tmp_path):
+    return {"format": "abstract", "vertices": ["a", "b", "c", "d", "b"],
+            "squares": [["a", "b", "c", "d"]]}
+
+
+@pytest.mark.parametrize("document,message", [
+    (_with_lattice_duplicate, "squares[1]: same square as squares[0]"),
+    (_with_coset_duplicate, "squares[15]: same square as squares[2]"),
+    (_with_repeated_label, "vertices[4]: label 'b' repeats vertices[1]"),
+], ids=["lattice", "coset", "label"])
+@pytest.mark.parametrize("command", ["validate", "classify"])
+def test_repeated_entries_exit_2_naming_both(tmp_path, command, document,
+                                             message):
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(document(tmp_path)))
+    code, out, err = run([command, str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("option,value", [
     ("--handles", "-1"), ("--prune", "-3"), ("--crosscaps", "-2")])
 def test_pruned_tree_rejects_negative_counts(option, value):
@@ -217,7 +274,7 @@ def test_cli_runs_a_lattice_command_without_numpy(tmp_path):
               f"assert gridforge.cli.main(['classify', {str(path)!r}]) == 0\n"
               "assert 'numpy' not in sys.modules, 'classify'\n")
     proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=SRC_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "orientable genus 0"
 
@@ -305,10 +362,10 @@ def test_module_invocation_subprocess(tmp_path):
     path = tmp_path / "sphere.json"
     proc = subprocess.run(
         [sys.executable, "-m", "gridforge.cli", "build", "sphere",
-         "-o", str(path)], capture_output=True, text=True)
+         "-o", str(path)], capture_output=True, text=True, env=SRC_ENV)
     assert proc.returncode == 0, proc.stderr
     proc = subprocess.run(
         [sys.executable, "-m", "gridforge.cli", "classify", str(path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=SRC_ENV)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "orientable genus 0"

@@ -25,6 +25,8 @@ from gridforge.lattice import cell_dim
 from gridforge.surface import _cycle_key
 
 ALL_SYSTEMS = ("{4,4}", "{4,3,4}", "{4,3,3,4}", "{4,3,5}", "{4,3,3,5}")
+# the systems with coset cells; Euclidean cells are lattice keys
+HYPERBOLIC = ("{4,3,5}", "{4,3,3,5}")
 
 
 def test_build_all_systems():
@@ -173,9 +175,9 @@ def test_fixed_vectors_have_parabolic_stabilizer():
 
 def test_coset_key_identifies_cosets():
     rng = random.Random(20260814)
-    for name in ("{4,3,5}", "{4,4}"):
+    for name in HYPERBOLIC:
         s = build_system(name)
-        for d in range(s.rank):
+        for d in small_dims(name):
             gens = s.parabolic_gens(d)
             parab = enumerate_parabolic(s, gens)
             for _ in range(6):
@@ -194,9 +196,17 @@ def test_coset_key_requires_maximal_parabolic():
         CosetKey(s, frozenset({0, 1}), _identity(s.rank))
 
 
+def test_euclidean_systems_have_no_coset_keys():
+    for name, lattice in (("{4,4}", "Z2"), ("{4,3,4}", "Z3"),
+                          ("{4,3,3,4}", "Z4")):
+        s = build_system(name)
+        with pytest.raises(ValueError, match=f"use ambient {lattice}$"):
+            CosetKey(s, s.parabolic_gens(2), _identity(s.rank))
+
+
 def test_min_rep_is_canonical():
     rng = random.Random(99)
-    for name in ("{4,3,5}", "{4,4}"):
+    for name in HYPERBOLIC:
         s = build_system(name)
         gens = s.parabolic_gens(2)
         parab = enumerate_parabolic(s, gens)
@@ -404,7 +414,7 @@ def test_kernel_matches_the_reference_product(name, word_a, word_b, data):
 
 
 @settings(max_examples=40)
-@given(st.sampled_from(ALL_SYSTEMS), words, st.data())
+@given(st.sampled_from(HYPERBOLIC), words, st.data())
 def test_min_rep_is_the_least_product(name, word, data):
     s = build_system(name)
     d = data.draw(st.sampled_from(small_dims(name)))
@@ -422,7 +432,7 @@ def _assert_same_key(lazy, eager, rep):
 
 
 @settings(max_examples=40)
-@given(st.sampled_from(ALL_SYSTEMS), words, st.data())
+@given(st.sampled_from(HYPERBOLIC), words, st.data())
 def test_faces_equal_keys_built_from_the_product(name, word, data):
     s = build_system(name)
     dims = small_dims(name)
@@ -445,7 +455,7 @@ def test_faces_equal_keys_built_from_the_product(name, word, data):
 
 
 @settings(max_examples=40)
-@given(st.sampled_from(ALL_SYSTEMS), words)
+@given(st.sampled_from(HYPERBOLIC), words)
 def test_square_corners_equal_keys_built_from_the_product(name, word):
     s = build_system(name)
     square = CosetKey(s, s.parabolic_gens(2), naive_word(s, word))

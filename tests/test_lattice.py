@@ -211,6 +211,14 @@ def test_gridded_complex_rejects_unknown_ambient():
         GriddedComplex("nonsense", {(1, 1, 0)})
 
 
+def test_gridded_complex_rejects_euclidean_honeycombs():
+    for name, lattice in (("{4,4}", "Z2"), ("{4,3,4}", "Z3"),
+                          ("{4,3,3,4}", "Z4")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} is a lattice: use ambient {lattice}")):
+            GriddedComplex(name, ())
+
+
 def test_gridded_complex_rejects_foreign_coset_cells():
     square = identity_cell(build_system("{4,3,5}"), 2)
     GriddedComplex("{4,3,5}", {square})

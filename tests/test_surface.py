@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    brute_counts, brute_surface_check, orientation_flip, random_polyomino,
-    solid_betti_numbers, solid_is_well_composed,
+    brute_boundary_circles, brute_counts, brute_surface_check,
+    orientation_flip, random_polyomino, solid_betti_numbers,
+    solid_is_well_composed,
 )
 from gridforge import coxeter, surface
 from gridforge.constructors import box_column, frame_torus, sphere_cube
@@ -395,6 +396,8 @@ def _check_against_brute_surface_check(cycles):
         f"edge {tuple(sorted(e))}" for e in bad_edges}
     assert {f.partition(" link ")[0] for f in rep.failures
             if " link " in f} == {f"vertex {v}" for v in bad_vertices}
+    if rep.is_surface:
+        assert rep.boundary_circles == brute_boundary_circles(cycles)
 
 
 def test_klein_grid_is_a_klein_bottle():
@@ -413,6 +416,20 @@ MOEBIUS_BAND = {4 * i + j for i in (3, 0) for j in range(4)}
 def test_pool_subsets_match_brute_surface_check(picked, band):
     if band:
         picked |= MOEBIUS_BAND
+    _check_against_brute_surface_check([SQUARE_POOL[i]
+                                        for i in sorted(picked)])
+
+
+# row j = 0..3 of the grid: an annulus, two boundary circles in one
+# component
+ANNULI = [{4 * i + j for i in range(4)} for j in range(4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.sampled_from(range(4)), min_size=1),
+       st.sets(st.sampled_from(range(len(SQUARE_POOL))), max_size=2))
+def test_pool_annuli_match_brute_surface_check(rows, extra):
+    picked = extra.union(*(ANNULI[j] for j in rows))
     _check_against_brute_surface_check([SQUARE_POOL[i]
                                         for i in sorted(picked)])
 
