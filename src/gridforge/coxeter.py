@@ -25,8 +25,9 @@ Ring-matrix products are the dominant cost, so they are formed only where
 a matrix is read.  A hyperbolic cell reached from another one, as a face,
 a corner or an image, is keyed by one matrix-vector product rep * x_d and
 keeps its representative as a pair of factors, multiplied on first read.
-The least matrix of a coset is built one row at a time, finishing only
-the candidates still tied for least.
+The least matrix of a coset is built one entry at a time, going on only
+with the candidates still tied for least; a face w t P_j takes it from
+the factors, as the least w (t p), so the product w t is never formed.
 """
 
 from __future__ import annotations
@@ -303,28 +304,52 @@ def parabolic_order(system, gens):
     return len(enumerate_parabolic(system, gens))
 
 
-def _least_product(rep, parabolic):
-    """min(_mat_mul(rep, p) for p in parabolic) under matrix_key.
+def _columns(t, parabolic):
+    """The columns of t * p for each p of the parabolic, a tuple per p;
+    each distinct column of the parabolic is multiplied by t once."""
+    image = {}
+    for p in parabolic:
+        for col in zip(*p):
+            if col not in image:
+                image[col] = _mat_vec(t, col)
+    return tuple([tuple([image[col] for col in zip(*p)]) for p in parabolic])
 
-    Row i of rep * p is rep[i] dotted with the columns of p, so the rows
-    are formed in order and only the candidates tied on every row so far
-    go on to the next.  The elements of a parabolic share most of their
-    columns (the 16 elements stabilising a {4,3,5} square have 18
-    distinct columns among them, the 80 of a {4,3,3,5} square 38), so a
-    row costs one dot per distinct column.  Candidates tied on every row
-    are equal products, so the one returned is the matrix the full min
-    picks; for an invertible rep it is the only one left.
+
+def _least_product(left, candidates):
+    """The least under matrix_key of the products left * m, for m the
+    matrices whose columns the candidates list.
+
+    The entries are formed in row-major order, and only the candidates
+    tied on every entry so far go on to the next.  An entry is left[i]
+    dotted with a column, so it costs one dot per distinct column among
+    the tied candidates, memoized for the row: over the 16 elements
+    stabilising a {4,3,5} square, the first entry sees only 4 distinct
+    columns, and a unique least candidate is usually left after a few
+    entries.  Candidates tied on every entry are equal products, so the
+    matrix returned is the one the full min picks.
     """
-    tied = [((), tuple(zip(*p))) for p in parabolic]
-    for row in rep:
-        dots = {col: _dot(row, col)
-                for col in {col for _, cols in tied for col in cols}}
-        keys = {col: ring_key(e) for col, e in dots.items()}
-        row_keys = [tuple([keys[col] for col in cols]) for _, cols in tied]
-        least = min(row_keys)
-        tied = [(rows + (tuple([dots[col] for col in cols]),), cols)
-                for (rows, cols), key in zip(tied, row_keys) if key == least]
-    return tied[0][0]
+    tied = candidates
+    out = []
+    for row in left:
+        if len(tied) == 1:
+            out.append(tuple([_dot(row, col) for col in tied[0]]))
+            continue
+        dots = {}
+        entries = []
+        for k in range(len(row)):
+            keys = {}
+            for cols in tied:
+                col = cols[k]
+                if col not in keys:
+                    if col not in dots:
+                        dots[col] = _dot(row, col)
+                    keys[col] = ring_key(dots[col])
+            least = min(keys.values())
+            if len(keys) > 1:
+                tied = [cols for cols in tied if keys[cols[k]] == least]
+            entries.append(dots[tied[0][k]])
+        out.append(tuple(entries))
+    return tuple(out)
 
 
 @total_ordering
@@ -333,13 +358,15 @@ class CosetKey:
 
     Two keys are equal iff the cosets agree, which the exact fixed-point
     vector rep * x_d decides; min_rep() gives the canonical matrix of the
-    coset, its lexicographically least one, built row by row.  A
+    coset, its lexicographically least one, built entry by entry.  A
     Euclidean system raises ValueError: its cells are lattice keys.
 
     A key is made from its representative, or from its vector `vec` and
-    a pair of `factors` whose product is the representative.  That
+    `factors` (left, right) whose product is the representative.  That
     product is formed on the first read of `rep`, so a cell that is only
-    hashed and compared costs one matrix-vector product.
+    hashed and compared costs one matrix-vector product.  The faces of
+    cell_faces carry a third factor, the list their transversal entry
+    keeps the columns of right * P_j in, so that min_rep needs no product.
     """
 
     __slots__ = ("system", "gens", "dim", "vec", "_rep", "_factors", "_key",
@@ -369,15 +396,25 @@ class CosetKey:
     def rep(self):
         """A matrix of the coset (the product of the factors, if given)."""
         if self._rep is None:
-            self._rep = _mat_mul(*self._factors)
+            self._rep = _mat_mul(*self._factors[:2])
             self._factors = None
         return self._rep
 
     def min_rep(self):
         """Lexicographically least matrix of the coset (canonical form)."""
         if self._minrep is None:
-            self._minrep = _least_product(
-                self.rep, enumerate_parabolic(self.system, self.gens))
+            parabolic = enumerate_parabolic(self.system, self.gens)
+            if self._factors is not None and len(self._factors) == 3:
+                # a face w t P_j of cell_faces: the least w (t p), with
+                # the columns of t P_j kept by the transversal
+                left, t, kept = self._factors
+                if not kept:
+                    kept.append(_columns(t, parabolic))
+                candidates = kept[0]
+            else:
+                left = self.rep
+                candidates = [tuple(zip(*p)) for p in parabolic]
+            self._minrep = _least_product(left, candidates)
         return self._minrep
 
     def _ident(self):
@@ -408,8 +445,10 @@ _TRANSVERSAL_CACHE = {}
 
 
 def _transversal(system, d, j):
-    """Pairs (t, t * x_j) such that the j-cells incident to a d-cell w P_d
-    are exactly the w t P_j, each exactly once."""
+    """Triples (t, t * x_j, kept) such that the j-cells incident to a
+    d-cell w P_d are exactly the w t P_j, each exactly once.  kept is a
+    list, empty until the least matrix of a face w t P_j is first asked
+    for; it then holds _columns(t, P_j) for every later face with t."""
     key = (system.name, d, j)
     hit = _TRANSVERSAL_CACHE.get(key)
     if hit is not None:
@@ -421,7 +460,7 @@ def _transversal(system, d, j):
         k = CosetKey(system, gens_j, p)
         if k not in seen:
             seen.add(k)
-            reps.append((p, k.vec))
+            reps.append((p, k.vec, []))
     reps = tuple(reps)
     _TRANSVERSAL_CACHE[key] = reps
     return reps
@@ -435,8 +474,9 @@ def cell_faces(cell, j):
         return (cell,)
     gens_j = system.parabolic_gens(j)
     rep = cell.rep
-    out = [CosetKey(system, gens_j, vec=_mat_vec(rep, tx), factors=(rep, t))
-           for t, tx in _transversal(system, cell.dim, j)]
+    out = [CosetKey(system, gens_j, vec=_mat_vec(rep, tx),
+                    factors=(rep, t, kept))
+           for t, tx, kept in _transversal(system, cell.dim, j)]
     return tuple(sorted(out))
 
 

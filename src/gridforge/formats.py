@@ -12,16 +12,21 @@ Three document shapes, told apart by their "format" key:
 
 Output is deterministic: squares and vertices are sorted, coset
 representatives are canonicalized to the least matrix of their coset,
-keys are sorted and the text always ends in one newline.  Abstract vertex
-labels are stringified on write and stay strings on load.  In-memory
-`meta` annotations are not serialized.
+keys are sorted and the text always ends in one newline; it is the text
+of json.dumps(..., sort_keys=True, indent=2).  Gridded documents are
+written from one template per square, not through json.dumps.  Abstract
+vertex labels are stringified on write and stay strings on load.
+In-memory `meta` annotations are not serialized.
 
 Loading validates shapes and, for honeycomb cells, checks that each is
 a square (its mask leaves out generator 2 alone) and that its
-representative is a genuine symmetry (it must preserve the bilinear
-form).  A square listed twice, as the same lattice key or as two
-representatives of one coset, and a repeated abstract vertex label are
-rejected too; bad documents raise ValueError naming the bad entries.
+representative preserves the bilinear form.  That check is weaker than
+membership in the reflection group W: a matrix that preserves the form
+but lies outside W, such as the negation of a representative, loads too.
+A square listed twice, as the same lattice key, as two representatives
+of one coset or as one abstract cycle up to rotation and reflection, and
+a repeated abstract vertex label are rejected too; bad documents raise
+ValueError naming the bad entries by position.
 """
 
 from __future__ import annotations
@@ -33,16 +38,24 @@ from gridforge.lattice import GriddedComplex, is_lattice_ambient
 from gridforge.surface import AbstractSquareComplex, _cycle_key
 
 
+def _gridded_squares(obj):
+    """The squares of a gridded complex in document order: lattice keys,
+    or (mask, least matrix) pairs for coset squares."""
+    if is_lattice_ambient(obj.ambient):
+        return sorted(obj.squares)
+    return sorted((sum(1 << i for i in key.gens), key.min_rep())
+                  for key in obj.squares)
+
+
 def complex_to_jsonable(obj):
     if isinstance(obj, GriddedComplex):
+        squares = _gridded_squares(obj)
         if is_lattice_ambient(obj.ambient):
-            squares = sorted(list(s) for s in obj.squares)
+            squares = [list(s) for s in squares]
         else:
-            squares = sorted(
-                ({"mask": sum(1 << i for i in key.gens),
-                  "rep": [[list(e) for e in row] for row in key.min_rep()]}
-                 for key in obj.squares),
-                key=lambda d: (d["mask"], d["rep"]))
+            squares = [{"mask": mask,
+                        "rep": [[list(e) for e in row] for row in rep]}
+                       for mask, rep in squares]
         return {"format": "gridded", "ambient": obj.ambient,
                 "squares": squares}
     if isinstance(obj, AbstractSquareComplex):
@@ -57,9 +70,46 @@ def complex_to_jsonable(obj):
     raise TypeError(f"not a square complex: {type(obj).__name__}")
 
 
+def _layout(shape, depth):
+    """The text json.dumps(indent=2) writes for a nested list of integers
+    with the given length per level, at the given depth, each integer
+    left as a %d."""
+    if not shape:
+        return "%d"
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join([_layout(shape[1:], depth + 1)] * shape[0])
+    return "[" + inner + body + "\n" + "  " * depth + "]"
+
+
 def dumps_complex(obj):
-    return json.dumps(complex_to_jsonable(obj), sort_keys=True,
-                      indent=2) + "\n"
+    """The text of json.dumps(complex_to_jsonable(obj), sort_keys=True,
+    indent=2) plus a newline.
+
+    A gridded document is written with one % template per square: a
+    lattice key of n coordinates, or a mask and a rank x rank matrix of
+    quadruples.  An abstract one, whose labels need escaping, goes
+    through json.dumps.
+    """
+    if not isinstance(obj, GriddedComplex):
+        return json.dumps(complex_to_jsonable(obj), sort_keys=True,
+                          indent=2) + "\n"
+    squares = _gridded_squares(obj)
+    if not squares:
+        body = "[]"
+    else:
+        if is_lattice_ambient(obj.ambient):
+            template = _layout((len(squares[0]),), 2)
+            texts = [template % s for s in squares]
+        else:
+            rank = len(squares[0][1])
+            template = ('{\n      "mask": %d,\n      "rep": '
+                        + _layout((rank, rank, 4), 3) + "\n    }")
+            texts = [template % ((mask,) + tuple([t for row in rep
+                                                  for e in row for t in e]))
+                     for mask, rep in squares]
+        body = "[\n    " + ",\n    ".join(texts) + "\n  ]"
+    return ('{\n  "ambient": ' + json.dumps(obj.ambient)
+            + ',\n  "format": "gridded",\n  "squares": ' + body + "\n}\n")
 
 
 def save_complex(obj, path):
@@ -154,8 +204,11 @@ def jsonable_to_complex(data):
             _require(isinstance(s, list) and len(s) == 4
                      and all(isinstance(v, str) for v in s),
                      f"squares[{i}]: expected 4 vertex labels")
+            _require(len(set(s)) == 4,
+                     f"squares[{i}]: square needs 4 distinct vertices")
             _require(set(s) <= vset, f"squares[{i}]: unknown vertex")
-            squares.append(tuple(s))
+            squares.append(_cycle_key(tuple(s)))
+        _distinct(squares, "squares[{j}]: same square as squares[{i}]")
         return AbstractSquareComplex(vset, tuple(squares))
     raise ValueError(f"unknown format {fmt!r}")
 

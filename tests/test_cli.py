@@ -214,11 +214,19 @@ def _with_repeated_label(tmp_path):
             "squares": [["a", "b", "c", "d"]]}
 
 
+def _with_abstract_duplicate(tmp_path):
+    # the same cycle, reflected and rotated
+    return {"format": "abstract", "vertices": ["a", "b", "c", "d", "e"],
+            "squares": [["a", "b", "c", "d"], ["b", "c", "d", "e"],
+                        ["c", "b", "a", "d"]]}
+
+
 @pytest.mark.parametrize("document,message", [
     (_with_lattice_duplicate, "squares[1]: same square as squares[0]"),
     (_with_coset_duplicate, "squares[15]: same square as squares[2]"),
     (_with_repeated_label, "vertices[4]: label 'b' repeats vertices[1]"),
-], ids=["lattice", "coset", "label"])
+    (_with_abstract_duplicate, "squares[2]: same square as squares[0]"),
+], ids=["lattice", "coset", "label", "abstract"])
 @pytest.mark.parametrize("command", ["validate", "classify"])
 def test_repeated_entries_exit_2_naming_both(tmp_path, command, document,
                                              message):
@@ -227,6 +235,17 @@ def test_repeated_entries_exit_2_naming_both(tmp_path, command, document,
     code, out, err = run([command, str(path)])
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "classify"])
+def test_abstract_square_with_a_repeated_vertex_exits_2(tmp_path, command):
+    path = tmp_path / "pinched.json"
+    path.write_text(json.dumps({
+        "format": "abstract", "vertices": ["a", "b", "c", "d"],
+        "squares": [["a", "b", "c", "d"], ["a", "b", "a", "c"]]}))
+    code, out, err = run([command, str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: squares[1]: square needs 4 distinct vertices\n"
 
 
 @pytest.mark.parametrize("option,value", [

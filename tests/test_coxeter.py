@@ -19,7 +19,7 @@ from gridforge.coxeter import (
     _eliminate, _identity, _mat_mul, _mat_vec, _transpose, _transversal,
 )
 from gridforge.field import QF, RZERO, radd, ring_key, rmul
-from gridforge.formats import dumps_complex
+from gridforge.formats import complex_to_jsonable, dumps_complex
 from gridforge.honeycombs import opposite_face, tree_of_life_435
 from gridforge.lattice import cell_dim
 from gridforge.surface import _cycle_key
@@ -425,6 +425,45 @@ def test_min_rep_is_the_least_product(name, word, data):
     assert CosetKey(s, gens, w).min_rep() == brute
 
 
+def _brute_min_rep(key):
+    parabolic = enumerate_parabolic(key.system, key.gens)
+    return min((naive_mat_mul(key.rep, p) for p in parabolic),
+               key=matrix_key)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(HYPERBOLIC), words, words, st.data())
+def test_min_rep_of_faces_and_images_is_the_least_product(name, word, image,
+                                                          data):
+    s = build_system(name)
+    dims = small_dims(name)
+    d, j = data.draw(st.sampled_from([(d, j) for d in dims for j in dims
+                                      if d != j]))
+    cell = CosetKey(s, s.parabolic_gens(d), naive_word(s, word))
+    face = data.draw(st.sampled_from(cell_faces(cell, j)))
+    least = face.min_rep()
+    # the factor path: the face's own product is not formed
+    assert face._rep is None
+    assert least == _brute_min_rep(face)
+    moved = transform(naive_word(s, image), cell)
+    assert moved.min_rep() == _brute_min_rep(moved)
+
+
+def test_min_rep_of_square_faces_is_the_least_product():
+    # the cells a document canonicalizes, over the 16-element square
+    # parabolic of {4,3,5} and the 80-element one of {4,3,3,5}
+    rng = random.Random(17)
+    for name in HYPERBOLIC:
+        s = build_system(name)
+        assert parabolic_order(s, s.parabolic_gens(2)) == {
+            "{4,3,5}": 16, "{4,3,3,5}": 80}[name]
+        for d in range(3, s.rank):
+            for cell in random_cells(s, d, rng, 2):
+                squares = cell_faces(cell, 2)
+                least = [sq.min_rep() for sq in squares]
+                assert least == [_brute_min_rep(sq) for sq in squares]
+
+
 def _assert_same_key(lazy, eager, rep):
     assert lazy == eager and hash(lazy) == hash(eager)
     assert lazy.vec == eager.vec
@@ -444,7 +483,7 @@ def test_faces_equal_keys_built_from_the_product(name, word, data):
         assert cell_faces(cell, j) == (cell,)
         return
     eager = {}
-    for t, _ in _transversal(s, d, j):
+    for t, _, _ in _transversal(s, d, j):
         rep = naive_mat_mul(cell.rep, t)
         eager[CosetKey(s, gens_j, rep)] = rep
     faces = cell_faces(cell, j)
@@ -502,14 +541,35 @@ def test_square_corners_make_no_products(products):
 
 def test_tree_build_and_write_product_count(monkeypatch, products):
     # exact: opposite faces and up markers are closed-form images, keys
-    # come from fixed vectors and min_rep is built row by row; a face
-    # search or an eager product anywhere on this path raises the count
+    # come from fixed vectors and a face's min_rep is taken from its
+    # factors; a face search or an eager product anywhere on this path
+    # raises the count
     build_system("{4,3,5}")
     monkeypatch.setattr(coxeter, "_ENUM_CACHE", {})
     monkeypatch.setattr(coxeter, "_TRANSVERSAL_CACHE", {})
     products[0] = 0
     dumps_complex(tree_of_life_435(3))
-    assert products[0] == 381
+    assert products[0] == 267
+
+
+def test_tree_write_dot_count(monkeypatch):
+    # exact: the least matrices are pruned entry by entry and the square
+    # faces' candidates are the transversal's columns of t P_2, formed
+    # once per t; row pruning or a product per face raises the count
+    build_system("{4,3,5}")
+    monkeypatch.setattr(coxeter, "_ENUM_CACHE", {})
+    monkeypatch.setattr(coxeter, "_TRANSVERSAL_CACHE", {})
+    tree = tree_of_life_435(3)
+    count = [0]
+    inner = coxeter._dot
+
+    def counted(row, col):
+        count[0] += 1
+        return inner(row, col)
+
+    monkeypatch.setattr(coxeter, "_dot", counted)
+    complex_to_jsonable(tree)
+    assert count[0] == 2837
 
 
 def test_only_proper_parabolics_are_enumerated(products):

@@ -4,9 +4,13 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridforge.constructors import crosscap_z4, frame_torus, tree_of_life
-from gridforge.coxeter import CosetKey, build_system, enumerate_parabolic
+from gridforge.coxeter import (
+    CosetKey, _identity, _mat_mul, build_system, cell_faces,
+    enumerate_parabolic,
+)
 from gridforge.formats import (
     complex_to_jsonable, dumps_complex, jsonable_to_complex, load_complex,
     save_complex,
@@ -17,7 +21,9 @@ from gridforge.honeycombs import (
     tree_of_life_435,
 )
 from gridforge.lattice import GriddedComplex
-from gridforge.surface import AbstractSquareComplex, classify, validate_surface
+from gridforge.surface import (
+    AbstractSquareComplex, _cycle_key, classify, validate_surface,
+)
 
 
 def roundtrip(obj):
@@ -78,6 +84,69 @@ def test_coset_rep_choice_does_not_change_bytes():
         CosetKey(system, k.gens, _mat_mul(k.rep, parab[i % len(parab)]))
         for i, k in enumerate(sorted(p.squares)))
     assert dumps_complex(GriddedComplex(p.ambient, shuffled)) == dumps_complex(p)
+
+
+@st.composite
+def lattice_squares(draw, n):
+    """A doubled key of Z^n with exactly two odd coordinates."""
+    odd = draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=2))
+    return tuple(2 * draw(st.integers(-12, 12)) + (i in odd)
+                 for i in range(n))
+
+
+@st.composite
+def coset_squares(draw, name):
+    """A square from a random word, or a face of a cube from one (the
+    key whose least matrix comes from its factors)."""
+    s = build_system(name)
+    w = _identity(s.rank)
+    for i in draw(st.lists(st.integers(0, s.rank - 1), max_size=10)):
+        w = _mat_mul(w, s.generators[i])
+    if draw(st.booleans()):
+        return CosetKey(s, s.parabolic_gens(2), w)
+    cube = CosetKey(s, s.parabolic_gens(3), w)
+    return draw(st.sampled_from(cell_faces(cube, 2)))
+
+
+@st.composite
+def gridded_complexes(draw):
+    ambient = draw(st.sampled_from(("Z2", "Z3", "Z4", "{4,3,5}",
+                                    "{4,3,3,5}")))
+    if ambient.startswith("Z"):
+        squares = st.sets(lattice_squares(int(ambient[1:])), max_size=8)
+    else:
+        squares = st.sets(coset_squares(ambient), max_size=4)
+    return GriddedComplex(ambient, draw(squares))
+
+
+@st.composite
+def abstract_complexes(draw):
+    labels = draw(st.lists(st.text(max_size=3), min_size=4, max_size=7,
+                           unique=True))
+    squares = draw(st.lists(st.permutations(labels).map(lambda p: p[:4]),
+                            max_size=5, unique_by=_cycle_key))
+    return AbstractSquareComplex(frozenset(labels), tuple(squares))
+
+
+def oracle_text(obj):
+    return json.dumps(complex_to_jsonable(obj), sort_keys=True,
+                      indent=2) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(gridded_complexes(), abstract_complexes()))
+def test_writer_equals_the_json_oracle(obj):
+    assert dumps_complex(obj) == oracle_text(obj)
+
+
+@pytest.mark.parametrize("ambient", ["Z2", "Z3", "Z4", "{4,3,5}",
+                                     "{4,3,3,5}"])
+def test_writer_of_an_empty_complex(ambient):
+    empty = GriddedComplex(ambient, frozenset())
+    assert dumps_complex(empty) == oracle_text(empty)
+    assert '"squares": []' in dumps_complex(empty)
+    nothing = AbstractSquareComplex(frozenset(), ())
+    assert dumps_complex(nothing) == oracle_text(nothing)
 
 
 # sha256 of the canonical write, fixed across versions of the library: a
@@ -167,6 +236,19 @@ def test_rejects_bad_masks_and_matrices():
     bad["squares"][0]["rep"][0][0] = [0, 0]
     with pytest.raises(ValueError, match="quadruple"):
         jsonable_to_complex(bad)
+
+
+@pytest.mark.parametrize("square,message", [
+    (["a", "a", "c", "d"], "squares[1]: square needs 4 distinct vertices"),
+    (["b", "c", "d", "a"], "squares[1]: same square as squares[0]"),
+    (["d", "c", "b", "a"], "squares[1]: same square as squares[0]"),
+], ids=["repeated vertex", "rotation", "reflection"])
+def test_rejects_bad_abstract_squares_by_position(square, message):
+    data = {"format": "abstract", "vertices": ["a", "b", "c", "d"],
+            "squares": [["a", "b", "c", "d"], square]}
+    with pytest.raises(ValueError) as info:
+        jsonable_to_complex(data)
+    assert str(info.value) == message
 
 
 def test_rejects_unknown_abstract_vertex():
