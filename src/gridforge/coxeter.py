@@ -22,12 +22,16 @@ closed form from their fixed vectors, and so is the central symmetry of
 a cell, which swaps each of its faces with the opposite one.
 
 Ring-matrix products are the dominant cost, so they are formed only where
-a matrix is read.  A hyperbolic cell reached from another one, as a face,
-a corner or an image, is keyed by one matrix-vector product rep * x_d and
-keeps its representative as a pair of factors, multiplied on first read.
-The least matrix of a coset is built one entry at a time, going on only
-with the candidates still tied for least; a face w t P_j takes it from
-the factors, as the least w (t p), so the product w t is never formed.
+a matrix is read.  A hyperbolic cell reached from another one, as a face
+or an image, is keyed by one matrix-vector product rep * x_d and keeps
+its representative as a pair of factors, multiplied on first read.  The
+corners of a square are keyed from the square's own vector: each lies at
+an offset from it that reads two columns of the representative, and
+opposite corners sum to twice it.  The least matrix of a coset is built
+one entry at a time, going on only with the candidates still tied for
+least; a face w t P_j takes it from the factors, as the least w (t p),
+so the product w t is never formed.  Whether a loaded matrix preserves
+the form is decided on the upper half of its Gram matrix.
 """
 
 from __future__ import annotations
@@ -81,10 +85,6 @@ def _mat_vec(m, v):
     return tuple([_dot(row, v) for row in m])
 
 
-def _transpose(m):
-    return tuple(zip(*m))
-
-
 def _identity(rank):
     return tuple(tuple(RONE if i == j else RZERO for j in range(rank))
                  for i in range(rank))
@@ -130,6 +130,60 @@ def _eliminate(m):
     return pivots, [row[n:] for row in a]
 
 
+def _unit_terms(row):
+    """(k, u, n) for each nonzero entry row[k] = n * (1, sqrt2, phi)[u]."""
+    terms = []
+    for k, e in enumerate(row):
+        units = [u for u, t in enumerate(e) if t]
+        if units:
+            if len(units) > 1 or units[0] > 2:
+                raise AssertionError(f"form entry {e} is not an integer "
+                                     "times 1, sqrt2 or phi")
+            terms.append((k, units[0], e[units[0]]))
+    return tuple(terms)
+
+
+def _form_image(terms, col):
+    """4B col, from the _unit_terms of the rows of 4B: each term scales
+    one entry by an integer and a unit, with no general ring product."""
+    out = []
+    for row in terms:
+        a = b = c = d = 0
+        for k, u, n in row:
+            p, q, r, s = col[k]
+            if u == 0:
+                a += n * p
+                b += n * q
+                c += n * r
+                d += n * s
+            elif u == 1:    # sqrt2 (p, q, r, s) = (2q, p, 2s, r)
+                a += 2 * n * q
+                b += n * p
+                c += 2 * n * s
+                d += n * r
+            else:           # phi (p, q, r, s) = (r, s, p + r, q + s)
+                a += n * r
+                b += n * s
+                c += n * (p + r)
+                d += n * (q + s)
+        out.append((a, b, c, d))
+    return out
+
+
+def preserves_form(system, m):
+    """Whether the ring matrix m preserves the bilinear form: m^T 4B m = 4B.
+
+    Both sides are symmetric, so only the entries on and above the
+    diagonal are compared; entry (i, j) is column i of m dotted with 4B
+    times column j.
+    """
+    cols = tuple(zip(*m))
+    images = [_form_image(system._form_terms, col) for col in cols]
+    b4 = system.bilinear4
+    return all(_dot(cols[i], images[j]) == b4[i][j]
+               for i in range(len(cols)) for j in range(i, len(cols)))
+
+
 class CoxeterSystem:
     """A linear-diagram Coxeter system with verified exact matrices."""
 
@@ -157,6 +211,9 @@ class CoxeterSystem:
         self.bilinear4 = tuple(
             tuple(ring_from_qf(4 * self.bilinear[i][j]) for j in range(rank))
             for i in range(rank))
+        # each nonzero entry of 4B is n * 1, n * sqrt2 or n * phi: per row,
+        # (column, unit index, n) for preserves_form
+        self._form_terms = tuple(_unit_terms(row) for row in self.bilinear4)
 
         gens = []
         for i in range(rank):
@@ -188,25 +245,34 @@ class CoxeterSystem:
         if sig != (rank - 1, 1):
             raise AssertionError(f"{name}: expected signature "
                                  f"({rank - 1}, 1), got {sig}")
-        self.fixed_vectors = tuple(self._fixed_vector(inverse, i)
-                                   for i in range(rank))
+        self.fixed_vectors = x = tuple(self._fixed_vector(inverse, i)
+                                       for i in range(rank))
         # q = s_0 s_1 turns the base square a quarter: the corners of a
         # square w P_2 are the vertices w q^k P_0 (see square_vertex_cycle).
-        # Each turn q^k is kept with q^k x_0, which keys its corner.
+        # Each turn q^k is kept with the offset d_k = q^k x_0 - x_2 of its
+        # corner from the square's center.  The corners rely on two facts,
+        # checked here: d_k is zero past the coordinates 0 and 1, and
+        # opposite offsets cancel (x_0 + q^2 x_0 = q x_0 + q^3 x_0 = 2 x_2).
         quarter = _mat_mul(gens[0], gens[1])
         turns = [_identity(rank), quarter]
         for _ in range(2):
             turns.append(_mat_mul(turns[-1], quarter))
-        self.corner_turns = tuple(
-            (q, _mat_vec(q, self.fixed_vectors[0])) for q in turns)
+        offsets = [tuple(map(rsub, _mat_vec(q, x[0]), x[2])) for q in turns]
+        for k, d in enumerate(offsets):
+            if any(e != RZERO for e in d[2:]):
+                raise AssertionError(f"corner offset {k} leaves the "
+                                     "coordinates 0 and 1")
+            if any(e != RZERO for e in map(radd, d, offsets[k - 2])):
+                raise AssertionError(f"corners {k} and {(k + 2) % 4} are "
+                                     "not opposite")
+        self.corner_turns = tuple(zip(turns, offsets))
 
     def _verify(self, m_of):
         ident = _identity(self.rank)
-        b4 = self.bilinear4
         for i, g in enumerate(self.generators):
             if _mat_mul(g, g) != ident:
                 raise AssertionError(f"generator {i} is not an involution")
-            if _mat_mul(_mat_mul(_transpose(g), b4), g) != b4:
+            if not preserves_form(self, g):
                 raise AssertionError(f"generator {i} does not preserve the form")
         for i in range(self.rank):
             for j in range(i + 1, self.rank):
@@ -556,14 +622,23 @@ def square_vertex_cycle(square):
     which turns the square by a quarter; the starting corner depends on
     the coset representative, so the cycle is canonical up to rotation
     and reflection, which is all a gluing pattern needs.
+
+    Corner k of w P_2 is keyed by w q^k x_0 = vec + w d_k, where vec =
+    w x_2 is the square's own vector and the offset d_k (see
+    CoxeterSystem.corner_turns) reads only the columns 0 and 1 of w.
+    Opposite corners sum to 2 vec, so corners 2 and 3 take no product.
     """
     system = square.system
     if square.dim != 2:
         raise ValueError("not a square cell")
     gens0 = system.parabolic_gens(0)
-    rep = square.rep
-    out = tuple(CosetKey(system, gens0, vec=_mat_vec(rep, qx),
-                         factors=(rep, q)) for q, qx in system.corner_turns)
+    rep, vec = square.rep, square.vec
+    near = [tuple(map(radd, vec, _mat_vec(rep, d)))
+            for _, d in system.corner_turns[:2]]
+    vecs = near + [tuple([rsub(rscale(2, v), c) for v, c in zip(vec, corner)])
+                   for corner in near]
+    out = tuple(CosetKey(system, gens0, vec=v, factors=(rep, q))
+                for v, (q, _) in zip(vecs, system.corner_turns))
     if len(set(out)) != 4:
         raise AssertionError("square corners are not distinct")
     return out

@@ -6,7 +6,10 @@ model: the bilinear form has signature (n, 1), so an orthogonal
 eigenbasis splits into n spacelike directions and one timelike one, and a
 vertex ray v maps to the point with coordinates B(v, s_i) / -B(v, t).
 That keeps straight honeycomb edges straight at the cost of metric
-distortion near the ball's rim.
+distortion near the ball's rim.  A vertex's ring coordinates become
+floats through field.ring_float, bit for bit the floats of the exact
+field elements, and each vertex is projected on its own: one batched
+product rounds differently and would change the written digits.
 
 A coset square's corners start where its representative puts them
 (coxeter.square_vertex_cycle), so to_off and to_obj of a complex built
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from gridforge.lattice import GriddedComplex, is_lattice_ambient
 from gridforge.surface import square_index
-from gridforge.field import qf_from_ring
+from gridforge.field import ring_float
 
 
 def _klein_frame(system):
@@ -41,7 +44,7 @@ def _klein_coords(system, keys):
     b, timelike, spacelike = _klein_frame(system)
     out = []
     for key in keys:
-        x = np.array([float(qf_from_ring(e)) for e in key.vec])
+        x = np.array([ring_float(e) for e in key.vec])
         denom = -float(x @ b @ timelike)
         if denom < 0:
             x, denom = -x, -denom

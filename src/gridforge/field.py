@@ -18,6 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import total_ordering
 
+_S2 = 2 ** 0.5
+_S5 = 5 ** 0.5
+
 
 def _to_fraction(x):
     if isinstance(x, Fraction):
@@ -167,10 +170,8 @@ class QF:
         return (self - o).sign() < 0
 
     def __float__(self):
-        s2 = 2 ** 0.5
-        s5 = 5 ** 0.5
-        return float(self.a) + float(self.b) * s2 + float(self.c) * s5 \
-            + float(self.d) * s2 * s5
+        return float(self.a) + float(self.b) * _S2 + float(self.c) * _S5 \
+            + float(self.d) * _S2 * _S5
 
     def __repr__(self):
         return f"QF({self.a}, {self.b}, {self.c}, {self.d})"
@@ -256,6 +257,18 @@ def ring_key(x):
 def qf_from_ring(x):
     p, q, r, s = x
     return QF(p + Fraction(r, 2), q + Fraction(s, 2), Fraction(r, 2), Fraction(s, 2))
+
+
+def ring_float(x):
+    """float(qf_from_ring(x)), bit for bit, without forming Fractions.
+
+    The QF coefficients are the halves (2p + r, 2q + s, r, s) / 2; int
+    true division rounds n / 2 correctly, as float(Fraction(n, 2)) does,
+    and the terms are summed in QF.__float__'s order.
+    """
+    p, q, r, s = x
+    return (2 * p + r) / 2 + (2 * q + s) / 2 * _S2 + r / 2 * _S5 \
+        + s / 2 * _S2 * _S5
 
 
 def ring_from_qf(v):

@@ -18,14 +18,17 @@ written from one template per square, not through json.dumps.  Abstract
 vertex labels are stringified on write and stay strings on load.
 In-memory `meta` annotations are not serialized.
 
-Loading validates shapes and, for honeycomb cells, checks that each is
-a square (its mask leaves out generator 2 alone) and that its
-representative preserves the bilinear form.  That check is weaker than
-membership in the reflection group W: a matrix that preserves the form
-but lies outside W, such as the negation of a representative, loads too.
-A square listed twice, as the same lattice key, as two representatives
-of one coset or as one abstract cycle up to rotation and reflection, and
-a repeated abstract vertex label are rejected too; bad documents raise
+Loading validates shapes, with JSON true and false rejected where an
+integer is expected, and, for honeycomb cells, checks that each is a
+square (its mask leaves out generator 2 alone) and that its
+representative m preserves the bilinear form: m^T 4B m = 4B, compared
+on and above the diagonal only, since both sides are symmetric (see
+coxeter.preserves_form).  That check is weaker than membership in the
+reflection group W: a matrix that preserves the form but lies outside
+W, such as the negation of a representative, loads too.  A square
+listed twice, as the same lattice key, as two representatives of one
+coset or as one abstract cycle up to rotation and reflection, and a
+repeated abstract vertex label are rejected too; bad documents raise
 ValueError naming the bad entries by position.
 """
 
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import json
 
-from gridforge.coxeter import CosetKey, _mat_mul, _transpose, build_system
+from gridforge.coxeter import CosetKey, build_system, preserves_form
 from gridforge.lattice import GriddedComplex, is_lattice_ambient
 from gridforge.surface import AbstractSquareComplex, _cycle_key
 
@@ -133,10 +136,19 @@ def _distinct(items, message):
     return frozenset(first)
 
 
+_INT = frozenset([int])
+
+
+def _all_ints(items):
+    """Whether every item is an int proper: JSON true and false load as
+    bools, which isinstance(x, int) would let through."""
+    return _INT.issuperset(map(type, items))
+
+
 def _load_lattice_squares(raw):
     squares = []
     for i, s in enumerate(raw):
-        _require(isinstance(s, list) and all(isinstance(x, int) for x in s),
+        _require(isinstance(s, list) and _all_ints(s),
                  f"squares[{i}]: expected a list of integers")
         squares.append(tuple(s))
     return squares
@@ -152,7 +164,7 @@ def _load_coset_squares(ambient, raw):
         where = f"squares[{i}]"
         _require(isinstance(entry, dict) and {"mask", "rep"} <= set(entry),
                  f"{where}: expected an object with mask and rep")
-        _require(isinstance(entry["mask"], int) and entry["mask"] == mask,
+        _require(type(entry["mask"]) is int and entry["mask"] == mask,
                  f"{where}: mask must be {mask}, every generator but 2 "
                  "(a square)")
         rep = entry["rep"]
@@ -165,13 +177,12 @@ def _load_coset_squares(ambient, raw):
             cells = []
             for e in row:
                 _require(isinstance(e, list) and len(e) == 4
-                         and all(isinstance(t, int) for t in e),
+                         and _all_ints(e),
                          f"{where}: entries must be integer quadruples")
                 cells.append(tuple(e))
             rows.append(tuple(cells))
         mat = tuple(rows)
-        if _mat_mul(_mat_mul(_transpose(mat), system.bilinear4),
-                    mat) != system.bilinear4:
+        if not preserves_form(system, mat):
             raise ValueError(f"{where}: matrix does not preserve the "
                              "bilinear form")
         squares.append(CosetKey(system, gens, mat))

@@ -191,6 +191,32 @@ def test_euclidean_coset_document_exits_2(tmp_path, command):
     assert err == "error: {4,3,4} is a lattice: use ambient Z3\n"
 
 
+def _identity_with_a_true():
+    # JSON true equals 1, so this would load as the identity square
+    rep = [[[int(i == j), 0, 0, 0] for j in range(4)] for i in range(4)]
+    rep[0][0][0] = True
+    return rep
+
+
+@pytest.mark.parametrize("document,message", [
+    ({"format": "gridded", "ambient": "Z3",
+      "squares": [[1, 1, 0], [True, True, 0]]},
+     "squares[1]: expected a list of integers"),
+    ({"format": "gridded", "ambient": "{4,3,5}",
+      "squares": [{"mask": 11, "rep": _identity_with_a_true()}]},
+     "squares[0]: entries must be integer quadruples"),
+], ids=["lattice", "coset"])
+@pytest.mark.parametrize("command", ["validate", "classify", "export"])
+def test_json_booleans_are_not_integers(tmp_path, command, document,
+                                        message):
+    path = tmp_path / "booleans.json"
+    path.write_text(json.dumps(document))
+    assert "true" in path.read_text()
+    code, out, err = run([command, str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def _with_lattice_duplicate(tmp_path):
     return {"format": "gridded", "ambient": "Z3",
             "squares": [[1, 1, 0], [1, 1, 0]]}

@@ -15,14 +15,17 @@ from gridforge import coxeter
 from gridforge.coxeter import (
     CLAIMED_INCIDENCE, CosetKey, build_system, cell_faces, central_symmetry,
     enumerate_parabolic, identity_cell, incidence_counts, matrix_key,
-    neighbor, parabolic_order, reflection, square_vertex_cycle, transform,
-    _eliminate, _identity, _mat_mul, _mat_vec, _transpose, _transversal,
+    neighbor, parabolic_order, preserves_form, reflection,
+    square_vertex_cycle, transform,
+    _eliminate, _identity, _mat_mul, _mat_vec, _transversal,
 )
-from gridforge.field import QF, RZERO, radd, ring_key, rmul
-from gridforge.formats import complex_to_jsonable, dumps_complex
+from gridforge.field import QF, RZERO, radd, ring_key, rmul, rscale, rsub
+from gridforge.formats import (
+    complex_to_jsonable, dumps_complex, jsonable_to_complex,
+)
 from gridforge.honeycombs import opposite_face, tree_of_life_435
 from gridforge.lattice import cell_dim
-from gridforge.surface import _cycle_key
+from gridforge.surface import _cycle_key, classify
 
 ALL_SYSTEMS = ("{4,4}", "{4,3,4}", "{4,3,3,4}", "{4,3,5}", "{4,3,3,5}")
 # the systems with coset cells; Euclidean cells are lattice keys
@@ -125,7 +128,8 @@ def test_b_preservation_on_random_words():
         s = build_system(name)
         for _ in range(10):
             w = random_word(s, rng, rng.randrange(1, 12))
-            assert _mat_mul(_mat_mul(_transpose(w), s.bilinear4), w) == s.bilinear4
+            gram = _mat_mul(_mat_mul(tuple(zip(*w)), s.bilinear4), w)
+            assert gram == s.bilinear4 and preserves_form(s, w)
 
 
 def test_matrix_inverse():
@@ -507,6 +511,49 @@ def test_square_corners_equal_keys_built_from_the_product(name, word):
         rep = naive_mat_mul(rep, quarter)
 
 
+@settings(max_examples=40)
+@given(st.sampled_from(HYPERBOLIC), words, words, st.data())
+def test_corners_of_faces_and_images_equal_keys_built_from_the_product(
+        name, word, image, data):
+    # squares keyed from factors: faces of a random cube or hypercube, and
+    # their images under transform; their vec never came from rep * x_2
+    s = build_system(name)
+    d = data.draw(st.sampled_from(range(3, s.rank)))
+    cell = CosetKey(s, s.parabolic_gens(d), naive_word(s, word))
+    face = data.draw(st.sampled_from(cell_faces(cell, 2)))
+    quarter = naive_mat_mul(s.generators[0], s.generators[1])
+    for square in (face, transform(naive_word(s, image), face)):
+        corners = square_vertex_cycle(square)
+        rep = square.rep
+        for corner in corners:
+            eager = CosetKey(s, s.parabolic_gens(0), rep)
+            _assert_same_key(corner, eager, rep)
+            rep = naive_mat_mul(rep, quarter)
+        for k in (0, 1):
+            assert tuple(map(radd, corners[k].vec, corners[k + 2].vec)) \
+                == tuple(rscale(2, e) for e in square.vec)
+
+
+def test_corner_offsets_touch_generators_0_and_1_only():
+    for name in HYPERBOLIC:
+        s = build_system(name)
+        x = s.fixed_vectors
+        quarter = naive_mat_mul(s.generators[0], s.generators[1])
+        turn = _identity(s.rank)
+        corners = []
+        for q, offset in s.corner_turns:
+            assert q == turn
+            corners.append(naive_mat_vec(q, x[0]))
+            assert offset == tuple(map(rsub, corners[-1], x[2]))
+            assert offset[:2] != (RZERO, RZERO)
+            assert offset[2:] == (RZERO,) * (s.rank - 2)
+            turn = naive_mat_mul(turn, quarter)
+        # opposite corners of the base square sum to twice its vector
+        for k in (0, 1):
+            assert tuple(map(radd, corners[k], corners[k + 2])) \
+                == tuple(rscale(2, e) for e in x[2])
+
+
 @given(words)
 def test_transform_equals_the_key_of_the_product(word):
     s = build_system("{4,3,5}")
@@ -552,14 +599,9 @@ def test_tree_build_and_write_product_count(monkeypatch, products):
     assert products[0] == 267
 
 
-def test_tree_write_dot_count(monkeypatch):
-    # exact: the least matrices are pruned entry by entry and the square
-    # faces' candidates are the transversal's columns of t P_2, formed
-    # once per t; row pruning or a product per face raises the count
-    build_system("{4,3,5}")
-    monkeypatch.setattr(coxeter, "_ENUM_CACHE", {})
-    monkeypatch.setattr(coxeter, "_TRANSVERSAL_CACHE", {})
-    tree = tree_of_life_435(3)
+@pytest.fixture
+def dots(monkeypatch):
+    """Counts ring dot products made through coxeter._dot."""
     count = [0]
     inner = coxeter._dot
 
@@ -568,8 +610,35 @@ def test_tree_write_dot_count(monkeypatch):
         return inner(row, col)
 
     monkeypatch.setattr(coxeter, "_dot", counted)
+    return count
+
+
+def test_tree_write_dot_count(monkeypatch, dots):
+    # exact: the least matrices are pruned entry by entry and the square
+    # faces' candidates are the transversal's columns of t P_2, formed
+    # once per t; row pruning or a product per face raises the count
+    build_system("{4,3,5}")
+    monkeypatch.setattr(coxeter, "_ENUM_CACHE", {})
+    monkeypatch.setattr(coxeter, "_TRANSVERSAL_CACHE", {})
+    tree = tree_of_life_435(3)
+    dots[0] = 0
     complex_to_jsonable(tree)
-    assert count[0] == 2837
+    assert dots[0] == 2837
+
+
+def test_tree_load_and_classify_dot_counts(dots):
+    # exact: a loaded square costs 10 dots for the upper half of its Gram
+    # matrix and rank = 4 for its key, and classifying costs 2 * rank for
+    # its corners; a full Gram product or a product per corner raises them
+    build_system("{4,3,5}")
+    data = complex_to_jsonable(tree_of_life_435(3))
+    assert len(data["squares"]) == 114
+    dots[0] = 0
+    loaded = jsonable_to_complex(data)
+    assert dots[0] == 114 * (10 + 4)
+    dots[0] = 0
+    classify(loaded)
+    assert dots[0] == 114 * 2 * 4
 
 
 def test_only_proper_parabolics_are_enumerated(products):
@@ -601,7 +670,7 @@ def test_proper_subdiagrams_are_spherical():
 
 def is_form_preserving_involution(system, g):
     return (_mat_mul(g, g) == _identity(system.rank)
-            and _mat_mul(_mat_mul(_transpose(g), system.bilinear4), g)
+            and _mat_mul(_mat_mul(tuple(zip(*g)), system.bilinear4), g)
             == system.bilinear4)
 
 

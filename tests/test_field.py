@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gridforge.field import (
-    PHI, QF, SQRT2, SQRT5, cos_pi, qf_from_ring, radd, ring_from_qf, ring_key,
-    rmul, rneg, rscale, rsub,
+    PHI, QF, SQRT2, SQRT5, cos_pi, qf_from_ring, radd, ring_float,
+    ring_from_qf, ring_key, rmul, rneg, rscale, rsub,
 )
 
 
@@ -97,3 +98,19 @@ def test_qf_is_hashable_and_immutable():
     assert len({QF(1), QF(1), SQRT2}) == 2
     with pytest.raises(AttributeError):
         SQRT2.a = Fraction(3)
+
+
+# past 2^53 the halves (2p + r) / 2 are no longer exact floats
+coefficients = st.integers(-2 ** 80, 2 ** 80)
+
+
+@given(st.tuples(*[coefficients] * 4))
+def test_ring_float_is_the_float_of_the_field_element(x):
+    assert ring_float(x).hex() == float(qf_from_ring(x)).hex()
+
+
+def test_ring_float_rounds_halves_as_fractions_do():
+    for x in [(2 ** 53 + 1, 0, 1, 0), (0, 2 ** 60 - 1, 0, 3),
+              (-2 ** 79, 1, -1, 2 ** 80), (0, 0, 0, 0)]:
+        assert ring_float(x).hex() == float(qf_from_ring(x)).hex()
+

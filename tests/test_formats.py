@@ -238,6 +238,30 @@ def test_rejects_bad_masks_and_matrices():
         jsonable_to_complex(bad)
 
 
+@settings(max_examples=60)
+@given(st.sampled_from(("{4,3,5}", "{4,3,3,5}")),
+       st.lists(st.integers(0, 4), max_size=12), st.data())
+def test_form_check_reads_every_entry(name, word, data):
+    # the load check compares half the Gram matrix m^T 4B m; a unit
+    # change in any coordinate of any of the rank^2 entries must show
+    s = build_system(name)
+    w = _identity(s.rank)
+    for i in word:
+        w = _mat_mul(w, s.generators[i % s.rank])
+    gens = s.parabolic_gens(2)
+    least = CosetKey(s, gens, w).min_rep()
+    rep = [[list(e) for e in row] for row in least]
+    doc = {"format": "gridded", "ambient": name,
+           "squares": [{"mask": sum(1 << i for i in gens), "rep": rep}]}
+    assert jsonable_to_complex(doc).squares == {CosetKey(s, gens, w)}
+    i, j, k = (data.draw(st.integers(0, n - 1)) for n in (s.rank, s.rank, 4))
+    rep[i][j][k] += data.draw(st.sampled_from((-1, 1)))
+    with pytest.raises(ValueError) as info:
+        jsonable_to_complex(doc)
+    assert str(info.value) == \
+        "squares[0]: matrix does not preserve the bilinear form"
+
+
 @pytest.mark.parametrize("square,message", [
     (["a", "a", "c", "d"], "squares[1]: square needs 4 distinct vertices"),
     (["b", "c", "d", "a"], "squares[1]: same square as squares[0]"),
