@@ -196,6 +196,8 @@ class CoxeterSystem:
         self.name = name
         self.labels = labels
         self.rank = rank
+        # the dimension of a cell from its parabolic's generators
+        self.cell_dims = {self.parabolic_gens(d): d for d in range(rank)}
 
         def m_of(i, j):
             if i == j:
@@ -436,12 +438,12 @@ class CosetKey:
     """
 
     __slots__ = ("system", "gens", "dim", "vec", "_rep", "_factors", "_key",
-                 "_minrep")
+                 "_id", "_minrep")
 
     def __init__(self, system, gens, rep=None, vec=None, factors=None):
         gens = frozenset(gens)
-        missing = sorted(set(range(system.rank)) - gens)
-        if len(missing) != 1:
+        dim = system.cell_dims.get(gens)
+        if dim is None:
             raise ValueError("cells correspond to maximal parabolics; "
                              f"got generator set {sorted(gens)}")
         if system.affine:
@@ -449,14 +451,16 @@ class CosetKey:
                              f"Z{system.rank - 1}")
         self.system = system
         self.gens = gens
-        self.dim = missing[0]
+        self.dim = dim
         self._rep = rep
         self._factors = factors
         self._minrep = None
         if vec is None:
-            vec = _mat_vec(self.rep, system.fixed_vectors[self.dim])
+            vec = _mat_vec(self.rep, system.fixed_vectors[dim])
         self.vec = vec
-        self._key = tuple([ring_key(e) for e in vec])
+        self._key = key = tuple([ring_key(e) for e in vec])
+        # what equality, hashing and order compare
+        self._id = (system.name, dim, key)
 
     @property
     def rep(self):
@@ -483,21 +487,18 @@ class CosetKey:
             self._minrep = _least_product(left, candidates)
         return self._minrep
 
-    def _ident(self):
-        return (self.system.name, self.dim, self._key)
-
     def __eq__(self, other):
         if not isinstance(other, CosetKey):
             return NotImplemented
-        return self._ident() == other._ident()
+        return self._id == other._id
 
     def __hash__(self):
-        return hash(self._ident())
+        return hash(self._id)
 
     def __lt__(self, other):
         if not isinstance(other, CosetKey):
             return NotImplemented
-        return self._ident() < other._ident()
+        return self._id < other._id
 
     def __repr__(self):
         return f"<{self.system.name} {self.dim}-cell {self._key}>"

@@ -63,7 +63,8 @@ def _gridded_index(obj):
 def _points(ambient, vertices):
     """Coordinates of the given vertices, in their order."""
     if is_lattice_ambient(ambient):
-        return [tuple(c / 2.0 for c in v) for v in vertices]
+        return list(zip(*[[c / 2.0 for c in axis]
+                          for axis in zip(*vertices)]))
     from gridforge.coxeter import build_system
 
     return _klein_coords(build_system(ambient), vertices)
@@ -80,42 +81,49 @@ def _fmt(x):
     return f"{x + 0.0 if x else 0.0:.12f}"
 
 
+class _Digits(dict):
+    """The text of each coordinate value, formatted once: lattice
+    coordinates repeat, so most of them are a lookup."""
+
+    def __missing__(self, x):
+        text = self[x] = _fmt(x)
+        return text
+
+
 def _mesh(obj):
     """Points in sorted vertex order, faces as sorted 4-tuples of point
     positions, and the number of edges."""
     index = _gridded_index(obj)
     return (_points(obj.ambient, index.vertices), sorted(index.squares),
-            len(index.edges))
+            len(index.edge_counts))
+
+
+def _lines(head, prefix, points, template, faces):
+    """The head lines, one line per point (prefix, then its coordinates)
+    and one template line per face, as newline-terminated text."""
+    digits = _Digits().__getitem__
+    lines = head + [prefix + " ".join(map(digits, p)) for p in points]
+    lines += [template % f for f in faces]
+    return "\n".join(lines) + "\n"
 
 
 def to_off(obj):
-    """OFF text; complexes in 4 coordinates use the nOFF extension."""
+    """OFF text; complexes in other than 3 coordinates use the nOFF
+    extension, with their dimension on the second line."""
     points, faces, n_edges = _mesh(obj)
     dim = len(points[0]) if points else 3
-    lines = []
-    if dim == 3:
-        lines.append("OFF")
-    else:
-        lines.append("nOFF")
-        lines.append(str(dim))
-    lines.append(f"{len(points)} {len(faces)} {n_edges}")
-    for p in points:
-        lines.append(" ".join(_fmt(c) for c in p))
-    for f in faces:
-        lines.append("4 " + " ".join(str(i) for i in f))
-    return "\n".join(lines) + "\n"
+    head = ["OFF"] if dim == 3 else ["nOFF", str(dim)]
+    head.append(f"{len(points)} {len(faces)} {n_edges}")
+    return _lines(head, "", points, "4 %d %d %d %d", faces)
 
 
 def to_obj(obj):
     """Wavefront OBJ text; extra coordinates beyond 3 are dropped and 2D
     complexes get a zero third coordinate."""
     points, faces, _ = _mesh(obj)
-    lines = []
+    head = []
     if points and len(points[0]) > 3:
-        lines.append(f"# first 3 of {len(points[0])} coordinates")
-    for p in points:
-        padded = (tuple(p) + (0.0, 0.0))[:3]
-        lines.append("v " + " ".join(_fmt(c) for c in padded))
-    for f in faces:
-        lines.append("f " + " ".join(str(i + 1) for i in f))
-    return "\n".join(lines) + "\n"
+        head.append(f"# first 3 of {len(points[0])} coordinates")
+    return _lines(head, "v ", [(tuple(p) + (0.0, 0.0))[:3] for p in points],
+                  "f %d %d %d %d",
+                  [(a + 1, b + 1, c + 1, d + 1) for a, b, c, d in faces])

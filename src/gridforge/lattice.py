@@ -17,6 +17,7 @@ the rest to a neighbouring even value, a coface does the reverse.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -83,6 +84,41 @@ def corners_cyclic(square):
         c[v] = square[v] + dv
         out.append(tuple(c))
     return tuple(out)
+
+
+def cell_codes(keys):
+    """Mixed-radix int codes of a nonempty set of same-length keys.
+
+    Coordinate t of a key becomes a digit that runs from one below the
+    least coordinate t of the keys to one above the greatest, most
+    significant first.  So int order is tuple order, and every cell a
+    coordinate step of 1 from a key has a code too: the step moves the
+    code by weights[t].  Returns (codes, odd, weights, decode): the codes
+    in increasing order, odd[i] the mask of the odd coordinates of the
+    key of codes[i] (bit t for coordinate t), and decode, which maps a
+    list of codes back to key tuples.
+    """
+    cols = list(zip(*keys))
+    n = len(cols)
+    lows = [min(col) - 1 for col in cols]
+    sizes = [max(col) + 2 - low for col, low in zip(cols, lows)]
+    weights = [1] * n
+    for t in range(n - 2, -1, -1):
+        weights[t] = weights[t + 1] * sizes[t + 1]
+    # sort the codes with their masks in the low n bits
+    packed = [-sum(map(operator.mul, lows, weights)) << n] * len(cols[0])
+    for t, (col, w) in enumerate(zip(cols, weights)):
+        w <<= n
+        packed = [p + x * w + ((x & 1) << t) for p, x in zip(packed, col)]
+    packed.sort()
+    mask = (1 << n) - 1
+
+    def decode(codes):
+        return list(zip(*[[c // w % size + low for c in codes]
+                          for w, size, low in zip(weights, sizes, lows)]))
+
+    return [p >> n for p in packed], [p & mask for p in packed], weights, \
+        decode
 
 
 def translate(squares, vec):

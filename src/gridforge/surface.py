@@ -13,17 +13,25 @@ vertex, with one arc per incident square) must be a single cycle or a
 single simple path.
 
 Validation, classification, the Euler characteristic and mesh export
-read one SquareIndex: a single square_cycles pass turned into dense int
-vertex ids, int squares, an edge multiplicity table whose positions are
-edge ids, the edge ids of each square's sides and the vertex links.  On
+read one SquareIndex: dense int vertex ids, int squares, the edge ids of
+each square's sides and the number of squares on each edge.  A lattice
+complex builds it in one pass over int cell codes (lattice.cell_codes),
+where a square's corners and sides are its code plus or minus two
+weights, and marks the corners at each vertex in a bit mask that fixes
+the vertex's link up to renaming, so each distinct mask is checked
+once.  Other complexes build it from one square_cycles pass; on
 honeycomb complexes that pass costs ring-matrix products and exact coset
-keys, so each of them pays for it once; classify validates on the index
-it builds, and orients the squares through their sides' edge ids.
+keys, so each command pays for it once.  Classify validates on the
+index it builds, and orients the squares through their sides' edge ids,
+one tree of squares per component.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from gridforge import lattice
 from gridforge.lattice import GriddedComplex, corners_cyclic, is_lattice_ambient
@@ -111,37 +119,74 @@ class SquareIndex:
     """The squares of a complex in dense integer form.
 
     A vertex's id is its position in the sorted vertices, so ids compare
-    as the vertices do.  cycles are the cycles of square_cycles, in order;
-    squares are the same cycles as id 4-tuples.  edges maps each edge
-    (a, b) with a < b to the number of squares containing it, in order of
-    first sight, and an edge's id is its position in edges.
-    square_edges[4 * i + k] is the id of side k of square i, the side from
-    its corner k to corner k + 1 (mod 4).  links[v] has one arc (u, w) per
-    square corner at v, where u and w are the corner's two neighbours: the
-    link of v has a node per edge at v, named by its other end.
+    as the vertices do.  squares are the cycles of square_cycles, in order,
+    as id 4-tuples, and cycles the same with the vertices themselves.
+    Edges are numbered in order of first sight: square_edges[4 * i + k]
+    is the id of side k of square i, the side from its corner k to corner
+    k + 1 (mod 4), and edge_counts[e] the number of squares containing
+    edge e.  edges maps each edge (a, b) with a < b to that number, in id
+    order.  links[v] has one arc (u, w) per square corner at v, where u
+    and w are the corner's two neighbours: the link of v has a node per
+    edge at v, named by its other end.  edges, cycles and links are
+    formed when first read.  On a lattice complex masks[v] has bit 4p + k
+    set when corner k of a square spanning the p-th pair of axes lies at
+    v (see _corner_arcs), which fixes the link of v up to renaming its
+    nodes; on other complexes masks is None.
     """
 
     vertices: list
-    cycles: list
     squares: list
-    edges: dict
     square_edges: list
-    links: list
+    edge_counts: list
+    masks: list | None = None
+
+    @cached_property
+    def edges(self):
+        squares, ends = self.squares, [None] * len(self.edge_counts)
+        for p, e in enumerate(self.square_edges):
+            if ends[e] is None:
+                square = squares[p >> 2]
+                a, b = square[p & 3], square[p + 1 & 3]
+                ends[e] = (a, b) if a < b else (b, a)
+        return dict(zip(ends, self.edge_counts))
+
+    @cached_property
+    def cycles(self):
+        v = self.vertices
+        return [(v[a], v[b], v[c], v[d]) for a, b, c, d in self.squares]
+
+    @cached_property
+    def links(self):
+        links = [[] for _ in self.vertices]
+        for a, b, c, d in self.squares:
+            links[a].append((d, b))
+            links[b].append((a, c))
+            links[c].append((b, d))
+            links[d].append((c, a))
+        return links
 
 
 def square_index(obj):
-    """The SquareIndex of a complex, from one square_cycles pass.
+    """The SquareIndex of a complex, from one pass over its squares."""
+    if isinstance(obj, GriddedComplex) and is_lattice_ambient(obj.ambient):
+        return _lattice_index(obj.squares)
+    # abstract complexes may declare vertices that no square uses
+    declared = (obj.vertices if isinstance(obj, AbstractSquareComplex)
+                else ())
+    return _cycle_index(square_cycles(obj), declared)
+
+
+def _cycle_index(cycles, declared=()):
+    """The SquareIndex of square vertex cycles, given in order.
 
     Each corner costs one hash lookup to find its vertex, each vertex one
     more to rank it, and each side one to number its edge; everything
     after that works on ints.
     """
-    # abstract complexes may declare vertices that no square uses
-    first = ({v: i for i, v in enumerate(obj.vertices)}
-             if isinstance(obj, AbstractSquareComplex) else {})
+    first = {v: i for i, v in enumerate(declared)}
     see = first.setdefault
     raw = [(see(a, len(first)), see(b, len(first)), see(c, len(first)),
-            see(d, len(first))) for a, b, c, d in square_cycles(obj)]
+            see(d, len(first))) for a, b, c, d in cycles]
     vertices = sorted(first)
     rank = [0] * len(vertices)
     for new, v in enumerate(vertices):
@@ -150,12 +195,7 @@ def square_index(obj):
     ids = {}
     number = ids.setdefault
     square_edges = []
-    links = [[] for _ in vertices]
     for a, b, c, d in squares:
-        links[a].append((d, b))
-        links[b].append((a, c))
-        links[c].append((b, d))
-        links[d].append((c, a))
         square_edges += (number((a, b) if a < b else (b, a), len(ids)),
                          number((b, c) if b < c else (c, b), len(ids)),
                          number((c, d) if c < d else (d, c), len(ids)),
@@ -163,12 +203,53 @@ def square_index(obj):
     counts = [0] * len(ids)
     for e in square_edges:
         counts[e] += 1
-    edges = dict(zip(ids, counts))
-    # cycles share the vertex objects, where square_cycles made a new one
-    # for every corner
-    cycles = [(vertices[a], vertices[b], vertices[c], vertices[d])
-              for a, b, c, d in squares]
-    return SquareIndex(vertices, cycles, squares, edges, square_edges, links)
+    return SquareIndex(vertices, squares, square_edges, counts)
+
+
+def _lattice_index(keys):
+    """The SquareIndex of a set of lattice squares, on integer cell codes.
+
+    A square with code S whose odd coordinates have the weights u > v
+    (lattice.cell_codes) has the corners S-u-v, S+u-v, S+u+v, S-u+v, in
+    the order of corners_cyclic.  Its sides 0 and 1 run from the lesser
+    corner to the greater, sides 2 and 3 from the greater to the lesser.
+    Vertex tuples are decoded once each, from the sorted corner codes.
+    """
+    if not keys:
+        return SquareIndex([], [], [], [])
+    codes, odd, weights, decode = lattice.cell_codes(keys)
+    # per odd-axes mask: u + v, u - v and the bit of corner 0 in masks
+    axes = range(len(weights))
+    pairs = {1 << i | 1 << j: (weights[i] + weights[j],
+                               weights[i] - weights[j], 1 << 4 * p)
+             for p, (i, j) in enumerate(itertools.combinations(axes, 2))}
+    diag, turn, bits = zip(*map(pairs.__getitem__, odd))
+    near = [S - d for S, d in zip(codes, diag)]
+    right = [S + t for S, t in zip(codes, turn)]
+    far = [S + d for S, d in zip(codes, diag)]
+    left = [S - t for S, t in zip(codes, turn)]
+    order = sorted({*near, *right, *far, *left})
+    n = len(order)
+    vid = dict(zip(order, range(n)))
+    corners = [list(map(vid.__getitem__, c))
+               for c in (near, right, far, left)]
+    # the edge pass below sets the peak memory: free the codes first
+    del codes, odd, diag, turn, near, right, far, left, vid
+    masks = [0] * n
+    for k, ids in enumerate(corners):
+        for v, bit in zip(ids, bits):
+            masks[v] |= bit << k
+    squares = list(zip(*corners))
+    # edge (a, b) as the int a * n + b, numbered in order of first sight;
+    # the edge ids then take the place of the counts, and of the sides
+    sides = [e for a, b, c, d in squares
+             for e in (a * n + b, b * n + c, d * n + c, a * n + d)]
+    ids = Counter(sides)
+    counts = list(ids.values())
+    for i, e in enumerate(ids):
+        ids[e] = i
+    sides[:] = map(ids.__getitem__, sides)
+    return SquareIndex(decode(order), squares, sides, counts, masks)
 
 
 def declared_vertices(obj):
@@ -252,25 +333,51 @@ def _link_failure(arcs):
     return "is disconnected" if seen != len(one) else None
 
 
+def _corner_arcs(n):
+    """The link arc of each corner bit of a vertex in Z^n.
+
+    Bit 4p + k (see SquareIndex.masks) is corner k of a square spanning
+    the p-th pair of axes (i, j), which lies on the side of the vertex
+    that corner k puts it: +i +j, -i +j, -i -j or +i -j.  Its arc joins
+    the link nodes of the vertex's edges in those two directions, the
+    edge along -i or +i being node 2i or 2i + 1.
+    """
+    return tuple((2 * i + si, 2 * j + sj)
+                 for i, j in itertools.combinations(range(n), 2)
+                 for si, sj in ((1, 1), (0, 1), (0, 0), (1, 0)))
+
+
 def _validate(index):
-    vertices, squares, edges = index.vertices, index.squares, index.edges
-    failures = [f"edge {(vertices[a], vertices[b])} lies in {edges[a, b]} "
-                "squares"
-                for a, b in sorted(e for e, m in edges.items() if m > 2)]
+    vertices, squares = index.vertices, index.squares
+    counts = index.edge_counts
+    failures = []
+    if max(counts, default=0) > 2:
+        failures = [f"edge {(vertices[a], vertices[b])} lies in {m} squares"
+                    for (a, b), m in sorted(e for e in index.edges.items()
+                                            if e[1] > 2)]
     bad_links = []
-    for v, arcs in enumerate(index.links):
-        if not arcs:
-            failures.append(f"vertex {vertices[v]} is isolated")
-            continue
-        why = _link_failure(arcs)
-        if why is not None:
-            bad_links.append(f"vertex {vertices[v]} link {why}")
+    if index.masks is None:
+        for v, arcs in enumerate(index.links):
+            if not arcs:
+                failures.append(f"vertex {vertices[v]} is isolated")
+                continue
+            why = _link_failure(arcs)
+            if why is not None:
+                bad_links.append(f"vertex {vertices[v]} link {why}")
+    else:
+        # each distinct corner pattern is one link up to node names
+        arcs = _corner_arcs(len(vertices[0]))
+        why = {m: _link_failure([a for b, a in enumerate(arcs) if m >> b & 1])
+               for m in set(index.masks)}
+        if any(why.values()):
+            bad_links = [f"vertex {vertices[v]} link {why[m]}"
+                         for v, m in enumerate(index.masks) if why[m]]
     failures += bad_links
 
     V = len(vertices)
-    E = len(edges)
+    E = len(counts)
     F = len(squares)
-    is_closed = bool(squares) and all(m == 2 for m in edges.values())
+    is_closed = bool(squares) and counts.count(2) == E
     return SurfaceReport(
         is_surface=not failures and bool(squares),
         is_closed=is_closed and not failures,
@@ -294,22 +401,24 @@ def validate_surface(obj):
 
 def euler_characteristic(obj):
     index = square_index(obj)
-    return len(index.vertices) - len(index.edges) + len(index.squares)
+    return len(index.vertices) - len(index.edge_counts) + len(index.squares)
 
 
-def _orient_components(index, comp_of_square, n_components):
-    """Two-colour the dual graph; returns per-component orientability.
+def _orient_components(index):
+    """Two-colour the dual graph, one tree of squares at a time.
 
     A shared edge forces neighbouring squares to traverse it in opposite
     directions.  An inconsistency yields a witness loop of squares whose
     orientations cannot be reconciled.  Every edge must lie in at most two
-    squares, as it does once the complex has validated.
+    squares, as it does once the complex has validated.  Returns the tree
+    of each square, the trees numbered in order of their first square,
+    and per tree its orientability and witness.
     """
     squares, square_edges = index.squares, index.square_edges
     # mate[p] is the position in square_edges of the other side on the
     # same edge as position p, or -1 on the boundary
     mate = [-1] * len(square_edges)
-    seen_at = [-1] * len(index.edges)
+    seen_at = [-1] * len(index.edge_counts)
     for p, e in enumerate(square_edges):
         q = seen_at[e]
         if q < 0:
@@ -318,13 +427,17 @@ def _orient_components(index, comp_of_square, n_components):
             mate[p], mate[q] = q, p
 
     sign = [0] * len(squares)
+    tree = [0] * len(squares)
     parent = [None] * len(squares)
-    orientable = [True] * n_components
-    witness = [None] * n_components
+    orientable, witness = [], []
     for root in range(len(squares)):
         if sign[root]:
             continue
+        t = len(orientable)
+        orientable.append(True)
+        witness.append(None)
         sign[root] = 1
+        tree[root] = t
         stack = [root]
         while stack:
             cur = stack.pop()
@@ -339,15 +452,13 @@ def _orient_components(index, comp_of_square, n_components):
                 need = -sign[cur] if same_way else sign[cur]
                 if not sign[other]:
                     sign[other] = need
+                    tree[other] = t
                     parent[other] = cur
                     stack.append(other)
-                elif sign[other] != need:
-                    comp = comp_of_square[cur]
-                    if orientable[comp]:
-                        orientable[comp] = False
-                        witness[comp] = _dual_loop(parent, cur, other,
-                                                   index.cycles)
-    return orientable, witness
+                elif sign[other] != need and orientable[t]:
+                    orientable[t] = False
+                    witness[t] = _dual_loop(parent, cur, other, index.cycles)
+    return tree, orientable, witness
 
 
 def _dual_loop(parent, a, b, cycles):
@@ -404,38 +515,47 @@ def classify(obj):
     if not base.is_surface:
         return base
 
-    squares, edges = index.squares, index.edges
+    squares = index.squares
     n = len(index.vertices)
+    tree, orientable, witnesses = _orient_components(index)
+    n_comp = len(orientable)
+    if n_comp == 1:
+        comp_of_vertex = [0] * n
+        V, E, F = [n], [len(index.edge_counts)], [len(squares)]
+    else:
+        # connected components over the vertex-edge graph; a square's
+        # fourth side joins two vertices its other three already joined.
+        # On a surface each is one tree of squares; their roots order them
+        root_of = _roots(n, squares)
+        roots = sorted(set(root_of))
+        if len(roots) != n_comp:
+            raise AssertionError("square trees are not the components")
+        comp_id = {r: i for i, r in enumerate(roots)}
+        comp_of_vertex = [comp_id[r] for r in root_of]
+        comp_of_square = [comp_of_vertex[s[0]] for s in squares]
+        comp_of_tree = dict(zip(tree, comp_of_square))
+        by_comp = sorted(range(n_comp), key=comp_of_tree.__getitem__)
+        orientable = [orientable[t] for t in by_comp]
+        witnesses = [witnesses[t] for t in by_comp]
 
-    # connected components over the vertex-edge graph; a square's fourth
-    # side joins two vertices its other three already joined
-    root_of = _roots(n, squares)
-    roots = sorted(set(root_of))
-    comp_id = {r: i for i, r in enumerate(roots)}
-    n_comp = len(roots)
-    comp_of_vertex = [comp_id[r] for r in root_of]
-    comp_of_square = [comp_of_vertex[s[0]] for s in squares]
-
-    V = [0] * n_comp
-    E = [0] * n_comp
-    F = [0] * n_comp
-    for c in comp_of_vertex:
-        V[c] += 1
-    for a, _ in edges:
-        E[comp_of_vertex[a]] += 1
-    for c in comp_of_square:
-        F[c] += 1
+        V = [0] * n_comp
+        E = [0] * n_comp
+        F = [0] * n_comp
+        for c in comp_of_vertex:
+            V[c] += 1
+        for a, _ in index.edges:
+            E[comp_of_vertex[a]] += 1
+        for c in comp_of_square:
+            F[c] += 1
 
     # a boundary vertex's link is a path, whose two ends are its two
     # boundary edges, so each component of those edges is one circle
     circles_by_comp = [0] * n_comp
     if not base.is_closed:
-        boundary = [e for e, m in edges.items() if m == 1]
+        boundary = [e for e, m in index.edges.items() if m == 1]
         ends = _roots(n, boundary)
         for r in {ends[a] for a, _ in boundary}:
             circles_by_comp[comp_of_vertex[r]] += 1
-
-    orientable, witnesses = _orient_components(index, comp_of_square, n_comp)
 
     comps = []
     for i in range(n_comp):

@@ -385,6 +385,15 @@ EXPORT_DIGESTS = {
     ("h4-torus",): (
         "66442261089d4566496bac9ac9b56772ad70df1bff56f00edd23359810c9e4dd",
         "be9147e3d56f8bf6425307589bbf1f10a1f070bc1a64e4d80d6a2431ebeefb9f"),
+    ("tree-of-life", "--depth", "2"): (
+        "8bc8f253b277f217329ffa42e3f5a504bebcb2c562eb9bf6e7523b836d21dc2a",
+        "63f9d88d497d16b2fae1d2e65922264eae6ba7357de025a5a10e329b332510a4"),
+    ("crosscap-r4",): (
+        "39f704fe087eb612935cb63e5801cfc5c1c8c7241f0bc6a08ea1575147af4c06",
+        "0c81b2fa07c07098547c5af951dd3817c85b04644fe4563ab33c3c85bcf057b4"),
+    ("torus-paper",): (
+        "be44281533831b41c1cdf97ac7d53a35a115902880b8e4456b280fe0fc43870e",
+        "8a56f7613163a7dc9e241c9b99850ef9079063596b8940023005e4a4cf9053dc"),
 }
 
 

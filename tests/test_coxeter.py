@@ -195,9 +195,12 @@ def test_coset_key_identifies_cosets():
 
 
 def test_coset_key_requires_maximal_parabolic():
-    s = build_system("{4,3,5}")
-    with pytest.raises(ValueError):
-        CosetKey(s, frozenset({0, 1}), _identity(s.rank))
+    # a Euclidean system names the bad generator set first too
+    for name in ("{4,3,5}", "{4,3,4}"):
+        s = build_system(name)
+        with pytest.raises(ValueError, match=r"^cells correspond to maximal "
+                           r"parabolics; got generator set \[0, 1\]$"):
+            CosetKey(s, [1, 0], _identity(s.rank))
 
 
 def test_euclidean_systems_have_no_coset_keys():

@@ -3,12 +3,13 @@ import re
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import brute_cofaces, brute_faces, coface_count
 from gridforge import honeycombs
 from gridforge.coxeter import build_system, cell_faces, identity_cell, neighbor
 from gridforge.lattice import (
-    GriddedComplex, cell_dim, cofaces, corners_cyclic,
+    GriddedComplex, cell_codes, cell_dim, cofaces, corners_cyclic,
     cube_union_boundary, embed_higher, faces, translate,
 )
 from gridforge.surface import classify
@@ -236,3 +237,21 @@ def test_gridded_complex_equality_ignores_meta():
     assert a == b
     assert hash(a) == hash(b)
     assert len(a) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.sets(
+    st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * n), min_size=1,
+    max_size=12)))
+def test_cell_codes_order_steps_and_decode(keys):
+    codes, odd, weights, decode = cell_codes(keys)
+    ordered = sorted(keys)
+    assert codes == sorted(codes) and len(set(codes)) == len(keys)
+    assert decode(codes) == ordered
+    assert odd == [sum(1 << t for t, x in enumerate(k) if x % 2)
+                   for k in ordered]
+    for code, key in zip(codes, ordered):
+        for t, w in enumerate(weights):
+            for step in (-1, 1):
+                moved = key[:t] + (key[t] + step,) + key[t + 1:]
+                assert decode([code + step * w]) == [moved]

@@ -10,7 +10,7 @@ from helpers import (
     orientation_flip, random_polyomino, solid_betti_numbers,
     solid_is_well_composed,
 )
-from gridforge import coxeter, surface
+from gridforge import coxeter, lattice, surface
 from gridforge.constructors import box_column, frame_torus, sphere_cube
 from gridforge.export import to_off
 from gridforge.honeycombs import hyperbolic_torus_435
@@ -276,16 +276,25 @@ def test_each_command_walks_the_squares_once(monkeypatch, build, command):
     obj = build()
     passes, corner_walks = [], []
     cycles = surface.square_cycles
+    encode = lattice.cell_codes
     vertex_cycle = coxeter.square_vertex_cycle
+    corners = lattice.corners_cyclic
     monkeypatch.setattr(surface, "square_cycles",
                         lambda o: passes.append(o) or cycles(o))
+    monkeypatch.setattr(lattice, "cell_codes",
+                        lambda keys: passes.append(keys) or encode(keys))
     monkeypatch.setattr(coxeter, "square_vertex_cycle",
                         lambda sq: corner_walks.append(sq) or vertex_cycle(sq))
+    for module in (lattice, surface):
+        monkeypatch.setattr(module, "corners_cyclic",
+                            lambda sq: corner_walks.append(sq) or corners(sq))
     command(obj)
-    assert passes == [obj]
     if build is sphere_cube:
+        # one encoding of the lattice squares, and no corner tuples
+        assert passes == [obj.squares]
         assert corner_walks == []
     else:
+        assert passes == [obj]
         assert sorted(corner_walks) == sorted(obj.squares)
 
 
@@ -439,3 +448,71 @@ def test_pool_annuli_match_brute_surface_check(rows, extra):
 def test_box_square_subsets_match_brute_surface_check(squares):
     _check_against_brute_surface_check(
         surface.square_cycles(GriddedComplex("Z3", squares)))
+
+
+# The lattice index against the generic one built from corner cycles.
+# Square sets come from boxes of Z2, Z3 and Z4 (subsets of the box's
+# squares, or boundaries of unions of its cubes), moved by an even shift
+# that reaches negative coordinates and coordinates near +-10^6.
+LATTICE_BOXES = {n: [k for k in itertools.product(range(size), repeat=n)
+                     if sum(x % 2 for x in k) in (2, 3)]
+                 for n, size in ((2, 7), (3, 5), (4, 5))}
+
+
+@st.composite
+def lattice_complexes(draw):
+    n = draw(st.sampled_from(sorted(LATTICE_BOXES)))
+    cells = [k for k in LATTICE_BOXES[n] if sum(x % 2 for x in k) == 2]
+    if n > 2 and draw(st.booleans()):
+        cubes = [k for k in LATTICE_BOXES[n] if sum(x % 2 for x in k) == 3]
+        cells = cube_union_boundary(draw(st.sets(st.sampled_from(cubes),
+                                                 min_size=1, max_size=6)))
+    else:
+        cells = draw(st.sets(st.sampled_from(cells), max_size=24))
+    shift = draw(st.tuples(*[st.sampled_from(
+        (0, -2, -8, 10 ** 6, -10 ** 6, -999_998)) for _ in range(n)]))
+    return GriddedComplex(f"Z{n}", lattice.translate(cells, shift))
+
+
+def _summary(rep):
+    return (rep.is_surface, rep.vertex_count, rep.edge_count,
+            rep.square_count, rep.euler_characteristic, rep.failures,
+            rep.class_name)
+
+
+def _check_lattice_index(g):
+    index = square_index(g)
+    cycles = surface.square_cycles(g)
+    generic = surface._cycle_index(cycles)
+    for name in ("vertices", "squares", "square_edges", "edge_counts",
+                 "cycles", "links"):
+        assert getattr(index, name) == getattr(generic, name), name
+    assert list(index.edges.items()) == list(generic.edges.items())
+    abstract = AbstractSquareComplex.from_squares(cycles)
+    assert validate_surface(g).failures == validate_surface(abstract).failures
+    assert _summary(classify(g)) == _summary(classify(abstract))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_complexes())
+def test_lattice_index_equals_the_generic_index(g):
+    _check_lattice_index(g)
+
+
+@pytest.mark.parametrize("g", [
+    GriddedComplex("Z3", {(1, 1, 0), (1, 0, 1), (1, 0, -1)}),
+    GriddedComplex("Z3", cube_union_boundary({(1, 1, 1), (-1, -1, -1)})),
+    GriddedComplex("Z2", {(1, 1), (-1, -1)}),
+    GriddedComplex("Z4", set()),
+], ids=["edge-in-3", "cubes-at-a-vertex", "z2-pinch", "empty"])
+def test_lattice_index_fixed_cases(g):
+    _check_lattice_index(g)
+
+
+def test_cubes_meeting_at_a_vertex_fail_there_only():
+    g = GriddedComplex("Z3", cube_union_boundary({(1, 1, 1), (-1, -1, -1)}))
+    # the link of the shared vertex is two triangles
+    assert sorted(len(arcs) for arcs in square_index(g).links) == \
+        [3] * 14 + [6]
+    assert validate_surface(g).failures == (
+        "vertex (0, 0, 0) link is disconnected",)
