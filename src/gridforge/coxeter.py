@@ -14,9 +14,12 @@ key their cells as cosets: their bilinear form is invertible, so a coset
 is identified by an exact fixed-point vector, and its canonical matrix is
 its lexicographically least one.  The cells of a Euclidean system are
 lattice keys (gridforge.lattice); its group serves incidence counts only.
-One ordered elimination of the bilinear form B tells the two apart: its
-pivots give the signature and whether B is singular, and its inverse the
-fixed vectors.
+Every diagram here is linear, so the ring matrix 4B of the bilinear form
+is tridiagonal, and its principal minors follow a continuant recurrence
+in ring arithmetic.  The signs of the leading minors tell the two kinds
+apart: they give the signature, and a zero determinant marks an affine
+system.  The fixed vectors are columns of the adjugate of 4B, a product
+of leading and trailing minors, made primitive by an exact division.
 The reflection exchanging two cells of a hyperbolic system is formed in
 closed form from their fixed vectors, and so is the central symmetry of
 a cell, which swaps each of its faces with the opposite one.
@@ -40,8 +43,7 @@ import math
 from functools import lru_cache, total_ordering
 
 from gridforge.field import (
-    QF, RONE, RZERO, cos_pi, qf_from_ring, radd, ring_from_qf, ring_key,
-    rmul, rneg, rscale, rsub,
+    RONE, RZERO, radd, rcofactor, ring_key, rmul, rneg, rscale, rsign, rsub,
 )
 
 SYSTEM_LABELS = {
@@ -52,7 +54,15 @@ SYSTEM_LABELS = {
     "{4,3,3,5}": (4, 3, 3, 5),
 }
 
-_TWO_COS_RING = {2: RZERO, 3: RONE, 4: (0, 1, 0, 0), 5: (0, 0, 1, 0)}
+# 2 cos(pi/m) = n * unit as (unit index, n): the unit 1, sqrt2 or phi,
+# by its index in the ring basis (1, sqrt2, phi, sqrt2*phi).  m = 1 is the
+# diagonal of a Coxeter matrix and m = 2 a pair of commuting generators.
+_TWO_COS = {1: (0, -2), 2: (0, 0), 3: (0, 1), 4: (1, 1), 5: (2, 1)}
+
+
+def _unit(u, n):
+    """n times the basis element of index u, as a ring element."""
+    return tuple(n if t == u else 0 for t in range(4))
 
 
 def _dot(row, col):
@@ -96,55 +106,31 @@ def matrix_key(m):
     return tuple(ring_key(e) for row in m for e in row)
 
 
-def _eliminate(m):
-    """Ordered Gauss-Jordan elimination of a symmetric QF matrix.
-
-    Rows are never swapped, so pivot k is the ratio of the leading
-    principal minors of orders k + 1 and k: the pivot signs give the
-    signature, and a zero last pivot means m is singular.  Returns
-    (pivots, inverse), the inverse being None in that singular case; a
-    zero pivot before the last one raises.  Each pivot is inverted once
-    and zero entries are skipped.
-    """
-    n = len(m)
-    a = [list(row) + [QF(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    pivots, inverses = [], []
-    for col in range(n):
-        pivots.append(a[col][col])
-        if not pivots[-1]:
-            if col < n - 1:
-                raise AssertionError("unexpected zero leading minor")
-            return pivots, None
-        inverses.append(pivots[-1].inverse())
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inverses[col]
-                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[col])]
-    for col in reversed(range(n)):
-        a[col] = [x * inverses[col] for x in a[col]]
-        for r in range(col):
-            if a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[col])]
-    return pivots, [row[n:] for row in a]
+def _leading_minors(t):
+    """Leading principal minors theta_0 = 1, theta_1, ..., theta_n of a
+    symmetric tridiagonal ring matrix t, by the continuant recurrence
+    theta_k = t[k-1][k-1] theta_{k-1} - t[k-2][k-1]^2 theta_{k-2}."""
+    minors = [RONE, t[0][0]]
+    for k in range(1, len(t)):
+        b = t[k - 1][k]
+        minors.append(rsub(rmul(t[k][k], minors[k]),
+                           rmul(rmul(b, b), minors[k - 1])))
+    return minors
 
 
-def _unit_terms(row):
-    """(k, u, n) for each nonzero entry row[k] = n * (1, sqrt2, phi)[u]."""
-    terms = []
-    for k, e in enumerate(row):
-        units = [u for u, t in enumerate(e) if t]
-        if units:
-            if len(units) > 1 or units[0] > 2:
-                raise AssertionError(f"form entry {e} is not an integer "
-                                     "times 1, sqrt2 or phi")
-            terms.append((k, units[0], e[units[0]]))
-    return tuple(terms)
+def _pivot_signs(minors):
+    """Signs of the pivots theta_{k+1} / theta_k of an elimination without
+    row swaps, from the leading minors theta_0..theta_n.  Their counts
+    give the signature, and a zero last pivot means the matrix is
+    singular; a zero minor before the last raises."""
+    signs = [rsign(t) for t in minors]
+    if 0 in signs[:-1]:
+        raise AssertionError("unexpected zero leading minor")
+    return [a * b for a, b in zip(signs, signs[1:])]
 
 
 def _form_image(terms, col):
-    """4B col, from the _unit_terms of the rows of 4B: each term scales
+    """4B col, from the _form_terms of the rows of 4B: each term scales
     one entry by an integer and a unit, with no general ring product."""
     out = []
     for row in terms:
@@ -206,48 +192,40 @@ class CoxeterSystem:
                 return labels[min(i, j)]
             return 2
 
-        self.bilinear = tuple(
-            tuple(-cos_pi(m_of(i, j)) for j in range(rank)) for i in range(rank))
-        # 4B has all entries in the integer ring, enabling exact
-        # B-preservation checks on ring matrices
-        self.bilinear4 = tuple(
-            tuple(ring_from_qf(4 * self.bilinear[i][j]) for j in range(rank))
-            for i in range(rank))
-        # each nonzero entry of 4B is n * 1, n * sqrt2 or n * phi: per row,
-        # (column, unit index, n) for preserves_form
-        self._form_terms = tuple(_unit_terms(row) for row in self.bilinear4)
-
+        two_cos = [[_TWO_COS[m_of(i, k)] for k in range(rank)]
+                   for i in range(rank)]
+        # 4B = -4 cos(pi/m_ik) has all entries in the integer ring, enabling
+        # exact B-preservation checks on ring matrices; per row, each
+        # nonzero entry as (column, unit index, integer factor)
+        self.bilinear4 = b4 = tuple(
+            tuple(_unit(u, -2 * n) for u, n in row) for row in two_cos)
+        self._form_terms = tuple(
+            tuple((k, u, -2 * n) for k, (u, n) in enumerate(row) if n)
+            for row in two_cos)
+        # s_i e_k = e_k + 2 cos(pi/m_ik) e_i: row i of the identity moves
+        ident = _identity(rank)
         gens = []
         for i in range(rank):
-            rows = []
-            for j in range(rank):
-                if j != i:
-                    rows.append(tuple(RONE if k == j else RZERO
-                                      for k in range(rank)))
-                else:
-                    row = []
-                    for k in range(rank):
-                        if k == i:
-                            row.append((-1, 0, 0, 0))
-                        else:
-                            row.append(_TWO_COS_RING[m_of(i, k)])
-                    rows.append(tuple(row))
-            gens.append(tuple(rows))
+            row = map(radd, ident[i], (_unit(u, n) for u, n in two_cos[i]))
+            gens.append(ident[:i] + (tuple(row),) + ident[i + 1:])
         self.generators = tuple(gens)
 
         self._verify(m_of)
-        pivots, inverse = _eliminate(self.bilinear)
-        self.affine = inverse is None
+        # the diagram is linear, so 4B is tridiagonal
+        lead = _leading_minors(b4)
+        pivots = _pivot_signs(lead)
+        self.affine = pivots[-1] == 0
         if self.affine:
             # a Euclidean system has lattice cells, not cosets
             self.fixed_vectors = self.corner_turns = None
             return
-        signs = [p.sign() for p in pivots]
-        sig = (signs.count(1), signs.count(-1))
+        sig = (pivots.count(1), pivots.count(-1))
         if sig != (rank - 1, 1):
             raise AssertionError(f"{name}: expected signature "
                                  f"({rank - 1}, 1), got {sig}")
-        self.fixed_vectors = x = tuple(self._fixed_vector(inverse, i)
+        # the trailing minors, of the rows k.., are those of 4B reversed
+        trail = _leading_minors(tuple(row[::-1] for row in b4[::-1]))[::-1]
+        self.fixed_vectors = x = tuple(self._fixed_vector(lead, trail, i)
                                        for i in range(rank))
         # q = s_0 s_1 turns the base square a quarter: the corners of a
         # square w P_2 are the vertices w q^k P_0 (see square_vertex_cycle).
@@ -256,7 +234,7 @@ class CoxeterSystem:
         # checked here: d_k is zero past the coordinates 0 and 1, and
         # opposite offsets cancel (x_0 + q^2 x_0 = q x_0 + q^3 x_0 = 2 x_2).
         quarter = _mat_mul(gens[0], gens[1])
-        turns = [_identity(rank), quarter]
+        turns = [ident, quarter]
         for _ in range(2):
             turns.append(_mat_mul(turns[-1], quarter))
         offsets = [tuple(map(rsub, _mat_vec(q, x[0]), x[2])) for q in turns]
@@ -291,27 +269,35 @@ class CoxeterSystem:
                     raise AssertionError(
                         f"(s{i} s{j}) has order {order}, expected {m}")
 
-    def _fixed_vector(self, inverse, i):
+    def _fixed_vector(self, lead, trail, i):
         """Primitive ring vector spanning the intersection of the kernels
         of B(e_j, .) for j != i; its stabiliser in W is exactly P_i.
 
-        Column i of `inverse` = B^-1 spans that line, since B B^-1 = I;
-        it is scaled to end in 1 before the integer steps.
+        Column i of adj(4B) spans that line, since 4B adj(4B) = det(4B) I.
+        With lo, hi = min(i, j), max(i, j), its entry j is lead[lo] *
+        trail[hi + 1] times -4B[t][t + 1] for lo <= t < hi, lead and trail
+        being the leading minors and those of the rows k.. (Usmani, Linear
+        Algebra Appl. 212/213, 1994, for a tridiagonal matrix).  Times the
+        other conjugates of its last entry, the column is a rational
+        multiple of the column scaled to end in 1; divided by the gcd of
+        its coordinates it is primitive, which fixes it up to sign.
         """
-        n = self.rank
-        last = inverse[-1][i].inverse()
-        x = [row[i] * last for row in inverse]
-        # clear denominators, making every entry a ring integer
-        denom = math.lcm(*(c.denominator for v in x
-                           for c in (v.a, v.b, v.c, v.d)))
-        vec = [ring_from_qf(QF(2 * denom) * v) for v in x]
+        b4 = self.bilinear4
+        col = []
+        for j in range(self.rank):
+            lo, hi = sorted((i, j))
+            e = rmul(lead[lo], trail[hi + 1])
+            for t in range(lo, hi):
+                e = rmul(e, rneg(b4[t][t + 1]))
+            col.append(e)
+        m = rcofactor(col[-1])
+        vec = [rmul(e, m) for e in col]
         g = math.gcd(*(t for e in vec for t in e))
         vec = tuple(tuple(t // g for t in e) for e in vec)
-        pairing = sum((self.bilinear[i][k] * qf_from_ring(vec[k])
-                       for k in range(n)), QF(0))
+        pairing = rsign(_dot(b4[i], vec))
         if not pairing:
             raise AssertionError("fixed vector degenerate against its wall")
-        if pairing.sign() < 0:
+        if pairing < 0:
             vec = tuple(rneg(e) for e in vec)
         return vec
 
@@ -575,9 +561,8 @@ def _signed_reflection(system, d, sign):
     ValueError if one is not.
     """
     u = _mat_vec(system.bilinear4, d)
-    n = p, q, r, s = _dot(d, u)
-    m = rmul(rmul((p, -q, r, -s), (p + r, q + s, -r, -s)),
-             (p + r, -q - s, -r, s))
+    n = _dot(d, u)
+    m = rcofactor(n)
     k = rmul(n, m)[0]
     scale = rscale(-2 * sign, m)
     num = [[rmul(sx, y) for y in u] for sx in (rmul(scale, x) for x in d)]

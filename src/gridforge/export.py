@@ -6,10 +6,12 @@ model: the bilinear form has signature (n, 1), so an orthogonal
 eigenbasis splits into n spacelike directions and one timelike one, and a
 vertex ray v maps to the point with coordinates B(v, s_i) / -B(v, t).
 That keeps straight honeycomb edges straight at the cost of metric
-distortion near the ball's rim.  A vertex's ring coordinates become
-floats through field.ring_float, bit for bit the floats of the exact
-field elements, and each vertex is projected on its own: one batched
-product rounds differently and would change the written digits.
+distortion near the ball's rim.  The frame comes from the form's ring
+matrix 4B (CoxeterSystem.bilinear4), each entry a float through
+field.ring_float and divided by 4, which is exact.  A vertex's ring
+coordinates become floats the same way, bit for bit the floats of the
+exact field elements, and each vertex is projected on its own: one
+batched product rounds differently and would change the written digits.
 
 A coset square's corners start where its representative puts them
 (coxeter.square_vertex_cycle), so to_off and to_obj of a complex built
@@ -31,7 +33,8 @@ from gridforge.field import ring_float
 def _klein_frame(system):
     import numpy as np
 
-    b = np.array([[float(x) for x in row] for row in system.bilinear])
+    b = np.array([[ring_float(e) / 4 for e in row]
+                  for row in system.bilinear4])
     vals, vecs = np.linalg.eigh(b)
     timelike = vecs[:, 0] / np.sqrt(-vals[0])
     spacelike = [vecs[:, i] / np.sqrt(vals[i]) for i in range(1, len(vals))]

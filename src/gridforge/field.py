@@ -1,16 +1,17 @@
-"""Exact arithmetic in the real field Q(sqrt2, sqrt5).
+"""Exact arithmetic in the ring Z[sqrt2, phi], with a field reference.
 
-All reflection-group computations in this package stay inside the number
-field generated by sqrt(2) and sqrt(5), because the only cosines that ever
-appear are cos(pi/m) for m in {1, 2, 3, 4, 5}.  Elements are stored with
-rational coefficients over the basis (1, sqrt2, sqrt5, sqrt10), which keeps
-equality tests and inverses exact.
+All reflection-group computations in this package stay inside the subring
+Z[sqrt2, phi] of the real field Q(sqrt2, sqrt5), phi = (1 + sqrt5)/2,
+because the only cosines that ever appear are cos(pi/m) for m in
+{1, 2, 3, 4, 5}, and 2 cos(pi/m) is -2, 0, 1, sqrt2 or phi.
+Elements are plain integer 4-tuples over the basis (1, sqrt2, phi,
+sqrt2*phi): products never leave machine integers, rsign decides a sign
+and rcofactor turns an exact division into one by the integer norm.
 
-A second, leaner representation is used for group elements themselves: the
-subring Z[sqrt2, phi] with phi = (1 + sqrt5)/2, written over the basis
-(1, sqrt2, phi, sqrt2*phi) with plain integer coordinates.  Reflection
-matrices for the systems handled here have all entries in that subring, so
-matrix products never leave machine integers.
+QF, an element of the field with rational coefficients over (1, sqrt2,
+sqrt5, sqrt10) and an interval-Newton sign, is not used by the library.
+It is the reference the tests check the ring against, through
+qf_from_ring; ring_float is its float, bit for bit.
 """
 
 from __future__ import annotations
@@ -184,27 +185,6 @@ def _imul(coeff, lo, hi, want_hi):
     return coeff * (lo if want_hi else hi)
 
 
-SQRT2 = QF(0, 1)
-SQRT5 = QF(0, 0, 1)
-PHI = QF(Fraction(1, 2), 0, Fraction(1, 2))
-
-_COS_PI = {
-    1: QF(-1),
-    2: QF(0),
-    3: QF(Fraction(1, 2)),
-    4: QF(0, Fraction(1, 2)),
-    5: QF(Fraction(1, 4), 0, Fraction(1, 4)),
-}
-
-
-def cos_pi(m):
-    """cos(pi/m) as an exact QF, for m in {1, 2, 3, 4, 5}."""
-    try:
-        return _COS_PI[m]
-    except KeyError:
-        raise ValueError(f"cos(pi/{m}) is outside Q(sqrt2, sqrt5)") from None
-
-
 # ---------------------------------------------------------------------------
 # Integer subring Z[sqrt2, phi], basis (1, sqrt2, phi, sqrt2*phi).
 #
@@ -243,6 +223,41 @@ def rscale(k, x):
     return (k * x[0], k * x[1], k * x[2], k * x[3])
 
 
+def rcofactor(x):
+    """The product of the other three Galois conjugates of x, so that
+    rmul(x, rcofactor(x)) is the integer norm of x, (n, 0, 0, 0).
+
+    The conjugates send sqrt2 to -sqrt2, phi to 1 - phi, or both.
+    """
+    p, q, r, s = x
+    return rmul(rmul((p, -q, r, -s), (p + r, q + s, -r, -s)),
+                (p + r, -q - s, -r, s))
+
+
+def _sign_sqrt2(a, b):
+    """Sign of a + b*sqrt2 for integers a and b."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa * ((a * a > 2 * b * b) - (a * a < 2 * b * b))
+
+
+def rsign(x):
+    """Exact sign of x: -1, 0 or +1, in integer arithmetic.
+
+    2x = A + B sqrt5 with A = (2p + r) + (2q + s) sqrt2 and B = r + s sqrt2
+    in Z[sqrt2].  When A and B have opposite signs, 2x has the sign of A
+    times that of A^2 - 5 B^2, again an element of Z[sqrt2].
+    """
+    p, q, r, s = x
+    a, b = 2 * p + r, 2 * q + s
+    sa, sb = _sign_sqrt2(a, b), _sign_sqrt2(r, s)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa * _sign_sqrt2(a * a + 2 * b * b - 5 * (r * r + 2 * s * s),
+                            2 * a * b - 10 * r * s)
+
+
 def ring_key(x):
     """Lexicographic key matching the (a, b, c, d) coefficient order of QF.
 
@@ -269,15 +284,3 @@ def ring_float(x):
     p, q, r, s = x
     return (2 * p + r) / 2 + (2 * q + s) / 2 * _S2 + r / 2 * _S5 \
         + s / 2 * _S2 * _S5
-
-
-def ring_from_qf(v):
-    """Convert a QF to ring coordinates; raises if it is not in the subring."""
-    r = 2 * v.c
-    s = 2 * v.d
-    p = v.a - v.c
-    q = v.b - v.d
-    for t in (p, q, r, s):
-        if t.denominator != 1:
-            raise ValueError(f"{v!r} is not in Z[sqrt2, phi]")
-    return (int(p), int(q), int(r), int(s))

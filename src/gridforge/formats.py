@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 
 from gridforge.coxeter import CosetKey, build_system, preserves_form
-from gridforge.lattice import GriddedComplex, is_lattice_ambient
+from gridforge.lattice import GriddedComplex, _all_ints, is_lattice_ambient
 from gridforge.surface import AbstractSquareComplex, _cycle_key
 
 
@@ -134,15 +134,6 @@ def _distinct(items, message):
         if i != j:
             raise ValueError(message.format(i=i, j=j, x=x))
     return frozenset(first)
-
-
-_INT = frozenset([int])
-
-
-def _all_ints(items):
-    """Whether every item is an int proper: JSON true and false load as
-    bools, which isinstance(x, int) would let through."""
-    return _INT.issuperset(map(type, items))
 
 
 def _load_lattice_squares(raw):

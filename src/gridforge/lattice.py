@@ -24,6 +24,16 @@ from dataclasses import dataclass, field
 from gridforge.coxeter import CosetKey, build_system, cell_faces
 
 
+_INT = frozenset([int])
+
+
+def _all_ints(items):
+    """Whether every item is an int proper, of type int: a float, even
+    1.0, is not, and nor are JSON true and false, which load as bools
+    and which isinstance(x, int) would let through."""
+    return _INT.issuperset(map(type, items))
+
+
 def cell_dim(key):
     """Dimension of the cell with the given doubled-coordinate key."""
     return sum(1 for x in key if x % 2)
@@ -204,7 +214,10 @@ class GriddedComplex:
         if is_lattice_ambient(self.ambient):
             n = ambient_dim(self.ambient)
             for s in self.squares:
-                if len(s) != n or cell_dim(s) != 2:
+                # the parities of the coordinates that pass the test of
+                # _all_ints, in the one pass a large complex can afford
+                odd = [x & 1 for x in s if type(x) is int]
+                if len(s) != n or len(odd) != n or sum(odd) != 2:
                     raise ValueError(f"not a square of {self.ambient}: {s}")
             return
         system = build_system(self.ambient)  # rejects an unknown ambient

@@ -9,12 +9,13 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from math import comb
+from fractions import Fraction
+from math import comb, gcd, lcm
 
 from gridforge.coxeter import (
     CosetKey, _identity, _mat_mul, cell_faces, enumerate_parabolic, neighbor,
 )
-from gridforge.field import QF, qf_from_ring, ring_from_qf
+from gridforge.field import QF, qf_from_ring
 
 # Lines appended by the acceptance tests; conftest echoes them after the run.
 ACCEPTANCE_LINES = []
@@ -272,8 +273,115 @@ def hypercube_graph_distance(a, b, limit):
     return None
 
 
+SQRT2 = QF(0, 1)
+SQRT5 = QF(0, 0, 1)
+PHI = QF(Fraction(1, 2), 0, Fraction(1, 2))
+
+_COS_PI = {
+    1: QF(-1),
+    2: QF(0),
+    3: QF(Fraction(1, 2)),
+    4: QF(0, Fraction(1, 2)),
+    5: QF(Fraction(1, 4), 0, Fraction(1, 4)),
+}
+
+
+def cos_pi(m):
+    """cos(pi/m) as an exact QF, for m in {1, 2, 3, 4, 5}."""
+    try:
+        return _COS_PI[m]
+    except KeyError:
+        raise ValueError(f"cos(pi/{m}) is outside Q(sqrt2, sqrt5)") from None
+
+
+def ring_from_qf(v):
+    """Convert a QF to ring coordinates; raises if it is not in the subring."""
+    r = 2 * v.c
+    s = 2 * v.d
+    p = v.a - v.c
+    q = v.b - v.d
+    for t in (p, q, r, s):
+        if t.denominator != 1:
+            raise ValueError(f"{v!r} is not in Z[sqrt2, phi]")
+    return (int(p), int(q), int(r), int(s))
+
+
 def qf_matrix(m):
     return [[qf_from_ring(e) for e in row] for row in m]
+
+
+def eliminate(m):
+    """Ordered Gauss-Jordan elimination of a symmetric QF matrix.
+
+    Rows are never swapped, so pivot k is the ratio of the leading
+    principal minors of orders k + 1 and k: the pivot signs give the
+    signature, and a zero last pivot means m is singular.  Returns
+    (pivots, inverse), the inverse being None in that singular case; a
+    zero pivot before the last one raises.
+    """
+    n = len(m)
+    a = [list(row) + [QF(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    pivots, inverses = [], []
+    for col in range(n):
+        pivots.append(a[col][col])
+        if not pivots[-1]:
+            if col < n - 1:
+                raise AssertionError("unexpected zero leading minor")
+            return pivots, None
+        inverses.append(pivots[-1].inverse())
+        for r in range(col + 1, n):
+            if a[r][col]:
+                f = a[r][col] * inverses[col]
+                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[col])]
+    for col in reversed(range(n)):
+        a[col] = [x * inverses[col] for x in a[col]]
+        for r in range(col):
+            if a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[col])]
+    return pivots, [row[n:] for row in a]
+
+
+def qf_form(system):
+    """The bilinear form B_ij = -cos(pi/m_ij) of a linear diagram, from
+    its labels: m_ii = 1, m = the label between neighbours, else 2."""
+    labels = system.labels
+
+    def m_of(i, j):
+        if i == j:
+            return 1
+        return labels[min(i, j)] if abs(i - j) == 1 else 2
+
+    return [[-cos_pi(m_of(i, j)) for j in range(system.rank)]
+            for i in range(system.rank)]
+
+
+def qf_fixed_vectors(system):
+    """The fixed vectors of a hyperbolic system from the columns of B^-1.
+
+    Column i of the inverse spans the line fixed by P_i.  It is scaled to
+    end in 1, its denominators are cleared and its coordinates divided by
+    their gcd, and its sign makes B(e_i, x_i) positive.
+    """
+    form = qf_form(system)
+    inverse = qf_mat_inverse(form)
+    out = []
+    for i in range(system.rank):
+        last = inverse[-1][i].inverse()
+        x = [row[i] * last for row in inverse]
+        denom = lcm(*(c.denominator for v in x
+                           for c in (v.a, v.b, v.c, v.d)))
+        vec = [ring_from_qf(QF(2 * denom) * v) for v in x]
+        g = gcd(*(t for e in vec for t in e))
+        vec = tuple(tuple(t // g for t in e) for e in vec)
+        pairing = sum((form[i][k] * qf_from_ring(vec[k])
+                       for k in range(system.rank)), QF(0))
+        assert pairing
+        if pairing.sign() < 0:
+            vec = tuple(tuple(-t for t in e) for e in vec)
+        out.append(vec)
+    return tuple(out)
 
 
 def qf_mat_inverse(m):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    coface_count, mat_inverse, opposite_face_search, random_cells,
-    random_word, stabilizer,
+    coface_count, eliminate, mat_inverse, opposite_face_search,
+    qf_fixed_vectors, qf_form, qf_matrix, random_cells, random_word,
+    stabilizer,
 )
 from gridforge import coxeter
 from gridforge.coxeter import (
@@ -17,9 +18,12 @@ from gridforge.coxeter import (
     enumerate_parabolic, identity_cell, incidence_counts, matrix_key,
     neighbor, parabolic_order, preserves_form, reflection,
     square_vertex_cycle, transform,
-    _eliminate, _identity, _mat_mul, _mat_vec, _transversal,
+    _identity, _leading_minors, _mat_mul, _mat_vec, _pivot_signs,
+    _transversal,
 )
-from gridforge.field import QF, RZERO, radd, ring_key, rmul, rscale, rsub
+from gridforge.field import (
+    QF, RZERO, qf_from_ring, radd, ring_key, rmul, rscale, rsub,
+)
 from gridforge.formats import (
     complex_to_jsonable, dumps_complex, jsonable_to_complex,
 )
@@ -322,10 +326,11 @@ def test_reflection_is_the_stabilizer_element_swapping_two_faces():
 def test_elimination_of_hyperbolic_forms():
     for name in ("{4,3,5}", "{4,3,3,5}"):
         s = build_system(name)
-        pivots, inverse = _eliminate(s.bilinear)
+        form = qf_matrix(s.bilinear4)
+        pivots, inverse = eliminate(form)
         signs = [p.sign() for p in pivots]
         assert (signs.count(1), signs.count(-1)) == (s.rank - 1, 1)
-        product = [[sum((inverse[i][k] * s.bilinear[k][j]
+        product = [[sum((inverse[i][k] * form[k][j]
                          for k in range(s.rank)), QF(0))
                     for j in range(s.rank)] for i in range(s.rank)]
         assert product == [[QF(int(i == j)) for j in range(s.rank)]
@@ -334,9 +339,39 @@ def test_elimination_of_hyperbolic_forms():
 
 def test_elimination_of_affine_forms():
     for name in ("{4,4}", "{4,3,4}", "{4,3,3,4}"):
-        pivots, inverse = _eliminate(build_system(name).bilinear)
+        pivots, inverse = eliminate(qf_matrix(build_system(name).bilinear4))
         assert not pivots[-1] and all(p.sign() > 0 for p in pivots[:-1])
         assert inverse is None
+
+
+def test_bilinear4_is_four_times_the_form_of_the_labels():
+    for name in ALL_SYSTEMS:
+        s = build_system(name)
+        assert qf_matrix(s.bilinear4) == [[4 * x for x in row]
+                                          for row in qf_form(s)]
+
+
+def test_continuant_minors_match_the_elimination_oracle():
+    # the ring set-up's leading minors are the products of the oracle's
+    # pivots; their signs give the same signature and affine flag
+    for name in ALL_SYSTEMS:
+        s = coxeter.CoxeterSystem(name)
+        pivots, inverse = eliminate(qf_matrix(s.bilinear4))
+        minors = _leading_minors(s.bilinear4)
+        product = QF(1)
+        for k, p in enumerate(pivots):
+            product = product * p
+            assert qf_from_ring(minors[k + 1]) == product
+        assert _pivot_signs(minors) == [p.sign() for p in pivots]
+        assert s.affine == (inverse is None)
+    with pytest.raises(AssertionError, match="zero leading minor"):
+        _pivot_signs([(1, 0, 0, 0), RZERO, (1, 0, 0, 0)])
+
+
+def test_fixed_vectors_match_the_inverse_oracle():
+    for name in HYPERBOLIC:
+        s = coxeter.CoxeterSystem(name)
+        assert s.fixed_vectors == qf_fixed_vectors(s)
 
 
 def test_square_vertex_cycle_is_canonical():
@@ -664,8 +699,9 @@ def test_proper_subdiagrams_are_spherical():
         s = build_system(name)
         for size in range(1, s.rank):
             for sub in itertools.combinations(range(s.rank), size):
-                form = [[s.bilinear[i][j] for j in sub] for i in sub]
-                pivots, _ = _eliminate(form)
+                form = qf_matrix([[s.bilinear4[i][j] for j in sub]
+                                  for i in sub])
+                pivots, _ = eliminate(form)
                 assert all(p.sign() > 0 for p in pivots), (name, sub)
 
 

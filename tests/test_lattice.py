@@ -207,6 +207,16 @@ def test_gridded_complex_checks_squares():
         GriddedComplex("Z2", {(1, 1, 0)})
 
 
+@pytest.mark.parametrize("key", [(1.5, 1, 0), (1.0, 1.0, 0.0),
+                                 (True, True, 0), (1, 1, False)])
+def test_gridded_complex_rejects_non_integer_keys(key):
+    # 1.5 % 2 is odd to cell_dim, and a float or bool key would reach the
+    # integer cell codes of the read path
+    with pytest.raises(ValueError, match=re.escape(
+            f"not a square of Z3: {key}")):
+        GriddedComplex("Z3", {(1, 3, 0), key})
+
+
 def test_gridded_complex_rejects_unknown_ambient():
     with pytest.raises(ValueError, match="unknown system 'nonsense'"):
         GriddedComplex("nonsense", {(1, 1, 0)})
