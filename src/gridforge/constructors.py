@@ -1,7 +1,7 @@
 """Catalogue of gridded surfaces in the cubical lattices Z^2, Z^3, Z^4.
 
 The basic closed pieces are a cube-boundary sphere, a 32-square torus
-(boundary of a 3x3x1 block of cubes with the middle cube removed) and a
+(the boundary of 8 cubes: a 3x3x1 block less its middle cube) and a
 30-square projective plane that needs a fourth coordinate to embed.  Larger
 genus and crosscap numbers come from chaining copies with the gridded
 connected sum.  The spiral-tree family thickens a plane binary tree into a
@@ -10,10 +10,11 @@ sphere whose shape supports pruning and decorating operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 from gridforge import lattice
-from gridforge.lattice import GriddedComplex, cube_union_boundary, translate
+from gridforge.lattice import GriddedComplex, cube_union_boundary
 from gridforge.surface import GridCollisionError, connected_sum_embedded
 
 
@@ -22,31 +23,11 @@ def sphere_cube():
     return GriddedComplex("Z3", lattice.faces((1, 1, 1), 2), meta={"kind": "sphere"})
 
 
-# Torus: boundary of a 3x3x1 block of cubes with the centre cube removed.
-# Doubled coordinates; the block occupies [0,6] x [0,6] x [0,2].
-FRAME_TORUS_SQUARES = (
-    # bottom z = 0 (the 3x3 cube footprint minus the middle)
-    (1, 1, 0), (3, 1, 0), (5, 1, 0),
-    (1, 3, 0), (5, 3, 0),
-    (1, 5, 0), (3, 5, 0), (5, 5, 0),
-    # top z = 2
-    (1, 1, 2), (3, 1, 2), (5, 1, 2),
-    (1, 3, 2), (5, 3, 2),
-    (1, 5, 2), (3, 5, 2), (5, 5, 2),
-    # outer walls normal to x
-    (0, 1, 1), (0, 3, 1), (0, 5, 1),
-    (6, 1, 1), (6, 3, 1), (6, 5, 1),
-    # outer walls normal to y
-    (1, 0, 1), (3, 0, 1), (5, 0, 1),
-    (1, 6, 1), (3, 6, 1), (5, 6, 1),
-    # walls of the middle hole
-    (2, 3, 1), (4, 3, 1), (3, 2, 1), (3, 4, 1),
-)
-
-
 def frame_torus():
-    """A 32-square torus: a square picture frame of cubes, hollow middle."""
-    return GriddedComplex("Z3", FRAME_TORUS_SQUARES, meta={"kind": "torus"})
+    """A 32-square torus: a square picture frame of 8 cubes, hollow middle."""
+    block = {(x, y, 1) for x in (1, 3, 5) for y in (1, 3, 5)}
+    frame = cube_union_boundary(block - {(3, 3, 1)})
+    return GriddedComplex("Z3", frame, meta={"kind": "torus"})
 
 
 # Projective plane: 30 squares in Z^4.  The first 24 lie in the w = 0
@@ -250,10 +231,7 @@ def _prune(segments, count):
     """Remove `count` outermost leaf branches, each back to its junction."""
     segments = set(segments)
     for _ in range(count):
-        degree = {}
-        for s in segments:
-            for v in s:
-                degree[v] = degree.get(v, 0) + 1
+        degree = Counter(v for s in segments for v in s)
         leaves = [v for v, d in degree.items() if d == 1 and v != (0, 0)]
         if not leaves:
             segments.clear()
@@ -288,7 +266,7 @@ def _embed_complex(c, ambient):
 def _attach_above(acc, piece, near, open_end):
     """Sum a closed piece onto the slab top near a point, lowest key first.
 
-    With open_end the far extreme square of the attached piece is removed
+    With open_end the greatest square of the attached piece is removed
     afterwards, leaving one boundary circle.  Candidates that would overlap
     existing geometry are skipped.
     """
@@ -304,10 +282,8 @@ def _attach_above(acc, piece, near, open_end):
             last = e
             continue
         if open_end:
-            shift = tuple(fa[i] + (2 if i == axis else 0) - fb[i]
-                          for i in range(len(fa)))
-            moved = translate(piece.squares, shift)
-            lid = max(s for s in moved if s in out.squares)
+            # the tube's sides sort below the piece squares by the far face
+            lid = max(out.squares - acc.squares)
             out = GriddedComplex(out.ambient, out.squares - {lid},
                                  meta=out.meta)
         return out
@@ -334,10 +310,7 @@ def prune_and_decorate(base, prune=0, handles=0, crosscaps=0, ends=()):
     squares = cube_union_boundary(_thicken(segments))
     acc = GriddedComplex("Z3", squares, meta={})
 
-    degree = {}
-    for s in segments:
-        for v in s:
-            degree[v] = degree.get(v, 0) + 1
+    degree = Counter(v for s in segments for v in s)
     stubs = sorted(v for v, d in degree.items() if d == 1) or [(0, 0)]
     stub_pts = [(2 * SCALE * x, 2 * SCALE * y) for x, y in stubs]
 

@@ -7,7 +7,9 @@ bookkeeping runs on coset cells instead of integer coordinates.  Walking
 face, the image of the entry face under the cube's central symmetry.  An
 "up" marker is carried into the next cube by the reflection in the wall
 the two cubes share.  In the 4-dimensional honeycomb the walk is handed
-from hypercube to hypercube through their shared wall.
+from hypercube to hypercube through their shared wall.  The {4,3,3,5}
+pants is the one-piece signature surface, and every {4,3,5} torus and
+higher genus surface starts from one ring of 12 cubes.
 """
 
 from __future__ import annotations
@@ -53,6 +55,19 @@ def hyperbolic_torus_435():
     source catalogue quotes 44 squares for this surface; the computed
     count is recorded next to the quoted one in the metadata.
     """
+    _, ring = _torus_ring_435()
+    squares = union_boundary(ring)
+    meta = {
+        "kind": "hyperbolic_torus",
+        "cube_count": len(ring),
+        "square_count": len(squares),
+        "catalogued_square_count": 44,
+    }
+    return GriddedComplex("{4,3,5}", squares, meta)
+
+
+def _torus_ring_435():
+    """The base cube of {4,3,5} and the 12 ring cubes around it."""
     system = build_system("{4,3,5}")
     base = identity_cell(system, 3)
     edges = _edge_parallel_class(base, identity_cell(system, 1))
@@ -66,14 +81,7 @@ def hyperbolic_torus_435():
         ring.update(c for c in fan if c != base)
     if len(ring) != 12:
         raise AssertionError(f"expected 12 ring cubes, got {len(ring)}")
-    squares = union_boundary(ring)
-    meta = {
-        "kind": "hyperbolic_torus",
-        "cube_count": len(ring),
-        "square_count": len(squares),
-        "catalogued_square_count": 44,
-    }
-    return GriddedComplex(system.name, squares, meta)
+    return base, ring
 
 
 def hyperbolic_pants_435():
@@ -91,14 +99,9 @@ def hyperbolic_pants_435():
     f_back = opposite_face(base, f_stem)
     f_arm = min(f for f in faces if f not in (f_stem, f_back))
     f_arm2 = opposite_face(base, f_arm)
-    stem = neighbor(base, f_stem)
-    arms = (neighbor(base, f_arm), neighbor(base, f_arm2))
-    outer = (stem,) + arms
     shared = (f_stem, f_arm, f_arm2)
-    for i, a in enumerate(outer):
-        for j in range(i + 1, 3):
-            if set(cell_faces(a, 2)) & set(cell_faces(outer[j], 2)):
-                raise AssertionError("outer cubes must not share a square")
+    outer = tuple(neighbor(base, f) for f in shared)
+    # 24 cube faces less 2 per shared square: only the 3 joints are shared
     sphere = union_boundary((base,) + outer)
     if len(sphere) != 18:
         raise AssertionError(f"expected an 18-square sphere, got {len(sphere)}")
@@ -223,20 +226,18 @@ def closed_orientable_435(genus):
         cube = identity_cell(system, 3)
         return GriddedComplex(system.name, union_boundary([cube]),
                               {"kind": "closed_orientable", "genus": 0})
-    base = hyperbolic_torus_435()
+    base, ring = _torus_ring_435()
+    torus = union_boundary(ring)
     if genus == 1:
-        return GriddedComplex(system.name, base.squares,
+        return GriddedComplex(system.name, torus,
                               {"kind": "closed_orientable", "genus": 1})
 
     # the 12 ring cubes plus the enclosed base cube; squares facing any of
     # them are useless attachment sites, so a blocked tube is skipped early
-    blocked = set()
-    for e in _edge_parallel_class(identity_cell(system, 3),
-                                  identity_cell(system, 1)):
-        blocked.update(cell_faces(e, 3))
+    blocked = ring | {base}
     # the surface so far, and the latest torus copy: its squares, the one
     # square already spent as its entry hole, and the cubes it bounds
-    surface = copy = base.squares
+    surface = copy = torus
     hole = None
     copy_solid = set(blocked)
     tube_lengths = []
@@ -352,18 +353,12 @@ def pants_4335():
 
     The row's union bounds a 14-square sphere; removing the two far end
     squares and the least side square of the middle cube leaves a pair of
-    pants with one boundary circle per removed square.
+    pants with one boundary circle per removed square.  These are the
+    squares of surface_4335(True, 0, 3), one pants piece.
     """
-    cubes, shared, _ = _cube_row_4335(3)
-    sphere = union_boundary(cubes)
-    if len(sphere) != 14:
-        raise AssertionError(f"expected a 14-square sphere, got {len(sphere)}")
-    far_a = opposite_face(cubes[0], shared[0])
-    far_b = opposite_face(cubes[2], shared[1])
-    side = min(f for f in cell_faces(cubes[1], 2) if f not in shared)
     meta = {"kind": "hyperbolic_pants_4d", "cube_count": 3,
             "boundary_circles": 3}
-    return GriddedComplex("{4,3,3,5}", sphere - {far_a, far_b, side}, meta)
+    return GriddedComplex("{4,3,3,5}", surface_4335(True, 0, 3).squares, meta)
 
 
 def crosscap_abstract_34():

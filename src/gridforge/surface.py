@@ -12,18 +12,18 @@ and the link of every vertex (the graph whose nodes are the edges at the
 vertex, with one arc per incident square) must be a single cycle or a
 single simple path.
 
-Validation, classification, the Euler characteristic and mesh export
-read one SquareIndex: dense int vertex ids, int squares, the edge ids of
-each square's sides and the number of squares on each edge.  A lattice
-complex builds it in one pass over int cell codes (lattice.cell_codes),
-where a square's corners and sides are its code plus or minus two
-weights, and marks the corners at each vertex in a bit mask that fixes
-the vertex's link up to renaming, so each distinct mask is checked
-once.  Other complexes build it from one square_cycles pass; on
-honeycomb complexes that pass costs ring-matrix products and exact coset
-keys, so each command pays for it once.  Classify validates on the
-index it builds, and orients the squares through their sides' edge ids,
-one tree of squares per component.
+Validation, classification, the Euler characteristic, mesh export,
+to_abstract and the embedded sum's vertex clash test read one SquareIndex:
+dense int vertex ids, int squares, the edge ids of each square's sides
+(one numbering, _edge_ids) and the number of squares on each edge.  A
+lattice complex builds it in one pass over int cell codes
+(lattice.cell_codes), where a square's corners are its code plus or minus
+two weights, and marks the corners at each vertex in a bit mask that
+fixes the vertex's link up to renaming, so each distinct mask is checked
+once.  Other complexes build it from one square_cycles pass, which on
+honeycomb complexes costs ring-matrix products and exact coset keys.
+Classify validates on the index it builds, and orients the squares
+through their sides' edge ids, one tree of squares per component.
 """
 
 from __future__ import annotations
@@ -192,18 +192,24 @@ def _cycle_index(cycles, declared=()):
     for new, v in enumerate(vertices):
         rank[first[v]] = new
     squares = [(rank[a], rank[b], rank[c], rank[d]) for a, b, c, d in raw]
-    ids = {}
-    number = ids.setdefault
-    square_edges = []
-    for a, b, c, d in squares:
-        square_edges += (number((a, b) if a < b else (b, a), len(ids)),
-                         number((b, c) if b < c else (c, b), len(ids)),
-                         number((c, d) if c < d else (d, c), len(ids)),
-                         number((d, a) if d < a else (a, d), len(ids)))
-    counts = [0] * len(ids)
-    for e in square_edges:
-        counts[e] += 1
-    return SquareIndex(vertices, squares, square_edges, counts)
+    return SquareIndex(vertices, squares, *_edge_ids(squares, len(vertices)))
+
+
+def _edge_ids(squares, n):
+    """The square_edges and edge_counts of id squares over n vertex ids:
+    side (a, b) with a < b is the int a * n + b, and edges are numbered
+    in order of first sight."""
+    sides = [e for a, b, c, d in squares
+             for e in (a * n + b if a < b else b * n + a,
+                       b * n + c if b < c else c * n + b,
+                       c * n + d if c < d else d * n + c,
+                       d * n + a if d < a else a * n + d)]
+    ids = Counter(sides)
+    counts = list(ids.values())
+    for i, e in enumerate(ids):
+        ids[e] = i
+    sides[:] = map(ids.__getitem__, sides)
+    return sides, counts
 
 
 def _lattice_index(keys):
@@ -211,9 +217,8 @@ def _lattice_index(keys):
 
     A square with code S whose odd coordinates have the weights u > v
     (lattice.cell_codes) has the corners S-u-v, S+u-v, S+u+v, S-u+v, in
-    the order of corners_cyclic.  Its sides 0 and 1 run from the lesser
-    corner to the greater, sides 2 and 3 from the greater to the lesser.
-    Vertex tuples are decoded once each, from the sorted corner codes.
+    the order of corners_cyclic.  Vertex tuples are decoded once each,
+    from the sorted corner codes.
     """
     if not keys:
         return SquareIndex([], [], [], [])
@@ -240,19 +245,11 @@ def _lattice_index(keys):
         for v, bit in zip(ids, bits):
             masks[v] |= bit << k
     squares = list(zip(*corners))
-    # edge (a, b) as the int a * n + b, numbered in order of first sight;
-    # the edge ids then take the place of the counts, and of the sides
-    sides = [e for a, b, c, d in squares
-             for e in (a * n + b, b * n + c, d * n + c, a * n + d)]
-    ids = Counter(sides)
-    counts = list(ids.values())
-    for i, e in enumerate(ids):
-        ids[e] = i
-    sides[:] = map(ids.__getitem__, sides)
-    return SquareIndex(decode(order), squares, sides, counts, masks)
+    return SquareIndex(decode(order), squares, *_edge_ids(squares, n), masks)
 
 
 def declared_vertices(obj):
+    """The set of vertices of a complex, read from its SquareIndex."""
     return set(square_index(obj).vertices)
 
 
@@ -606,8 +603,8 @@ def classify(obj):
 
 def to_abstract(gridded):
     """Forget the embedding, keeping the combinatorial gluing pattern."""
-    cycles = square_cycles(gridded)
-    return AbstractSquareComplex.from_squares(cycles, meta=dict(gridded.meta))
+    return AbstractSquareComplex.from_squares(square_index(gridded).cycles,
+                                              meta=dict(gridded.meta))
 
 
 def _relabelled(complex_, offset):
@@ -659,7 +656,8 @@ def connected_sum_embedded(a, face_a, b, face_b, axis=None):
     GridCollisionError if the translated copy of b touches a anywhere, or
     if a side face of Q is already occupied.
     """
-    if a.ambient != b.ambient or not is_lattice_ambient(a.ambient):
+    if (not isinstance(a, GriddedComplex) or not isinstance(b, GriddedComplex)
+            or a.ambient != b.ambient or not is_lattice_ambient(a.ambient)):
         raise ValueError("both complexes must live in the same lattice ambient")
     if face_a not in a.squares:
         raise ValueError(f"{face_a} is not a square of the first complex")
@@ -667,17 +665,19 @@ def connected_sum_embedded(a, face_a, b, face_b, axis=None):
         raise ValueError(f"{face_b} is not a square of the second complex")
     n = len(face_a)
     if axis is None:
-        axis = next(i for i, x in enumerate(face_a) if x % 2 == 0)
+        axis = next((i for i, x in enumerate(face_a) if x % 2 == 0), None)
+        if axis is None:
+            raise ValueError(f"{face_a} has no normal axis in {a.ambient}")
+    elif not 0 <= axis < n:
+        raise ValueError(f"axis {axis} is not one of 0..{n - 1}")
     if face_a[axis] % 2:
         raise ValueError(f"axis {axis} is tangent to {face_a}, not normal")
-    shift = tuple((face_a[i] + (2 if i == axis else 0)) - face_b[i] for i in range(n))
+    far = tuple(face_a[i] + (2 if i == axis else 0) for i in range(n))
+    shift = tuple(x - y for x, y in zip(far, face_b))
     if any(x % 2 for x in shift):
         raise ValueError("chosen squares are not parallel, cannot align them")
 
     moved = lattice.translate(b.squares, shift)
-    far = tuple(face_a[i] + (2 if i == axis else 0) for i in range(n))
-    if far not in moved:
-        raise AssertionError("translated far face missing")
 
     cube = tuple(face_a[i] + (1 if i == axis else 0) for i in range(n))
     sides = [f for f in lattice.faces(cube, 2) if f not in (face_a, far)]
@@ -685,9 +685,10 @@ def connected_sum_embedded(a, face_a, b, face_b, axis=None):
     rest_a = a.squares - {face_a}
     rest_b = moved - {far}
     clashes = sorted(rest_a & rest_b)
-    verts_a = {v for s in rest_a for v in corners_cyclic(s)} | set(corners_cyclic(face_a))
-    verts_b = {v for s in rest_b for v in corners_cyclic(s)} | set(corners_cyclic(far))
-    clashes += sorted(verts_a & verts_b)
+    # a vertex of the copy is one of a if a square of a lies around it
+    copy = GriddedComplex(a.ambient, moved)
+    clashes += sorted(v for v in declared_vertices(copy)
+                      if not a.squares.isdisjoint(lattice.cofaces(v, 2)))
     clashes += sorted(f for f in sides if f in a.squares or f in moved)
     if clashes:
         raise GridCollisionError(

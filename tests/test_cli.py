@@ -131,7 +131,13 @@ def test_sum_collision_exits_1(tmp_path):
     code, _, err = run(["sum", str(a), str(a), "--face-a", "1,1,2",
                         "--face-b", "1,1,2"])
     assert code == 1
-    assert "collision at" in err
+    # the sphere's copy sits on its top face: the 4 corners of that face
+    # and the 4 side faces of the connecting cube are shared
+    assert err.splitlines() == [
+        "error: translated complex collides with the base at 8 cells",
+        *(f"  collision at {cell}" for cell in (
+            (0, 0, 2), (0, 2, 2), (2, 0, 2), (2, 2, 2),
+            (0, 1, 3), (1, 0, 3), (1, 2, 3), (2, 1, 3)))]
 
 
 def test_sum_bad_face_exits_2(tmp_path):
@@ -140,6 +146,30 @@ def test_sum_bad_face_exits_2(tmp_path):
                         "--face-b", "1,1,0"])
     assert code == 2
     assert "not a square of the first complex" in err
+
+
+@pytest.mark.parametrize("first,extra,message", [
+    ("h4-crosscap", [],
+     "both complexes must live in the same lattice ambient"),
+    ("sphere", ["--axis", "7"], "axis 7 is not one of 0..2"),
+    ("sphere", ["--axis", "-1"], "axis -1 is not one of 0..2"),
+], ids=["abstract", "axis-7", "axis-minus-1"])
+def test_sum_bad_input_exits_2(tmp_path, first, extra, message):
+    a = build(tmp_path, first)
+    b = build(tmp_path, "sphere")
+    code, out, err = run(["sum", str(a), str(b), "--face-a", "1,1,2",
+                          "--face-b", "1,1,0", *extra])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_sum_in_z2_exits_2(tmp_path):
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({"format": "gridded", "ambient": "Z2",
+                                "squares": [[1, 1]]}))
+    code, out, err = run(["sum", str(path), str(path), "--face-a", "1,1",
+                          "--face-b", "1,1"])
+    assert (code, out, err) == (2, "", "error: (1, 1) has no normal axis "
+                                       "in Z2\n")
 
 
 def test_malformed_json_exits_2(tmp_path):

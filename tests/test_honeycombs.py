@@ -154,8 +154,12 @@ def test_cube_row_is_geodesic():
 
 
 def test_pants_4335():
+    # the row of 3 cubes bounds a 14-square sphere, less 3 holes
+    cubes, shared, _ = _cube_row_4335(3)
+    sphere = union_boundary(cubes)
+    assert len(sphere) == 14
     p = pants_4335()
-    assert len(p) == 11
+    assert len(p) == 11 and p.squares < sphere
     r = classify(p)
     assert r.class_name == "orientable genus 0, 3 boundary circles"
     assert r.euler_characteristic == -1

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     brute_boundary_circles, brute_counts, brute_surface_check,
@@ -190,6 +190,39 @@ def test_connected_sum_embedded_detects_collision():
     with pytest.raises(GridCollisionError) as info:
         connected_sum_embedded(a, (2, 3, 1), sphere_cube(), (0, 1, 1), axis=0)
     assert info.value.cells
+
+
+def test_connected_sum_embedded_rejects_bad_input():
+    a = sphere_cube()
+    with pytest.raises(ValueError, match="^both complexes must live in the "
+                       "same lattice ambient$"):
+        connected_sum_embedded(to_abstract(a), (1, 1, 2), a, (1, 1, 0))
+    with pytest.raises(ValueError, match="^both complexes must live"):
+        connected_sum_embedded(a, (1, 1, 2), to_abstract(a), (1, 1, 0))
+    z2 = GriddedComplex("Z2", {(1, 1)})
+    with pytest.raises(ValueError,
+                       match=r"^\(1, 1\) has no normal axis in Z2$"):
+        connected_sum_embedded(z2, (1, 1), z2, (1, 1))
+    for axis in (7, 3, -1):
+        with pytest.raises(ValueError,
+                           match=rf"^axis {axis} is not one of 0\.\.2$"):
+            connected_sum_embedded(a, (1, 1, 2), a, (1, 1, 0), axis=axis)
+
+
+def test_connected_sum_embedded_collision_cells_are_pinned():
+    a = sphere_cube()
+    with pytest.raises(GridCollisionError) as info:
+        connected_sum_embedded(a, (1, 1, 2), a, (1, 1, 2))
+    assert info.value.cells == (
+        (0, 0, 2), (0, 2, 2), (2, 0, 2), (2, 2, 2),
+        (0, 1, 3), (1, 0, 3), (1, 2, 3), (2, 1, 3))
+    # a bent row of cubes whose last cube comes back down beside the
+    # connecting cube and meets the base cube at one vertex only
+    b = GriddedComplex("Z3", cube_union_boundary(
+        [(1, 1, 1), (3, 1, 1), (3, 3, 1), (3, 3, -1)]))
+    with pytest.raises(GridCollisionError) as info:
+        connected_sum_embedded(a, (1, 1, 2), b, (1, 1, 0), axis=2)
+    assert info.value.cells == ((2, 2, 2),)
 
 
 def test_connected_sum_embedded_rejects_mismatched_squares():
@@ -489,6 +522,9 @@ def _check_lattice_index(g):
         assert getattr(index, name) == getattr(generic, name), name
     assert list(index.edges.items()) == list(generic.edges.items())
     abstract = AbstractSquareComplex.from_squares(cycles)
+    assert to_abstract(g) == abstract
+    assert surface.declared_vertices(g) == {
+        v for s in g.squares for v in lattice.corners_cyclic(s)}
     assert validate_surface(g).failures == validate_surface(abstract).failures
     assert _summary(classify(g)) == _summary(classify(abstract))
 
@@ -507,6 +543,44 @@ def test_lattice_index_equals_the_generic_index(g):
 ], ids=["edge-in-3", "cubes-at-a-vertex", "z2-pinch", "empty"])
 def test_lattice_index_fixed_cases(g):
     _check_lattice_index(g)
+
+
+@st.composite
+def z3_sums(draw):
+    """Two complexes of Z3 and the arguments of a connected sum of them."""
+    squares = [k for k in LATTICE_BOXES[3] if sum(x % 2 for x in k) == 2]
+    a, b = (draw(st.sets(st.sampled_from(squares), min_size=1, max_size=12))
+            for _ in range(2))
+    face_a = draw(st.sampled_from(sorted(a)))
+    axis = next(i for i, x in enumerate(face_a) if x % 2 == 0)
+    face_b = draw(st.sampled_from(sorted(a | b)))
+    assume(face_b in b and face_b[axis] % 2 == 0)
+    return GriddedComplex("Z3", a), face_a, GriddedComplex("Z3", b), face_b, \
+        axis
+
+
+@settings(max_examples=150, deadline=None)
+@given(z3_sums())
+def test_connected_sum_clashes_match_a_corner_walk(args):
+    a, face_a, b, face_b, axis = args
+    far = tuple(x + 2 * (i == axis) for i, x in enumerate(face_a))
+    moved = lattice.translate(b.squares, [f - x for f, x in zip(far, face_b)])
+    cube = tuple(x + (i == axis) for i, x in enumerate(face_a))
+    sides = {f for f in lattice.faces(cube, 2) if f not in (face_a, far)}
+
+    def corners(squares):
+        return {v for s in squares for v in lattice.corners_cyclic(s)}
+
+    expected = (sorted((a.squares - {face_a}) & (moved - {far}))
+                + sorted(corners(a.squares) & corners(moved))
+                + sorted(f for f in sides if f in a.squares or f in moved))
+    try:
+        out = connected_sum_embedded(a, face_a, b, face_b, axis)
+    except GridCollisionError as e:
+        assert e.cells == tuple(expected)
+    else:
+        assert not expected
+        assert out.squares == (a.squares - {face_a}) | (moved - {far}) | sides
 
 
 def test_cubes_meeting_at_a_vertex_fail_there_only():
