@@ -49,6 +49,12 @@ def _genus_or_crosscaps(args):
     return False, args.crosscaps
 
 
+def _genus_only(args):
+    if args.crosscaps is not None:
+        raise ValueError(f"{args.id} takes --genus only")
+    return 1 if args.genus is None else args.genus
+
+
 def _parse_ends(specs):
     ends = []
     for spec in specs:
@@ -93,8 +99,7 @@ BUILDERS = {
     "hyp-torus": lambda a: hyperbolic_torus_435(),
     "hyp-pants": lambda a: hyperbolic_pants_435(),
     "hyp-tree": lambda a: tree_of_life_435(a.depth),
-    "hyp-closed": lambda a: closed_orientable_435(
-        1 if a.genus is None else a.genus),
+    "hyp-closed": lambda a: closed_orientable_435(_genus_only(a)),
     "h4-torus": lambda a: torus_4335(),
     "h4-pants": lambda a: pants_4335(),
     "h4-crosscap": lambda a: crosscap_abstract_34(),

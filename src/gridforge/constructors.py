@@ -76,16 +76,12 @@ def closed_surface(orientable, count):
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if orientable:
-        if count == 0:
-            return sphere_cube()
-        acc = frame_torus()
-        piece = frame_torus
-    else:
-        if count == 0:
+    if count == 0:
+        if not orientable:
             raise ValueError("a closed nonorientable surface needs >= 1 crosscap")
-        acc = crosscap_z4()
-        piece = crosscap_z4
+        return sphere_cube()
+    piece = frame_torus if orientable else crosscap_z4
+    acc = piece()
     for _ in range(count - 1):
         b = piece()
         acc = connected_sum_embedded(
@@ -169,25 +165,12 @@ SCALE = 5  # lattice dilation applied before thickening
 
 def _thicken(segments):
     """Cubes of the slab 0 <= z <= 1 around the scaled tree."""
-    points = set()
-    for (x1, y1), (x2, y2) in segments:
-        a = (SCALE * x1, SCALE * y1)
-        b = (SCALE * x2, SCALE * y2)
-        dx = (b[0] > a[0]) - (b[0] < a[0])
-        dy = (b[1] > a[1]) - (b[1] < a[1])
-        cur = a
-        points.add(cur)
-        while cur != b:
-            cur = (cur[0] + dx, cur[1] + dy)
-            points.add(cur)
-    if not segments:
-        points.add((0, 0))
-    cubes = set()
-    for (a, b) in points:
-        for i in (a - 1, a):
-            for j in (b - 1, b):
-                cubes.add((2 * i + 1, 2 * j + 1, 1))
-    return cubes
+    points = {p for seg in segments
+              for unit in _polyline_segments([(SCALE * x, SCALE * y)
+                                              for x, y in seg])
+              for p in unit} or {(0, 0)}
+    return {(2 * i + 1, 2 * j + 1, 1)
+            for a, b in points for i in (a - 1, a) for j in (b - 1, b)}
 
 
 def tree_of_life(depth):

@@ -230,9 +230,10 @@ class CoxeterSystem:
         # q = s_0 s_1 turns the base square a quarter: the corners of a
         # square w P_2 are the vertices w q^k P_0 (see square_vertex_cycle).
         # Each turn q^k is kept with the offset d_k = q^k x_0 - x_2 of its
-        # corner from the square's center.  The corners rely on two facts,
-        # checked here: d_k is zero past the coordinates 0 and 1, and
-        # opposite offsets cancel (x_0 + q^2 x_0 = q x_0 + q^3 x_0 = 2 x_2).
+        # corner from the square's center.  The corners rely on three facts,
+        # checked here: d_k is zero past the coordinates 0 and 1, opposite
+        # offsets cancel (x_0 + q^2 x_0 = q x_0 + q^3 x_0 = 2 x_2), and the
+        # 4 offsets are distinct, so every square has 4 distinct corners.
         quarter = _mat_mul(gens[0], gens[1])
         turns = [ident, quarter]
         for _ in range(2):
@@ -245,6 +246,8 @@ class CoxeterSystem:
             if any(e != RZERO for e in map(radd, d, offsets[k - 2])):
                 raise AssertionError(f"corners {k} and {(k + 2) % 4} are "
                                      "not opposite")
+        if len(set(offsets)) != 4:
+            raise AssertionError("corner offsets are not distinct")
         self.corner_turns = tuple(zip(turns, offsets))
 
     def _verify(self, m_of):
@@ -613,6 +616,9 @@ def square_vertex_cycle(square):
     w x_2 is the square's own vector and the offset d_k (see
     CoxeterSystem.corner_turns) reads only the columns 0 and 1 of w.
     Opposite corners sum to 2 vec, so corners 2 and 3 take no product.
+    The 4 corners are distinct for every square, because w is invertible
+    and the 4 offsets are distinct, which CoxeterSystem checks once at
+    set-up; so no call tests it again.
     """
     system = square.system
     if square.dim != 2:
@@ -623,11 +629,8 @@ def square_vertex_cycle(square):
             for _, d in system.corner_turns[:2]]
     vecs = near + [tuple([rsub(rscale(2, v), c) for v, c in zip(vec, corner)])
                    for corner in near]
-    out = tuple(CosetKey(system, gens0, vec=v, factors=(rep, q))
-                for v, (q, _) in zip(vecs, system.corner_turns))
-    if len(set(out)) != 4:
-        raise AssertionError("square corners are not distinct")
-    return out
+    return tuple(CosetKey(system, gens0, vec=v, factors=(rep, q))
+                 for v, (q, _) in zip(vecs, system.corner_turns))
 
 
 def incidence_counts(system, d):

@@ -41,13 +41,18 @@ from gridforge.lattice import GriddedComplex, _all_ints, is_lattice_ambient
 from gridforge.surface import AbstractSquareComplex, _cycle_key
 
 
+def _square_mask(system):
+    """The "mask" every coset square of the system carries in a
+    document: one bit per generator of a square's parabolic, all but 2."""
+    return sum(1 << i for i in system.parabolic_gens(2))
+
+
 def _gridded_squares(obj):
     """The squares of a gridded complex in document order: lattice keys,
-    or (mask, least matrix) pairs for coset squares."""
+    or the least matrices of coset squares."""
     if is_lattice_ambient(obj.ambient):
         return sorted(obj.squares)
-    return sorted((sum(1 << i for i in key.gens), key.min_rep())
-                  for key in obj.squares)
+    return sorted(key.min_rep() for key in obj.squares)
 
 
 def complex_to_jsonable(obj):
@@ -56,9 +61,10 @@ def complex_to_jsonable(obj):
         if is_lattice_ambient(obj.ambient):
             squares = [list(s) for s in squares]
         else:
+            mask = _square_mask(build_system(obj.ambient))
             squares = [{"mask": mask,
                         "rep": [[list(e) for e in row] for row in rep]}
-                       for mask, rep in squares]
+                       for rep in squares]
         return {"format": "gridded", "ambient": obj.ambient,
                 "squares": squares}
     if isinstance(obj, AbstractSquareComplex):
@@ -104,12 +110,13 @@ def dumps_complex(obj):
             template = _layout((len(squares[0]),), 2)
             texts = [template % s for s in squares]
         else:
-            rank = len(squares[0][1])
-            template = ('{\n      "mask": %d,\n      "rep": '
+            rank = len(squares[0])
+            mask = _square_mask(build_system(obj.ambient))
+            template = ('{\n      "mask": %d,\n      "rep": ' % mask
                         + _layout((rank, rank, 4), 3) + "\n    }")
-            texts = [template % ((mask,) + tuple([t for row in rep
-                                                  for e in row for t in e]))
-                     for mask, rep in squares]
+            texts = [template % tuple([t for row in rep
+                                       for e in row for t in e])
+                     for rep in squares]
         body = "[\n    " + ",\n    ".join(texts) + "\n  ]"
     return ('{\n  "ambient": ' + json.dumps(obj.ambient)
             + ',\n  "format": "gridded",\n  "squares": ' + body + "\n}\n")
@@ -149,7 +156,7 @@ def _load_coset_squares(ambient, raw):
     system = build_system(ambient)
     rank = system.rank
     gens = system.parabolic_gens(2)
-    mask = sum(1 << i for i in gens)
+    mask = _square_mask(system)
     squares = []
     for i, entry in enumerate(raw):
         where = f"squares[{i}]"
@@ -217,5 +224,8 @@ def jsonable_to_complex(data):
 
 def load_complex(path):
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nests too deeply to read") from None
     return jsonable_to_complex(data)

@@ -6,10 +6,12 @@ bookkeeping runs on coset cells instead of integer coordinates.  Walking
 "straight" is done cube by cube: exit through the face opposite the entry
 face, the image of the entry face under the cube's central symmetry.  An
 "up" marker is carried into the next cube by the reflection in the wall
-the two cubes share.  In the 4-dimensional honeycomb the walk is handed
-from hypercube to hypercube through their shared wall.  The {4,3,3,5}
-pants is the one-piece signature surface, and every {4,3,5} torus and
-higher genus surface starts from one ring of 12 cubes.
+the two cubes share; that wall step, to the cube beyond a face with the
+marker carried across, is the one function _step.  In the 4-dimensional
+honeycomb the walk is handed from hypercube to hypercube through their
+shared wall.  The {4,3,3,5} pants is the one-piece signature surface,
+and every {4,3,5} torus and higher genus surface starts from one ring of
+12 cubes.
 """
 
 from __future__ import annotations
@@ -114,6 +116,13 @@ def hyperbolic_pants_435():
     return GriddedComplex(system.name, sphere - holes, meta)
 
 
+def _step(cube, face, up):
+    """The cube beyond `face` of `cube`, and the up marker `up` carried
+    into it by the reflection in that wall."""
+    nxt = neighbor(cube, face)
+    return nxt, transform(reflection(cube, nxt), up)
+
+
 def _pants_unit(stem, entry, up):
     """Grow one pants piece from its stem cube.
 
@@ -122,8 +131,7 @@ def _pants_unit(stem, entry, up):
     a child piece beyond that hole.
     """
     exit_face = opposite_face(stem, entry)
-    center = neighbor(stem, exit_face)
-    up_c = transform(reflection(stem, center), up)
+    center, up_c = _step(stem, exit_face, up)
     back = opposite_face(center, exit_face)
     down = opposite_face(center, up_c)
     arm_faces = sorted(f for f in cell_faces(center, 2)
@@ -133,11 +141,9 @@ def _pants_unit(stem, entry, up):
     cubes = [stem, center]
     holes = []
     for f in arm_faces:
-        arm = neighbor(center, f)
+        arm, arm_up = _step(center, f, up_c)
         cubes.append(arm)
-        far = opposite_face(arm, f)
-        holes.append((arm, far,
-                      transform(reflection(center, arm), up_c)))
+        holes.append((arm, opposite_face(arm, f), arm_up))
     return cubes, holes
 
 
@@ -169,8 +175,7 @@ def tree_of_life_435(depth):
             cubes.extend(unit_cubes)
             if level + 1 < depth:
                 for arm, far, arm_up in holes:
-                    child = neighbor(arm, far)
-                    child_up = transform(reflection(arm, child), arm_up)
+                    child, child_up = _step(arm, far, arm_up)
                     next_layer.append((child, far, child_up))
         layer = next_layer
 
@@ -313,18 +318,18 @@ def _straight_step_4335(cube, hypercube, square):
     one is the continuation: the unique cube beyond the square that stays
     in the row's hyperplane.
     """
-    walls = [c for c in cell_faces(hypercube, 3)
-             if c != cube and square in cell_faces(c, 2)]
-    if len(walls) != 1:
-        raise AssertionError("square should lie in 2 cells of its hypercube")
-    wall = walls[0]
+    def other_cell(hyper, cell):
+        # the cell of `hyper` other than `cell` that holds the square
+        found = [c for c in cell_faces(hyper, 3)
+                 if c != cell and square in cell_faces(c, 2)]
+        if len(found) != 1:
+            raise AssertionError("square should lie in 2 cells of a "
+                                 "hypercube")
+        return found[0]
+
+    wall = other_cell(hypercube, cube)
     nxt_h = neighbor(hypercube, wall)
-    nxt = [c for c in cell_faces(nxt_h, 3)
-           if c != wall and square in cell_faces(c, 2)]
-    if len(nxt) != 1:
-        raise AssertionError("square should lie in 2 cells of the next "
-                             "hypercube")
-    return nxt[0], nxt_h
+    return other_cell(nxt_h, wall), nxt_h
 
 
 def _cube_row_4335(count):

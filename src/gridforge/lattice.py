@@ -10,8 +10,15 @@ cell down uniquely.  A key's parity pattern tells its dimension:
     cube    (3 odd coordinates)   e.g. (1, 1, 1)
 
 and so on in higher rank.  Face and coface enumeration are pure parity
-bookkeeping: a face keeps a subset of the odd coordinates odd and rounds
-the rest to a neighbouring even value, a coface does the reverse.
+bookkeeping done by one step enumerator: a face steps r of the odd
+coordinates by +-1 to a neighbouring even value, a coface steps r of the
+even ones to an odd value.
+
+A lattice ambient is named "Z" and its dimension in ASCII decimal digits
+with no leading zero ("Z2", "Z3", "Z10"); is_lattice_ambient is that one
+grammar, and ambient_dim reads the dimension of a name it accepts.  Any
+other name, such as "Z03" or a "Z" with a non-ASCII digit, is left to
+the honeycomb systems, which reject it as unknown.
 """
 
 from __future__ import annotations
@@ -39,8 +46,20 @@ def cell_dim(key):
     return sum(1 for x in key if x % 2)
 
 
-def _odd_positions(key):
-    return [i for i, x in enumerate(key) if x % 2]
+def _steps(key, axes, r):
+    """The cells one step of +-1 away from key along each of r of the
+    given axes, for every choice of r axes and every sign pattern,
+    sorted; none when r is out of range."""
+    if not 0 <= r <= len(axes):
+        return ()
+    out = []
+    for chosen in itertools.combinations(axes, r):
+        for signs in itertools.product((-1, 1), repeat=r):
+            cell = list(key)
+            for i, s in zip(chosen, signs):
+                cell[i] += s
+            out.append(tuple(cell))
+    return tuple(sorted(out))
 
 
 def faces(key, k):
@@ -49,51 +68,24 @@ def faces(key, k):
     Includes the cell itself when k equals its dimension.  A d-cell has
     binom(d, k) * 2^(d-k) faces of dimension k.
     """
-    odd = _odd_positions(key)
-    d = len(odd)
-    if k > d or k < 0:
-        return ()
-    out = []
-    for keep in itertools.combinations(odd, k):
-        collapse = [i for i in odd if i not in keep]
-        for signs in itertools.product((-1, 1), repeat=len(collapse)):
-            face = list(key)
-            for i, s in zip(collapse, signs):
-                face[i] = key[i] + s
-            out.append(tuple(face))
-    return tuple(sorted(out))
+    odd = [i for i, x in enumerate(key) if x % 2]
+    return _steps(key, odd, len(odd) - k)
 
 
 def cofaces(key, k):
     """All k-dimensional cells of the full tiling having this cell as a face."""
-    d = cell_dim(key)
-    n = len(key)
-    if k < d or k > n:
-        return ()
     even = [i for i, x in enumerate(key) if x % 2 == 0]
-    out = []
-    for grow in itertools.combinations(even, k - d):
-        for signs in itertools.product((-1, 1), repeat=len(grow)):
-            cell = list(key)
-            for i, s in zip(grow, signs):
-                cell[i] = key[i] + s
-            out.append(tuple(cell))
-    return tuple(sorted(out))
+    return _steps(key, even, k - len(key) + len(even))
 
 
 def corners_cyclic(square):
     """The 4 vertices of a square in cyclic order around its perimeter."""
-    odd = _odd_positions(square)
-    if len(odd) != 2:
+    if cell_dim(square) != 2:
         raise ValueError(f"not a square key: {square}")
-    u, v = odd
-    out = []
-    for du, dv in ((-1, -1), (1, -1), (1, 1), (-1, 1)):
-        c = list(square)
-        c[u] = square[u] + du
-        c[v] = square[v] + dv
-        out.append(tuple(c))
-    return tuple(out)
+    # sorted, the corners step the two odd coordinates by (-, -),
+    # (-, +), (+, -) and (+, +)
+    a, b, c, d = faces(square, 0)
+    return (a, c, d, b)
 
 
 def cell_codes(keys):
@@ -183,15 +175,19 @@ def cube_union_boundary(cells):
     return frozenset(f for f, m in counts.items() if m == 1)
 
 
+def is_lattice_ambient(ambient):
+    """Whether an ambient name is a lattice: "Z" and its dimension in
+    ASCII decimal digits with no leading zero, such as "Z3" or "Z10"."""
+    digits = ambient[1:]
+    return (ambient[:1] == "Z" and digits.isascii() and digits.isdigit()
+            and digits[0] != "0")
+
+
 def ambient_dim(ambient):
     """Coordinate dimension for a lattice ambient tag like "Z3"."""
-    if ambient.startswith("Z") and ambient[1:].isdigit():
-        return int(ambient[1:])
-    raise ValueError(f"not a lattice ambient: {ambient!r}")
-
-
-def is_lattice_ambient(ambient):
-    return ambient.startswith("Z") and ambient[1:].isdigit()
+    if not is_lattice_ambient(ambient):
+        raise ValueError(f"not a lattice ambient: {ambient!r}")
+    return int(ambient[1:])
 
 
 @dataclass(frozen=True)

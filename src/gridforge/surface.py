@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from gridforge import lattice
@@ -583,14 +583,8 @@ def classify(obj):
     else:
         name = f"{n_comp} components: " + "; ".join(c.class_name for c in comps)
     bad = next((w for w in witnesses if w is not None), None)
-    return SurfaceReport(
-        is_surface=True,
-        is_closed=base.is_closed,
-        vertex_count=base.vertex_count,
-        edge_count=base.edge_count,
-        square_count=base.square_count,
-        euler_characteristic=base.euler_characteristic,
-        failures=(),
+    return replace(
+        base,
         orientable=all(orientable),
         boundary_circles=sum(circles_by_comp),
         components=tuple(comps),

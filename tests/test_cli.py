@@ -178,6 +178,11 @@ def test_malformed_json_exits_2(tmp_path):
     code, _, err = run(["validate", str(path)])
     assert code == 2
     assert "line 1" in err and "column" in err
+    # valid JSON nested past the decoder's recursion limit
+    path.write_text("[" * 100000 + "]" * 100000)
+    for command in ("validate", "classify", "export"):
+        assert run([command, str(path)]) == (
+            2, "", "error: JSON nests too deeply to read\n")
 
 
 @pytest.mark.parametrize("command", ["validate", "classify", "export"])
@@ -219,6 +224,20 @@ def test_euclidean_coset_document_exits_2(tmp_path, command):
     code, out, err = run([command, str(path)])
     assert (code, out) == (2, "")
     assert err == "error: {4,3,4} is a lattice: use ambient Z3\n"
+
+
+@pytest.mark.parametrize("ambient", ["Z03", "Z\u0663", "Z\u00b2", "Z0"])
+@pytest.mark.parametrize("command", ["validate", "classify", "export"])
+def test_non_canonical_lattice_ambient_exits_2(tmp_path, command, ambient):
+    # "Z" and ASCII decimal digits with no leading zero name a lattice;
+    # anything else is an unknown honeycomb
+    path = tmp_path / "ambient.json"
+    path.write_text(json.dumps({"format": "gridded", "ambient": ambient,
+                                "squares": [[1, 1, 0]]}))
+    code, out, err = run([command, str(path)])
+    assert (code, out) == (2, "")
+    assert err == (f"error: unknown system {ambient!r}; known: {{4,3,3,4}}, "
+                   "{4,3,3,5}, {4,3,4}, {4,3,5}, {4,4}\n")
 
 
 def _identity_with_a_true():
@@ -363,6 +382,8 @@ def test_usage_errors_exit_2(tmp_path):
     code, _, err = run(["build", "h4-surface", "--genus", "1",
                         "--crosscaps", "1"])
     assert code == 2
+    assert run(["build", "hyp-closed", "--crosscaps", "2"]) == (
+        2, "", "error: hyp-closed takes --genus only\n")
     code, _, err = run(["stats", "{9,9}"])
     assert code == 2 and "unknown honeycomb" in err
 

@@ -374,20 +374,28 @@ def test_fixed_vectors_match_the_inverse_oracle():
         assert s.fixed_vectors == qf_fixed_vectors(s)
 
 
-def test_square_vertex_cycle_is_canonical():
-    rng = random.Random(11)
-    for name in ("{4,3,5}", "{4,3,3,5}"):
-        s = build_system(name)
-        gens = s.parabolic_gens(2)
-        parab = enumerate_parabolic(s, gens)
-        w = random_word(s, rng, 4)
-        base = _cycle_key(square_vertex_cycle(CosetKey(s, gens, w)))
-        for _ in range(6):
-            p = parab[rng.randrange(len(parab))]
-            cyc = square_vertex_cycle(CosetKey(s, gens, _mat_mul(w, p)))
-            assert _cycle_key(cyc) == base
-        corners = set(square_vertex_cycle(CosetKey(s, gens, w)))
-        assert corners == set(cell_faces(CosetKey(s, gens, w), 0))
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(HYPERBOLIC),
+       word=st.lists(st.integers(0, 4), max_size=12),
+       picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4))
+def test_square_vertex_cycle_is_canonical(name, word, picks):
+    # the four corners are distinct because the corner offsets are,
+    # which the system checks once at set-up, not per square
+    s = build_system(name)
+    gens = s.parabolic_gens(2)
+    parab = enumerate_parabolic(s, gens)
+    w = _identity(s.rank)
+    for i in word:
+        w = _mat_mul(w, s.generators[i % s.rank])
+    square = CosetKey(s, gens, w)
+    cyc = square_vertex_cycle(square)
+    assert len(set(cyc)) == 4
+    assert set(cyc) == set(cell_faces(square, 0))
+    base = _cycle_key(cyc)
+    for k in picks:
+        p = parab[k % len(parab)]
+        cyc = square_vertex_cycle(CosetKey(s, gens, _mat_mul(w, p)))
+        assert _cycle_key(cyc) == base
 
 
 def test_square_cycle_consecutive_corners_share_an_edge():

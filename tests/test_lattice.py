@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from math import comb
@@ -9,9 +10,11 @@ from helpers import brute_cofaces, brute_faces, coface_count
 from gridforge import honeycombs
 from gridforge.coxeter import build_system, cell_faces, identity_cell, neighbor
 from gridforge.lattice import (
-    GriddedComplex, cell_codes, cell_dim, cofaces, corners_cyclic,
-    cube_union_boundary, embed_higher, faces, translate,
+    GriddedComplex, ambient_dim, cell_codes, cell_dim, cofaces,
+    corners_cyclic, cube_union_boundary, embed_higher, faces,
+    is_lattice_ambient, translate,
 )
+from gridforge.formats import dumps_complex, jsonable_to_complex
 from gridforge.surface import classify
 
 
@@ -220,6 +223,30 @@ def test_gridded_complex_rejects_non_integer_keys(key):
 def test_gridded_complex_rejects_unknown_ambient():
     with pytest.raises(ValueError, match="unknown system 'nonsense'"):
         GriddedComplex("nonsense", {(1, 1, 0)})
+
+
+@pytest.mark.parametrize("ambient", ["Z03", "Z\u0663", "Z\u00b2", "Z0",
+                                     "Z", "z3"])
+def test_gridded_complex_rejects_non_canonical_lattice_names(ambient):
+    # one grammar: "Z" and ASCII decimal digits with no leading zero
+    assert not is_lattice_ambient(ambient)
+    with pytest.raises(ValueError, match=re.escape(
+            f"not a lattice ambient: {ambient!r}")):
+        ambient_dim(ambient)
+    with pytest.raises(ValueError, match=re.escape(
+            f"unknown system {ambient!r}")):
+        GriddedComplex(ambient, {(1, 1, 0)})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10])
+def test_lattice_ambients_load(n):
+    ambient = f"Z{n}"
+    assert is_lattice_ambient(ambient) and ambient_dim(ambient) == n
+    square = (1, 1) + (0,) * (n - 2)
+    c = jsonable_to_complex({"format": "gridded", "ambient": ambient,
+                             "squares": [list(square)]})
+    assert c == GriddedComplex(ambient, {square})
+    assert jsonable_to_complex(json.loads(dumps_complex(c))) == c
 
 
 def test_gridded_complex_rejects_euclidean_honeycombs():
