@@ -49,12 +49,6 @@ def _genus_or_crosscaps(args):
     return False, args.crosscaps
 
 
-def _genus_only(args):
-    if args.crosscaps is not None:
-        raise ValueError(f"{args.id} takes --genus only")
-    return 1 if args.genus is None else args.genus
-
-
 def _parse_ends(specs):
     ends = []
     for spec in specs:
@@ -81,35 +75,50 @@ def _spiral_document(depth):
 
 
 # The catalogue, in the order `build --help` lists it: each id maps the
-# parsed options to a complex, or, for tree-spiral, to the text of its
-# plane-tree document.
+# build options it reads, with their values when not given, and a
+# function from the parsed options to a complex or, for tree-spiral, to
+# the text of its plane-tree document.  Any other build option is
+# refused; the build options are those some id reads, and the parser
+# leaves each None unless it is given.
 BUILDERS = {
-    "sphere": lambda a: sphere_cube(),
-    "torus-paper": lambda a: frame_torus(),
-    "torus-32": lambda a: frame_torus(),
-    "crosscap-r4": lambda a: crosscap_z4(),
-    "crosscap-30": lambda a: crosscap_z4(),
-    "klein-bottle": lambda a: klein_bottle(),
-    "closed-surface": lambda a: closed_surface(*_genus_or_crosscaps(a)),
-    "tree-spiral": lambda a: _spiral_document(a.depth),
-    "tree-of-life": lambda a: tree_of_life(a.depth),
-    "pruned-tree": lambda a: prune_and_decorate(
-        tree_of_life(a.depth), prune=a.prune, handles=a.handles,
-        crosscaps=a.crosscaps or 0, ends=_parse_ends(a.end)),
-    "hyp-torus": lambda a: hyperbolic_torus_435(),
-    "hyp-pants": lambda a: hyperbolic_pants_435(),
-    "hyp-tree": lambda a: tree_of_life_435(a.depth),
-    "hyp-closed": lambda a: closed_orientable_435(_genus_only(a)),
-    "h4-torus": lambda a: torus_4335(),
-    "h4-pants": lambda a: pants_4335(),
-    "h4-crosscap": lambda a: crosscap_abstract_34(),
-    "h4-surface": lambda a: surface_4335(*_genus_or_crosscaps(a),
-                                         a.boundary_circles),
+    "sphere": ({}, lambda a: sphere_cube()),
+    "torus-paper": ({}, lambda a: frame_torus()),
+    "torus-32": ({}, lambda a: frame_torus()),
+    "crosscap-r4": ({}, lambda a: crosscap_z4()),
+    "crosscap-30": ({}, lambda a: crosscap_z4()),
+    "klein-bottle": ({}, lambda a: klein_bottle()),
+    "closed-surface": ({"genus": None, "crosscaps": None},
+                       lambda a: closed_surface(*_genus_or_crosscaps(a))),
+    "tree-spiral": ({"depth": 1}, lambda a: _spiral_document(a.depth)),
+    "tree-of-life": ({"depth": 1}, lambda a: tree_of_life(a.depth)),
+    "pruned-tree": (
+        {"depth": 1, "prune": 0, "handles": 0, "crosscaps": 0, "end": []},
+        lambda a: prune_and_decorate(
+            tree_of_life(a.depth), prune=a.prune, handles=a.handles,
+            crosscaps=a.crosscaps, ends=_parse_ends(a.end))),
+    "hyp-torus": ({}, lambda a: hyperbolic_torus_435()),
+    "hyp-pants": ({}, lambda a: hyperbolic_pants_435()),
+    "hyp-tree": ({"depth": 1}, lambda a: tree_of_life_435(a.depth)),
+    "hyp-closed": ({"genus": 1}, lambda a: closed_orientable_435(a.genus)),
+    "h4-torus": ({}, lambda a: torus_4335()),
+    "h4-pants": ({}, lambda a: pants_4335()),
+    "h4-crosscap": ({}, lambda a: crosscap_abstract_34()),
+    "h4-surface": (
+        {"genus": None, "crosscaps": None, "boundary_circles": 0},
+        lambda a: surface_4335(*_genus_or_crosscaps(a), a.boundary_circles)),
 }
 
 
 def _cmd_build(args):
-    built = BUILDERS[args.id](args)
+    reads, build = BUILDERS[args.id]
+    for option in {o for other, _ in BUILDERS.values() for o in other}:
+        if getattr(args, option) is None:
+            setattr(args, option, reads.get(option))
+        elif option not in reads:
+            flags = ", ".join("--" + o.replace("_", "-") for o in reads)
+            raise ValueError(f"{args.id} takes {flags} only" if flags
+                             else f"{args.id} takes no options but -o")
+    built = build(args)
     _write(args.output,
            built if isinstance(built, str) else dumps_complex(built))
     return 0
@@ -211,13 +220,13 @@ def _build_parser():
 
     p = sub.add_parser("build", help="construct a catalogued surface")
     p.add_argument("id", choices=BUILDERS)
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--genus", type=int, default=None)
-    p.add_argument("--crosscaps", type=int, default=None)
-    p.add_argument("--boundary-circles", type=int, default=0)
-    p.add_argument("--prune", type=int, default=0)
-    p.add_argument("--handles", type=int, default=0)
-    p.add_argument("--end", action="append", default=[],
+    p.add_argument("--depth", type=int)
+    p.add_argument("--genus", type=int)
+    p.add_argument("--crosscaps", type=int)
+    p.add_argument("--boundary-circles", type=int)
+    p.add_argument("--prune", type=int)
+    p.add_argument("--handles", type=int)
+    p.add_argument("--end", action="append",
                    metavar="KIND[:LENGTH]",
                    help="truncated end for pruned-tree (cylinder, ladder "
                         "or crosscap_chain); repeatable")

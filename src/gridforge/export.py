@@ -10,8 +10,15 @@ distortion near the ball's rim.  The frame comes from the form's ring
 matrix 4B (CoxeterSystem.bilinear4), each entry a float through
 field.ring_float and divided by 4, which is exact.  A vertex's ring
 coordinates become floats the same way, bit for bit the floats of the
-exact field elements, and each vertex is projected on its own: one
-batched product rounds differently and would change the written digits.
+exact field elements.  The eigenbasis is computed here, in plain float
+arithmetic, and every sum is math.fsum's correctly rounded one, so the
+written digits depend on neither a linear algebra library nor the
+Python version.
+
+An eigenvector is fixed only up to sign, and flipping an axis mirrors
+the drawing.  _AXIS_SIGNS holds the orientation the exports have always
+had (it is the one numpy.linalg.eigh picked when it computed the frame),
+so the OFF and OBJ files written before keep their coordinates.
 
 A coset square's corners start where its representative puts them
 (coxeter.square_vertex_cycle), so to_off and to_obj of a complex built
@@ -19,41 +26,82 @@ in-process follow its squares' representatives.  The command line
 exports a loaded file, whose representatives are canonical.
 
 Abstract complexes carry no embedding and cannot be exported as meshes.
-numpy is imported only by the Klein ball path, so that the commands that
-never draw a honeycomb complex do not pay for loading it.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
+from math import copysign, fsum, sqrt
+from operator import mul
 
 from gridforge.lattice import GriddedComplex, is_lattice_ambient
 from gridforge.surface import square_index
 from gridforge.field import ring_float
 
 
-def _klein_frame(system):
-    import numpy as np
+# The sign of coordinate 0 of each frame axis, in order of increasing
+# eigenvalue (the timelike axis first).  No such coordinate is smaller
+# than 0.28 in absolute value, so rounding cannot flip one.
+_AXIS_SIGNS = {"{4,3,5}": (-1, 1, 1, -1), "{4,3,3,5}": (1, 1, -1, -1, 1)}
+_SWEEPS = 10
 
-    b = np.array([[ring_float(e) / 4 for e in row]
-                  for row in system.bilinear4])
-    vals, vecs = np.linalg.eigh(b)
-    timelike = vecs[:, 0] / np.sqrt(-vals[0])
-    spacelike = [vecs[:, i] / np.sqrt(vals[i]) for i in range(1, len(vals))]
-    return b, timelike, spacelike
+
+def _dot(u, v):
+    return fsum(map(mul, u, v))
+
+
+def _eigen_symmetric(a):
+    """Eigenvalues of the symmetric float matrix `a` in increasing order,
+    and unit eigenvectors to match, by cyclic Jacobi rotation (Golub and
+    Van Loan, Matrix Computations, 4th ed., 8.5).  Each rotation zeroes
+    its pair outright, so for these small matrices the off-diagonal part
+    is exactly zero well before the last sweep, which then rotates
+    nothing."""
+    n = len(a)
+    a = [list(row) for row in a]
+    v = [[float(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(_SWEEPS):
+        for p, q in combinations(range(n), 2):
+            if a[p][q] == 0:
+                continue
+            tau = (a[q][q] - a[p][p]) / (2 * a[p][q])
+            t = copysign(1.0, tau) / (abs(tau) + sqrt(1 + tau * tau))
+            c = 1 / sqrt(1 + t * t)
+            s = t * c
+            for row in a + v:       # columns p and q of a J and v J
+                x, y = row[p], row[q]
+                row[p], row[q] = c * x - s * y, s * x + c * y
+            ap, aq = a[p], a[q]     # then rows p and q of J^T a J
+            a[p] = [c * x - s * y for x, y in zip(ap, aq)]
+            a[q] = [s * x + c * y for x, y in zip(ap, aq)]
+            a[p][q] = a[q][p] = 0.0
+    order = sorted(range(n), key=lambda i: a[i][i])
+    return [a[i][i] for i in order], [[row[i] for row in v] for i in order]
+
+
+def _klein_frame(system):
+    """The form matrix B, then its unit timelike axis and unit spacelike
+    axes, each oriented by _AXIS_SIGNS."""
+    b = [[ring_float(e) / 4 for e in row] for row in system.bilinear4]
+    vals, vecs = _eigen_symmetric(b)
+    axes = []
+    for val, vec, sign in zip(vals, vecs, _AXIS_SIGNS[system.name]):
+        scale = sqrt(abs(val))
+        sign = sign if vec[0] > 0 else -sign
+        axes.append([sign * x / scale for x in vec])
+    return b, axes[0], axes[1:]
 
 
 def _klein_coords(system, keys):
-    import numpy as np
-
     b, timelike, spacelike = _klein_frame(system)
     out = []
     for key in keys:
-        x = np.array([ring_float(e) for e in key.vec])
-        denom = -float(x @ b @ timelike)
-        if denom < 0:
-            x, denom = -x, -denom
+        x = [ring_float(e) for e in key.vec]
+        xb = [_dot(x, row) for row in b]     # x B, as B is symmetric
+        denom = -_dot(xb, timelike)
         if denom == 0:
             raise ValueError("vertex on the ideal boundary")
-        out.append(tuple(float(x @ b @ s) / denom for s in spacelike))
+        out.append(tuple(_dot(xb, s) / denom for s in spacelike))
     return out
 
 

@@ -147,6 +147,10 @@ def _pants_unit(stem, entry, up):
     return cubes, holes
 
 
+# The deepest tree of pants with at most 65536 squares (65522).
+MAX_TREE_DEPTH_435 = 12
+
+
 def tree_of_life_435(depth):
     """Sphere bounding a binary tree of pants pieces in {4,3,5}.
 
@@ -156,9 +160,15 @@ def tree_of_life_435(depth):
     holes (which the boundary-of-union does by itself) yields a sphere.
     Raises GridCollisionError if two pieces would reuse a cube; the
     exponential volume of hyperbolic space keeps the tested depths clear.
+    The tree has 16 * 2^depth - 14 squares, so a depth past
+    MAX_TREE_DEPTH_435 is refused before any work.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if depth > MAX_TREE_DEPTH_435:
+        raise ValueError(
+            f"depth must be at most {MAX_TREE_DEPTH_435}: a tree of depth "
+            f"{depth} has 16 * 2^{depth} - 14 squares, more than 65536")
     system = build_system("{4,3,5}")
     stem = identity_cell(system, 3)
     faces = sorted(cell_faces(stem, 2))

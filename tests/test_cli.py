@@ -7,12 +7,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from gridforge import cli
+from gridforge import cli, constructors
 from gridforge.cli import main
 from gridforge.constructors import spiral_tree
 from gridforge.coxeter import _mat_mul, build_system
@@ -371,6 +372,18 @@ def test_cli_runs_a_lattice_command_without_numpy(tmp_path):
                           capture_output=True, text=True, env=SRC_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "orientable genus 0"
+    # the Klein ball export of a {4,3,5} complex needs no numpy either
+    path = build(tmp_path, "hyp-pants")
+    script = ("import sys\n"
+              "sys.modules['numpy'] = None  # any import of it now fails\n"
+              "import gridforge.cli\n"
+              f"sys.exit(gridforge.cli.main(['export', {str(path)!r}, "
+              "'--format', 'off']))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=SRC_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(["export", str(path), "--format", "off"])[1]
+    assert proc.stdout.startswith("OFF\n")
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -384,8 +397,53 @@ def test_usage_errors_exit_2(tmp_path):
     assert code == 2
     assert run(["build", "hyp-closed", "--crosscaps", "2"]) == (
         2, "", "error: hyp-closed takes --genus only\n")
+    # an id refuses every option it does not read
+    for argv, message in [
+            (["closed-surface", "--genus", "2", "--boundary-circles", "1"],
+             "closed-surface takes --genus, --crosscaps only"),
+            (["sphere", "--genus", "3"], "sphere takes no options but -o"),
+            (["torus-paper", "--end", "cylinder:2"],
+             "torus-paper takes no options but -o"),
+            (["hyp-tree", "--depth", "2", "--prune", "4"],
+             "hyp-tree takes --depth only"),
+            (["pruned-tree", "--depth", "1", "--genus", "2"],
+             "pruned-tree takes --depth, --prune, --handles, --crosscaps, "
+             "--end only"),
+            (["h4-surface", "--genus", "1", "--depth", "2"],
+             "h4-surface takes --genus, --crosscaps, --boundary-circles "
+             "only")]:
+        assert run(["build", *argv]) == (2, "", f"error: {message}\n")
     code, _, err = run(["stats", "{9,9}"])
     assert code == 2 and "unknown honeycomb" in err
+
+
+def test_hyp_tree_refuses_a_depth_past_the_size_limit():
+    start = time.perf_counter()
+    assert run(["build", "hyp-tree", "--depth", "40"]) == (
+        2, "", "error: depth must be at most 12: a tree of depth 40 has "
+               "16 * 2^40 - 14 squares, more than 65536\n")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_pruned_tree_lifts_a_z3_end_onto_a_z4_tree(tmp_path, monkeypatch):
+    # the crosscap moves the tree into Z4 (the first lift), so the Z3
+    # cylinder end is embedded one dimension up before it is summed on
+    lifts = []
+    embed = constructors._embed_complex
+    monkeypatch.setattr(constructors, "_embed_complex",
+                        lambda c, ambient: lifts.append((c.ambient, ambient))
+                        or embed(c, ambient))
+    path = build(tmp_path, "pruned-tree", "--depth", "1", "--crosscaps", "1",
+                 "--end", "cylinder:1")
+    assert lifts == [("Z3", "Z4"), ("Z3", "Z4")]
+    assert json.loads(path.read_text())["ambient"] == "Z4"
+    assert run(["classify", str(path)]) == (0, (
+        "nonorientable, 1 crosscap, 1 boundary circle\n"
+        "components: 1\n"
+        "euler characteristic: 0\n"
+        "orientable: no\n"
+        "boundary circles: 1\n"
+        "closed: no\n"), "")
 
 
 def test_stats_marks_catalogue_differences():

@@ -1,11 +1,20 @@
-"""Mesh output: OFF, nOFF and OBJ."""
+"""Mesh output: OFF, nOFF and OBJ; the Klein frame's eigensolver."""
 
+import ast
 import math
+import re
+import sys
+from operator import mul
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gridforge import export
 from gridforge.constructors import crosscap_z4, sphere_cube
+from gridforge.coxeter import build_system
 from gridforge.export import to_obj, to_off, vertex_coordinates
+from gridforge.field import ring_float
 from gridforge.honeycombs import crosscap_abstract_34, hyperbolic_torus_435
 from gridforge.lattice import GriddedComplex
 
@@ -79,3 +88,78 @@ def test_abstract_complexes_have_no_mesh():
         vertex_coordinates(crosscap_abstract_34())
     with pytest.raises(ValueError):
         to_off(crosscap_abstract_34())
+
+
+def _eigen_errors(a, vals, vecs):
+    """Largest residual |a v - l v| relative to the largest entry of a,
+    and largest deviation of the eigenvectors from orthonormality."""
+    n = len(a)
+    scale = max(abs(x) for row in a for x in row) or 1.0
+    residual = max(abs(math.fsum(map(mul, a[i], v)) - val * v[i])
+                   for val, v in zip(vals, vecs) for i in range(n))
+    gram = max(abs(math.fsum(x * y for x, y in zip(u, v)) - (i == j))
+               for i, u in enumerate(vecs) for j, v in enumerate(vecs))
+    return residual / scale, gram
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.sampled_from([4, 5]))
+    exponent = draw(st.integers(-30, 30))
+    entry = st.one_of(st.just(0.0), st.floats(-1.0, 1.0)).map(
+        lambda x: math.ldexp(x, exponent))
+    a = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(entry)
+    return a
+
+
+@settings(max_examples=300)
+@given(symmetric_matrices())
+def test_eigensolver_diagonalizes_symmetric_matrices(a):
+    vals, vecs = export._eigen_symmetric(a)
+    assert vals == sorted(vals)
+    residual, gram = _eigen_errors(a, vals, vecs)
+    assert residual <= 1e-12 and gram <= 1e-12
+
+
+@pytest.mark.parametrize("name,rank", [("{4,3,5}", 4), ("{4,3,3,5}", 5)])
+def test_klein_frame_is_orthonormal_for_the_form(name, rank):
+    system = build_system(name)
+    b = [[ring_float(e) / 4 for e in row] for row in system.bilinear4]
+    vals, vecs = export._eigen_symmetric(b)
+    residual, gram = _eigen_errors(b, vals, vecs)
+    assert residual <= 1e-12 and gram <= 1e-12
+    assert vals[0] < 0 < vals[1]    # signature (rank - 1, 1)
+    _, timelike, spacelike = export._klein_frame(system)
+    axes = [timelike] + spacelike
+    assert len(axes) == rank
+    for i, u in enumerate(axes):
+        # each axis has coordinate 0 of the pinned sign, well clear of 0
+        assert math.copysign(1, u[0]) == export._AXIS_SIGNS[name][i]
+        for j, v in enumerate(axes):
+            form = math.fsum(x * bxy * y for x, row in zip(u, b)
+                             for bxy, y in zip(row, v))
+            expected = -1.0 if i == j == 0 else float(i == j)
+            assert abs(form - expected) <= 1e-12
+    assert min(abs(v[0]) for v in vecs) > 0.28
+
+
+def test_the_package_imports_the_standard_library_only():
+    src = Path(export.__file__).parent
+    outside = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names
+                        and name.split(".")[0] != "gridforge"]
+    assert outside == []
+    pyproject = (src.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert not re.search(r"^dependencies\s*=", pyproject, re.M)
