@@ -4,36 +4,9 @@ Tools for building square complexes out of the faces of cubical tilings
 (the integer lattices Z^2, Z^3, Z^4 and the hyperbolic honeycombs with
 Schlafli symbols {4,3,5} and {4,3,3,5}), validating that they are surfaces,
 and classifying their topology exactly.
+
+The package root re-exports nothing: import names from the submodules
+(gridforge.lattice, gridforge.surface, gridforge.coxeter, ...).
 """
-
-from gridforge.lattice import GriddedComplex, faces, cofaces, cell_dim, corners_cyclic
-from gridforge.surface import (
-    AbstractSquareComplex,
-    SurfaceReport,
-    classify,
-    connected_sum_abstract,
-    connected_sum_embedded,
-    euler_characteristic,
-    to_abstract,
-    validate_surface,
-    GridCollisionError,
-)
-
-__all__ = [
-    "GriddedComplex",
-    "AbstractSquareComplex",
-    "SurfaceReport",
-    "GridCollisionError",
-    "cell_dim",
-    "faces",
-    "cofaces",
-    "corners_cyclic",
-    "validate_surface",
-    "euler_characteristic",
-    "classify",
-    "to_abstract",
-    "connected_sum_abstract",
-    "connected_sum_embedded",
-]
 
 __version__ = "0.1.0"

@@ -18,17 +18,17 @@ dense int vertex ids, int squares, the edge ids of each square's sides
 (one numbering, _edge_ids) and the number of squares on each edge.  A
 lattice complex builds it in one pass over int cell codes
 (lattice.cell_codes), where a square's corners are its code plus or minus
-two weights, and marks the corners at each vertex in a bit mask that
-fixes the vertex's link up to renaming, so each distinct mask is checked
-once.  Other complexes build it from one square_cycles pass, which on
-honeycomb complexes costs ring-matrix products and exact coset keys.
+two weights, and marks the corners at each vertex in a bit mask, 4 bits
+per pair of odd axes in use, that fixes the vertex's link up to renaming,
+so each distinct mask is checked once.  Other complexes build it from one
+square_cycles pass, which on honeycomb complexes costs ring-matrix
+products and exact coset keys.
 Classify validates on the index it builds, and orients the squares
 through their sides' edge ids, one tree of squares per component.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -129,9 +129,10 @@ class SquareIndex:
     and w are the corner's two neighbours: the link of v has a node per
     edge at v, named by its other end.  edges, cycles and links are
     formed when first read.  On a lattice complex masks[v] has bit 4p + k
-    set when corner k of a square spanning the p-th pair of axes lies at
-    v (see _corner_arcs), which fixes the link of v up to renaming its
-    nodes; on other complexes masks is None.
+    set when corner k of a square spanning the p-th pair of odd axes in
+    use lies at v, and arcs[4p + k] is that corner's arc in the link of v
+    (see _lattice_index), so masks[v] fixes the link of v up to renaming
+    its nodes; on other complexes masks and arcs are None.
     """
 
     vertices: list
@@ -139,6 +140,7 @@ class SquareIndex:
     square_edges: list
     edge_counts: list
     masks: list | None = None
+    arcs: list | None = None
 
     @cached_property
     def edges(self):
@@ -212,40 +214,48 @@ def _edge_ids(squares, n):
     return sides, counts
 
 
+# The signs of each corner's step from a lattice square's center along its
+# odd axes i < j, in the order of corners_cyclic
+_CORNERS = ((-1, -1), (1, -1), (1, 1), (-1, 1))
+
+
 def _lattice_index(keys):
     """The SquareIndex of a set of lattice squares, on integer cell codes.
 
-    A square with code S whose odd coordinates have the weights u > v
-    (lattice.cell_codes) has the corners S-u-v, S+u-v, S+u+v, S-u+v, in
-    the order of corners_cyclic.  Vertex tuples are decoded once each,
+    A square with code S whose odd axes i < j have the weights w_i, w_j
+    (lattice.cell_codes) has corner k at S + si * w_i + sj * w_j, where
+    (si, sj) is _CORNERS[k].  Each odd-axes mask in use gets the next 4
+    bits of masks and their arcs.  Vertex tuples are decoded once each,
     from the sorted corner codes.
     """
     if not keys:
         return SquareIndex([], [], [], [])
     codes, odd, weights, decode = lattice.cell_codes(keys)
-    # per odd-axes mask: u + v, u - v and the bit of corner 0 in masks
-    axes = range(len(weights))
-    pairs = {1 << i | 1 << j: (weights[i] + weights[j],
-                               weights[i] - weights[j], 1 << 4 * p)
-             for p, (i, j) in enumerate(itertools.combinations(axes, 2))}
-    diag, turn, bits = zip(*map(pairs.__getitem__, odd))
-    near = [S - d for S, d in zip(codes, diag)]
-    right = [S + t for S, t in zip(codes, turn)]
-    far = [S + d for S, d in zip(codes, diag)]
-    left = [S - t for S, t in zip(codes, turn)]
-    order = sorted({*near, *right, *far, *left})
+    # per odd-axes mask: the offset of each corner and the bit of corner 0
+    steps, arcs = {}, []
+    for m in sorted(set(odd)):
+        i, j = (m & -m).bit_length() - 1, m.bit_length() - 1
+        steps[m] = (*(si * weights[i] + sj * weights[j]
+                      for si, sj in _CORNERS), 1 << len(arcs))
+        # the square lies at -si along i from its corner: the link node
+        # of the edge along -i or +i is 2i or 2i + 1
+        arcs += [(2 * i + (si < 0), 2 * j + (sj < 0)) for si, sj in _CORNERS]
+    *offsets, bits = zip(*map(steps.__getitem__, odd))
+    # from here on codes[k] holds the code of corner k of each square
+    codes = [[S + d for S, d in zip(codes, off)] for off in offsets]
+    order = sorted(set().union(*codes))
     n = len(order)
     vid = dict(zip(order, range(n)))
-    corners = [list(map(vid.__getitem__, c))
-               for c in (near, right, far, left)]
+    corners = [list(map(vid.__getitem__, c)) for c in codes]
     # the edge pass below sets the peak memory: free the codes first
-    del codes, odd, diag, turn, near, right, far, left, vid
+    del codes, odd, offsets, vid
     masks = [0] * n
     for k, ids in enumerate(corners):
         for v, bit in zip(ids, bits):
             masks[v] |= bit << k
     squares = list(zip(*corners))
-    return SquareIndex(decode(order), squares, *_edge_ids(squares, n), masks)
+    return SquareIndex(decode(order), squares, *_edge_ids(squares, n), masks,
+                       arcs)
 
 
 def declared_vertices(obj):
@@ -330,20 +340,6 @@ def _link_failure(arcs):
     return "is disconnected" if seen != len(one) else None
 
 
-def _corner_arcs(n):
-    """The link arc of each corner bit of a vertex in Z^n.
-
-    Bit 4p + k (see SquareIndex.masks) is corner k of a square spanning
-    the p-th pair of axes (i, j), which lies on the side of the vertex
-    that corner k puts it: +i +j, -i +j, -i -j or +i -j.  Its arc joins
-    the link nodes of the vertex's edges in those two directions, the
-    edge along -i or +i being node 2i or 2i + 1.
-    """
-    return tuple((2 * i + si, 2 * j + sj)
-                 for i, j in itertools.combinations(range(n), 2)
-                 for si, sj in ((1, 1), (0, 1), (0, 0), (1, 0)))
-
-
 def _validate(index):
     vertices, squares = index.vertices, index.squares
     counts = index.edge_counts
@@ -363,7 +359,7 @@ def _validate(index):
                 bad_links.append(f"vertex {vertices[v]} link {why}")
     else:
         # each distinct corner pattern is one link up to node names
-        arcs = _corner_arcs(len(vertices[0]))
+        arcs = index.arcs
         why = {m: _link_failure([a for b, a in enumerate(arcs) if m >> b & 1])
                for m in set(index.masks)}
         if any(why.values()):

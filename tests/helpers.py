@@ -71,13 +71,16 @@ def gf2_rank(rows):
     return rank
 
 
-def solid_betti_numbers(cubes):
+def solid_betti_numbers(cubes, faces=None):
     """GF(2) Betti numbers b0, b1, b2 of a union of solid unit cubes.
 
     Builds the full cubical chain complex (vertices, edges, squares, cubes
-    of the union) and row-reduces the boundary matrices.
+    of the union) and row-reduces the boundary matrices.  faces(cell, k)
+    lists a cell's k-faces: lattice.faces for cubes of Z^3 (the default),
+    coxeter.cell_faces for cubes of a honeycomb.
     """
-    from gridforge.lattice import faces
+    if faces is None:
+        from gridforge.lattice import faces
 
     cubes = set(cubes)
     squares = sorted({f for c in cubes for f in faces(c, 2)})

@@ -386,6 +386,23 @@ def test_cli_runs_a_lattice_command_without_numpy(tmp_path):
     assert proc.stdout.startswith("OFF\n")
 
 
+def test_importing_a_module_loads_only_what_it_uses():
+    """The package root re-exports nothing, so importing it loads no
+    submodule, and gridforge.coxeter loads neither lattice nor surface."""
+    script = ("import sys, {}\n"
+              "print(' '.join(sorted(m for m in sys.modules "
+              "if m.startswith('gridforge.'))))\n")
+    loaded = {}
+    for module in ("gridforge", "gridforge.coxeter"):
+        proc = subprocess.run([sys.executable, "-c", script.format(module)],
+                              capture_output=True, text=True, env=SRC_ENV)
+        assert proc.returncode == 0, proc.stderr
+        loaded[module] = set(proc.stdout.split())
+    assert loaded["gridforge"] == set()
+    assert not loaded["gridforge.coxeter"] & {"gridforge.lattice",
+                                              "gridforge.surface"}
+
+
 def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["build", "not-a-thing"])

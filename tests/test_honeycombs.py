@@ -1,22 +1,25 @@
 """Surfaces gridded in the hyperbolic honeycombs."""
 
+import json
 import random
 
 import pytest
 
 from helpers import (
     edge_parallel_class_search, hypercube_graph_distance,
-    opposite_face_search, random_cells, transport_up_search,
+    opposite_face_search, random_cells, random_word, solid_betti_numbers,
+    transport_up_search,
 )
 from gridforge.coxeter import (
     build_system, cell_faces, identity_cell, neighbor, reflection,
     transform,
 )
+from gridforge.formats import dumps_complex, jsonable_to_complex
 from gridforge.honeycombs import (
     closed_orientable_435, crosscap_abstract_34, hyperbolic_pants_435,
     hyperbolic_torus_435, opposite_face,
     pants_4335, surface_4335, torus_4335, tree_of_life_435, union_boundary,
-    _cube_row_4335, _edge_parallel_class, _hypercube_ring,
+    _cube_row_4335, _edge_parallel_class, _hypercube_ring, _torus_ring_435,
 )
 from gridforge.lattice import GriddedComplex
 from gridforge.surface import AbstractSquareComplex, classify, validate_surface
@@ -270,3 +273,78 @@ def test_edge_parallel_class_equals_the_square_walk():
         for edge in cell_faces(cube, 1):
             assert _edge_parallel_class(cube, edge) == \
                 edge_parallel_class_search(cube, edge)
+
+
+def _grow_solid(rng, cubes, add, remove):
+    """cubes with `add` face neighbours of random members added, then
+    `remove` random members taken away (keeping at least one)."""
+    cubes = set(cubes)
+    for _ in range(add):
+        cube = rng.choice(sorted(cubes))
+        cubes.add(neighbor(cube, rng.choice(cell_faces(cube, 2))))
+    for _ in range(remove):
+        if len(cubes) > 1:
+            cubes.remove(rng.choice(sorted(cubes)))
+    return cubes
+
+
+def _random_solid_435(rng, kind):
+    """A random union of cubes of {4,3,5}.  Face-neighbour growth from
+    one cube gives balls, so kinds 1 and 3 start from the 12-cube ring of the
+    hyperbolic torus, and kinds 2 and 3 add a second piece moved far
+    away."""
+    s = build_system("{4,3,5}")
+    if kind & 1:
+        cubes = _grow_solid(rng, _torus_ring_435()[1], rng.randrange(4),
+                            rng.randrange(3))
+    else:
+        cubes = _grow_solid(rng, {identity_cell(s, 3)}, rng.randrange(1, 10),
+                            0)
+    if kind & 2:
+        # a walk of 12 random walls from the base cube, and a word that
+        # takes the base cube to its end
+        far = identity_cell(s, 3)
+        for _ in range(12):
+            far = neighbor(far, rng.choice(cell_faces(far, 2)))
+        piece = _grow_solid(rng, {identity_cell(s, 3)}, rng.randrange(5), 0)
+        cubes |= {transform(far.rep, c) for c in piece}
+    return cubes
+
+
+def _shape(rep):
+    """A classify report with its vertex names and component order
+    forgotten, which a motion of the honeycomb may change."""
+    return (rep.is_surface, rep.is_closed, rep.vertex_count, rep.edge_count,
+            rep.square_count, len(rep.failures), rep.orientable,
+            rep.boundary_circles, sorted(rep.components, key=repr))
+
+
+def test_random_hyperbolic_solids_against_homology():
+    """Boundary of a random solid of {4,3,5}: when it validates, it is a
+    closed orientable surface whose component count and total genus the
+    solid's GF(2) homology forces (b0 + b2 and b1, since the solid sits
+    in hyperbolic 3-space).  Its classify report survives a save and
+    load, and a motion of the honeycomb by a random word."""
+    s = build_system("{4,3,5}")
+    rng = random.Random(20261019)
+    rejected = tori = several = 0
+    for trial in range(40):
+        cubes = _random_solid_435(rng, trial % 4)
+        g = GriddedComplex("{4,3,5}", union_boundary(cubes))
+        rep = classify(g)
+        loaded = jsonable_to_complex(json.loads(dumps_complex(g)))
+        assert loaded == g
+        assert classify(loaded) == rep
+        w = random_word(s, rng, rng.randrange(1, 12))
+        moved = GriddedComplex("{4,3,5}", {transform(w, q) for q in g.squares})
+        assert _shape(classify(moved)) == _shape(rep)
+        if not rep.is_surface:
+            rejected += 1
+            continue
+        b0, b1, b2 = solid_betti_numbers(cubes, cell_faces)
+        assert rep.is_closed and rep.orientable
+        assert len(rep.components) == b0 + b2
+        assert sum(c.genus for c in rep.components) == b1
+        tori += b1 > 0
+        several += len(rep.components) > 1
+    assert rejected and tori and several

@@ -540,9 +540,26 @@ def test_lattice_index_equals_the_generic_index(g):
     GriddedComplex("Z3", cube_union_boundary({(1, 1, 1), (-1, -1, -1)})),
     GriddedComplex("Z2", {(1, 1), (-1, -1)}),
     GriddedComplex("Z4", set()),
-], ids=["edge-in-3", "cubes-at-a-vertex", "z2-pinch", "empty"])
+    # squares on the axis pairs (0, 6), (2, 5), (1, 3) and (0, 3) at the
+    # origin, beside the boundary of a cube spanning axes 0, 3 and 6
+    GriddedComplex("Z7", {(1, 0, 0, 0, 0, 0, 1), (0, 0, -1, 0, 0, 1, 0),
+                          (0, 1, 0, -1, 0, 0, 0), (-1, 0, 0, 1, 0, 0, 0)}
+                   | cube_union_boundary({(1, 0, 0, 1, 0, 0, -1)})),
+], ids=["edge-in-3", "cubes-at-a-vertex", "z2-pinch", "empty",
+        "z7-scattered-pairs"])
 def test_lattice_index_fixed_cases(g):
     _check_lattice_index(g)
+
+
+def test_lattice_link_bits_cover_only_the_axis_pairs_in_use():
+    """One square of Z100 spans 1 of its 4950 axis pairs: its index
+    holds the 4 corner bits and arcs of that pair and no others."""
+    g = GriddedComplex("Z100", {(0,) * 98 + (1, 1)})
+    index = square_index(g)
+    assert max(index.masks).bit_length() <= 4
+    assert len(index.arcs) == 4
+    assert validate_surface(g).failures == ()
+    assert classify(g).class_name == "orientable genus 0, 1 boundary circle"
 
 
 @st.composite
