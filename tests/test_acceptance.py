@@ -405,6 +405,32 @@ def test_build_bytes_are_pinned(cmd):
     assert digest == BUILD_DIGESTS[cmd]
 
 
+# sha256 of more pruned-tree builds: each pruning, decoration and end
+# kind on a tree deeper than the one in BUILD_COMMANDS
+PRUNED_TREE_DIGESTS = {
+    ("--depth", "2", "--prune", "1"):
+    "482cb55f27d68761ea4964b06846ba1f57500621e0fed8a12f43fb9ec12206f7",
+    ("--depth", "2", "--crosscaps", "1"):
+    "5eee9652ec5ffa21917f9794289962f2e375370676e9081bba4bdf566cd9d6c5",
+    ("--depth", "2", "--end", "cylinder:2"):
+    "e8fb619b7c04ade8ced2105d5b29697ae360f57dd36de75ac3d31136a4c30716",
+    ("--depth", "2", "--end", "ladder:1"):
+    "ea22a2db8da82df7523b96d9f18f2301ffa3e31bb5b53531fb30f096bf57a00f",
+    ("--depth", "2", "--end", "crosscap_chain:1"):
+    "b428b8d7f3b21ea6d2d7ff2d383ac87ac8e0d49a1be56b05c238c7f36e9a2b0f",
+    ("--depth", "3", "--prune", "1"):
+    "ea382b8328d3ed1d1900973ade9f00c820c9907b838817f7d0b02eb2ccaa51a9",
+}
+
+
+@pytest.mark.parametrize("options", PRUNED_TREE_DIGESTS, ids=" ".join)
+def test_pruned_tree_bytes_are_pinned(options):
+    code, out, err = run_cli(["build", "pruned-tree", *options])
+    assert code == 0, err
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == PRUNED_TREE_DIGESTS[options]
+
+
 def test_criterion_10_build_determinism():
     with criterion(10, "byte determinism of every build") as rec:
         ok = True

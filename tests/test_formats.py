@@ -281,6 +281,30 @@ def test_rejects_unknown_abstract_vertex():
                              "squares": [["a", "b", "c", "z"]]})
 
 
+# documents with two bad abstract entries: the first error in document
+# order is reported, except that repeated squares are looked for only
+# once every entry has passed its own checks
+@pytest.mark.parametrize("squares,message", [
+    ([["a", "b", "c"], ["a", "a", "c", "d"]],
+     "squares[0]: expected 4 vertex labels"),
+    ([["a", "a", "c", "d"], ["a", "b"]],
+     "squares[0]: square needs 4 distinct vertices"),
+    ([["a", "b", "c", "d"], ["b", "c", "d", "a"], ["a", "b", "z", "d"]],
+     "squares[2]: unknown vertex"),
+    ([["a", "b", "c", "z"], ["a", 1, "c", "d"]],
+     "squares[0]: unknown vertex"),
+    ([["a", "b", "c", "d"], ["d", "c", "b", "a"], "abcd"],
+     "squares[2]: expected 4 vertex labels"),
+], ids=["shape then square", "square then shape", "duplicate then square",
+        "unknown then shape", "duplicate then shape"])
+def test_two_bad_abstract_entries_report_the_first(squares, message):
+    data = {"format": "abstract", "vertices": ["a", "b", "c", "d"],
+            "squares": squares}
+    with pytest.raises(ValueError) as info:
+        jsonable_to_complex(data)
+    assert str(info.value) == message
+
+
 class _Label:
     """Orderable vertex label whose string form hides the order field."""
 
