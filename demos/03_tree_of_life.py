@@ -25,7 +25,7 @@ for depth in range(4):
 print()
 print("Decorating the depth-1 sphere")
 print("-----------------------------")
-base = tree_of_life(1)
+base = spiral_tree(1)
 for handles, crosscaps in ((1, 0), (2, 0), (0, 1), (1, 1)):
     rep = classify(prune_and_decorate(base, handles=handles,
                                       crosscaps=crosscaps))

@@ -94,7 +94,7 @@ BUILDERS = {
     "pruned-tree": (
         {"depth": 1, "prune": 0, "handles": 0, "crosscaps": 0, "end": []},
         lambda a: prune_and_decorate(
-            tree_of_life(a.depth), prune=a.prune, handles=a.handles,
+            spiral_tree(a.depth), prune=a.prune, handles=a.handles,
             crosscaps=a.crosscaps, ends=_parse_ends(a.end))),
     "hyp-torus": ({}, lambda a: hyperbolic_torus_435()),
     "hyp-pants": ({}, lambda a: hyperbolic_pants_435()),

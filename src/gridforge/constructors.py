@@ -175,16 +175,9 @@ def _thicken(segments):
 
 def tree_of_life(depth):
     """Sphere obtained by thickening the scaled spiral tree in a slab."""
-    tree = spiral_tree(depth)
-    squares = cube_union_boundary(_thicken(tree.segments))
-    stubs = tuple((2 * SCALE * m, 2 * SCALE * (2 * m + 1))
-                  for m in range(depth, 2 * depth + 2))
-    return GriddedComplex("Z3", squares, meta={
-        "kind": "tree_of_life",
-        "depth": depth,
-        "tree": tree,
-        "stubs": stubs,
-    })
+    squares = cube_union_boundary(_thicken(spiral_tree(depth).segments))
+    return GriddedComplex("Z3", squares, meta={"kind": "tree_of_life",
+                                               "depth": depth})
 
 
 @dataclass(frozen=True)
@@ -273,8 +266,8 @@ def _attach_above(acc, piece, near, open_end):
     raise last or GridCollisionError("no room left on the slab top")
 
 
-def prune_and_decorate(base, prune=0, handles=0, crosscaps=0, ends=()):
-    """Prune leaf branches off a thickened spiral tree, then decorate.
+def prune_and_decorate(tree, prune=0, handles=0, crosscaps=0, ends=()):
+    """Prune leaf branches off a spiral_tree PlaneTree, thicken, decorate.
 
     handles sums tori onto the top of the slab, crosscaps sums projective
     planes (lifting everything to Z^4 first), and each EndDecoration
@@ -285,9 +278,6 @@ def prune_and_decorate(base, prune=0, handles=0, crosscaps=0, ends=()):
                         ("crosscaps", crosscaps)):
         if count < 0:
             raise ValueError(f"{name} must be >= 0, got {count}")
-    tree = base.meta.get("tree")
-    if tree is None:
-        raise ValueError("complex does not carry tree construction data")
     ends = tuple(ends)
     segments = _prune(tree.segments, prune)
     squares = cube_union_boundary(_thicken(segments))

@@ -170,6 +170,13 @@ def preserves_form(system, m):
                for i in range(len(cols)) for j in range(i, len(cols)))
 
 
+def keeps_time_orientation(square):
+    """Whether the rep w of a square key keeps the future light cone, as
+    W does: B(w x_2, x_2) < 0 for the timelike centre x_2.  A matrix that
+    preserves the form keeps the cone or swaps it with the past, as -w."""
+    return rsign(_dot(square.system._square_form, square.vec)) < 0
+
+
 class CoxeterSystem:
     """A linear-diagram Coxeter system with verified exact matrices."""
 
@@ -217,7 +224,7 @@ class CoxeterSystem:
         self.affine = pivots[-1] == 0
         if self.affine:
             # a Euclidean system has lattice cells, not cosets
-            self.fixed_vectors = self.corner_turns = None
+            self.fixed_vectors = self.corner_turns = self._square_form = None
             return
         sig = (pivots.count(1), pivots.count(-1))
         if sig != (rank - 1, 1):
@@ -227,6 +234,8 @@ class CoxeterSystem:
         trail = _leading_minors(tuple(row[::-1] for row in b4[::-1]))[::-1]
         self.fixed_vectors = x = tuple(self._fixed_vector(lead, trail, i)
                                        for i in range(rank))
+        # 4B x_2, the form against a square's centre (keeps_time_orientation)
+        self._square_form = _form_image(self._form_terms, x[2])
         # q = s_0 s_1 turns the base square a quarter: the corners of a
         # square w P_2 are the vertices w q^k P_0 (see square_vertex_cycle).
         # Each turn q^k is kept with the offset d_k = q^k x_0 - x_2 of its

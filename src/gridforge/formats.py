@@ -23,9 +23,10 @@ integer is expected, and, for honeycomb cells, checks that each is a
 square (its mask leaves out generator 2 alone) and that its
 representative m preserves the bilinear form: m^T 4B m = 4B, compared
 on and above the diagonal only, since both sides are symmetric (see
-coxeter.preserves_form).  That check is weaker than membership in the
-reflection group W: a matrix that preserves the form but lies outside
-W, such as the negation of a representative, loads too.  A square
+coxeter.preserves_form), and keeps the time orientation as the elements
+of the reflection group W do (coxeter.keeps_time_orientation), which the
+negation of a representative does not.  Membership in W itself is not
+checked: a matrix outside W that passes both loads too.  A square
 listed twice, as the same lattice key, as two representatives of one
 coset or as one abstract cycle up to rotation and reflection, and a
 repeated abstract vertex label are rejected too; bad documents raise
@@ -36,9 +37,11 @@ from __future__ import annotations
 
 import json
 
-from gridforge.coxeter import CosetKey, build_system, preserves_form
+from gridforge.coxeter import (
+    CosetKey, build_system, keeps_time_orientation, preserves_form,
+)
 from gridforge.lattice import GriddedComplex, _all_ints, is_lattice_ambient
-from gridforge.surface import AbstractSquareComplex, _cycle_key
+from gridforge.surface import AbstractSquareComplex, _cycle_key, _distinct
 
 
 def _square_mask(system):
@@ -132,17 +135,6 @@ def _require(cond, message):
         raise ValueError(message)
 
 
-def _distinct(items, message):
-    """frozenset(items); an item equal to an earlier one raises
-    ValueError with message formatted by both positions i < j and x."""
-    first = {}
-    for j, x in enumerate(items):
-        i = first.setdefault(x, j)
-        if i != j:
-            raise ValueError(message.format(i=i, j=j, x=x))
-    return frozenset(first)
-
-
 def _load_lattice_squares(raw):
     squares = []
     for i, s in enumerate(raw):
@@ -170,21 +162,27 @@ def _load_coset_squares(ambient, raw):
                  and all(isinstance(row, list) and len(row) == rank
                          for row in rep),
                  f"{where}: rep must be a {rank}x{rank} matrix")
-        rows = []
-        for row in rep:
-            cells = []
-            for e in row:
-                _require(isinstance(e, list) and len(e) == 4
-                         and _all_ints(e),
-                         f"{where}: entries must be integer quadruples")
-                cells.append(tuple(e))
-            rows.append(tuple(cells))
-        mat = tuple(rows)
-        if not preserves_form(system, mat):
-            raise ValueError(f"{where}: matrix does not preserve the "
-                             "bilinear form")
-        squares.append(CosetKey(system, gens, mat))
+        _require(all(isinstance(e, list) and len(e) == 4 and _all_ints(e)
+                     for row in rep for e in row),
+                 f"{where}: entries must be integer quadruples")
+        mat = tuple([tuple([tuple(e) for e in row]) for row in rep])
+        _require(preserves_form(system, mat),
+                 f"{where}: matrix does not preserve the bilinear form")
+        key = CosetKey(system, gens, mat)
+        _require(keeps_time_orientation(key),
+                 f"{where}: matrix reverses the time orientation")
+        squares.append(key)
     return squares
+
+
+def _abstract_squares(raw):
+    """A document's abstract squares, each shape-checked as it is drawn,
+    so that AbstractSquareComplex meets the errors in document order."""
+    for i, s in enumerate(raw):
+        _require(isinstance(s, list) and len(s) == 4
+                 and all(isinstance(v, str) for v in s),
+                 f"squares[{i}]: expected 4 vertex labels")
+        yield s
 
 
 def jsonable_to_complex(data):
@@ -208,17 +206,7 @@ def jsonable_to_complex(data):
         _require(isinstance(raw, list), "missing squares")
         vset = _distinct(verts, "vertices[{j}]: label {x!r} repeats "
                                "vertices[{i}]")
-        squares = []
-        for i, s in enumerate(raw):
-            _require(isinstance(s, list) and len(s) == 4
-                     and all(isinstance(v, str) for v in s),
-                     f"squares[{i}]: expected 4 vertex labels")
-            _require(len(set(s)) == 4,
-                     f"squares[{i}]: square needs 4 distinct vertices")
-            _require(set(s) <= vset, f"squares[{i}]: unknown vertex")
-            squares.append(_cycle_key(tuple(s)))
-        _distinct(squares, "squares[{j}]: same square as squares[{i}]")
-        return AbstractSquareComplex(vset, tuple(squares))
+        return AbstractSquareComplex(vset, _abstract_squares(raw))
     raise ValueError(f"unknown format {fmt!r}")
 
 

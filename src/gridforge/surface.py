@@ -59,6 +59,17 @@ def _cycle_key(cyc):
     return min(candidates)
 
 
+def _distinct(items, message):
+    """frozenset(items); an item equal to an earlier one raises
+    ValueError with message formatted by both positions i < j and x."""
+    first = {}
+    for j, x in enumerate(items):
+        i = first.setdefault(x, j)
+        if i != j:
+            raise ValueError(message.format(i=i, j=j, x=x))
+    return frozenset(first)
+
+
 @dataclass(frozen=True)
 class AbstractSquareComplex:
     """A purely combinatorial square complex.
@@ -66,7 +77,8 @@ class AbstractSquareComplex:
     squares are cyclic 4-tuples of distinct vertices; they are stored in a
     canonical rotation so that structural equality works.  vertices may
     include points not used by any square (such a complex is never a
-    surface, but it is representable).
+    surface, but it is representable).  A bad square raises ValueError
+    naming it by position.
     """
 
     vertices: frozenset
@@ -76,19 +88,16 @@ class AbstractSquareComplex:
     def __post_init__(self):
         object.__setattr__(self, "vertices", frozenset(self.vertices))
         canon = []
-        for s in self.squares:
+        for i, s in enumerate(self.squares):
             s = tuple(s)
             if len(s) != 4 or len(set(s)) != 4:
-                raise ValueError(f"square needs 4 distinct vertices: {s}")
-            for v in s:
-                if v not in self.vertices:
-                    raise ValueError(f"square vertex {v!r} not in vertex set")
+                raise ValueError(
+                    f"squares[{i}]: square needs 4 distinct vertices")
+            if not self.vertices.issuperset(s):
+                raise ValueError(f"squares[{i}]: unknown vertex")
             canon.append(_cycle_key(s))
-        canon.sort()
-        for prev, cur in zip(canon, canon[1:]):
-            if prev == cur:
-                raise ValueError(f"duplicate square: {cur}")
-        object.__setattr__(self, "squares", tuple(canon))
+        canon = _distinct(canon, "squares[{j}]: same square as squares[{i}]")
+        object.__setattr__(self, "squares", tuple(sorted(canon)))
 
     @classmethod
     def from_squares(cls, squares, meta=None):

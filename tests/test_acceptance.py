@@ -269,7 +269,7 @@ def test_criterion_06_tree_family():
         for depth in range(4):
             rep = classify(tree_of_life(depth))
             ok &= rep.class_name == "orientable genus 0" and rep.is_closed
-        base = tree_of_life(1)
+        base = spiral_tree(1)
         for handles in range(4):
             for crosscaps in range(4):
                 rep = classify(prune_and_decorate(base, handles=handles,

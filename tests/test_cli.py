@@ -215,6 +215,23 @@ def test_coset_cell_that_is_not_a_square_exits_2(tmp_path, command):
                    "but 2 (a square)\n")
 
 
+@pytest.mark.parametrize("name", ["hyp-torus", "h4-torus"])
+@pytest.mark.parametrize("command", ["validate", "classify", "export"])
+def test_negated_representatives_exit_2(tmp_path, command, name):
+    # -w preserves the form as w does, but swaps the future light cone
+    # with the past, which no element of the reflection group does
+    path = build(tmp_path, name)
+    data = json.loads(path.read_text())
+    for square in data["squares"]:
+        square["rep"] = [[[-t for t in e] for e in row]
+                         for row in square["rep"]]
+    path.write_text(json.dumps(data))
+    code, out, err = run([command, str(path)])
+    assert (code, out) == (2, "")
+    assert err == ("error: squares[0]: matrix reverses the time "
+                   "orientation\n")
+
+
 @pytest.mark.parametrize("command", ["validate", "classify", "export"])
 def test_euclidean_coset_document_exits_2(tmp_path, command):
     # {4,3,4} is the cubic lattice: its squares are Z3 keys, not cosets

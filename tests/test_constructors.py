@@ -2,7 +2,7 @@ import pytest
 
 from gridforge.constructors import (
     EndDecoration, box_column, closed_surface, crosscap_z4, frame_torus,
-    klein_bottle, prune_and_decorate, sphere_cube, spiral_tree, tree_of_life,
+    klein_bottle, prune_and_decorate, spiral_tree, tree_of_life,
 )
 from gridforge.lattice import cube_union_boundary
 from gridforge.surface import classify
@@ -96,16 +96,14 @@ def test_tree_of_life_is_a_sphere(depth):
 
 
 def test_prune_all_the_way_down():
-    t = tree_of_life(1)
-    bare = prune_and_decorate(t, prune=99)
+    bare = prune_and_decorate(spiral_tree(1), prune=99)
     rep = classify(bare)
     assert rep.genus == 0 and rep.is_closed
     assert len(bare) == 16  # 2x2x1 block around the origin
 
 
 def test_handles_raise_genus():
-    t = tree_of_life(0)
-    out = prune_and_decorate(t, handles=2)
+    out = prune_and_decorate(spiral_tree(0), handles=2)
     rep = classify(out)
     assert rep.is_closed and rep.orientable
     assert rep.genus == 2
@@ -113,8 +111,7 @@ def test_handles_raise_genus():
 
 
 def test_crosscaps_make_it_nonorientable():
-    t = tree_of_life(0)
-    out = prune_and_decorate(t, crosscaps=1)
+    out = prune_and_decorate(spiral_tree(0), crosscaps=1)
     assert out.ambient == "Z4"
     rep = classify(out)
     assert rep.is_closed and not rep.orientable
@@ -122,8 +119,7 @@ def test_crosscaps_make_it_nonorientable():
 
 
 def test_handles_and_crosscaps_combine():
-    t = tree_of_life(0)
-    out = prune_and_decorate(t, handles=1, crosscaps=1)
+    out = prune_and_decorate(spiral_tree(0), handles=1, crosscaps=1)
     rep = classify(out)
     assert rep.is_closed and not rep.orientable
     # a handle in the presence of a crosscap converts to two crosscaps
@@ -138,8 +134,8 @@ def test_handles_and_crosscaps_combine():
     ("crosscap_chain", 2, 3),
 ])
 def test_truncated_ends(kind, truncation, chi_drop):
-    t = tree_of_life(1)
-    out = prune_and_decorate(t, prune=1, ends=[EndDecoration(kind, truncation)])
+    out = prune_and_decorate(spiral_tree(1), prune=1,
+                             ends=[EndDecoration(kind, truncation)])
     rep = classify(out)
     assert rep.is_surface and not rep.is_closed
     assert rep.boundary_circles == 1
@@ -148,10 +144,9 @@ def test_truncated_ends(kind, truncation, chi_drop):
 
 
 def test_several_ends():
-    t = tree_of_life(1)
     ends = [EndDecoration("cylinder", 2), EndDecoration("cylinder", 2),
             EndDecoration("ladder", 1)]
-    out = prune_and_decorate(t, ends=ends)
+    out = prune_and_decorate(spiral_tree(1), ends=ends)
     rep = classify(out)
     assert rep.boundary_circles == 3
     assert rep.euler_characteristic == 2 - 1 - 1 - 3
@@ -162,11 +157,6 @@ def test_end_decoration_validates():
         EndDecoration("spiral", 1)
     with pytest.raises(ValueError):
         EndDecoration("cylinder", 0)
-
-
-def test_prune_needs_tree_data():
-    with pytest.raises(ValueError):
-        prune_and_decorate(sphere_cube(), prune=1)
 
 
 def test_box_column():

@@ -674,14 +674,15 @@ def test_tree_write_dot_count(monkeypatch, dots):
 
 def test_tree_load_and_classify_dot_counts(dots):
     # exact: a loaded square costs 10 dots for the upper half of its Gram
-    # matrix and rank = 4 for its key, and classifying costs 2 * rank for
-    # its corners; a full Gram product or a product per corner raises them
+    # matrix, rank = 4 for its key and 1 for its time orientation, and
+    # classifying costs 2 * rank for its corners; a full Gram product or a
+    # product per corner raises them
     build_system("{4,3,5}")
     data = complex_to_jsonable(tree_of_life_435(3))
     assert len(data["squares"]) == 114
     dots[0] = 0
     loaded = jsonable_to_complex(data)
-    assert dots[0] == 114 * (10 + 4)
+    assert dots[0] == 114 * (10 + 4 + 1)
     dots[0] = 0
     classify(loaded)
     assert dots[0] == 114 * 2 * 4

@@ -262,6 +262,27 @@ def test_form_check_reads_every_entry(name, word, data):
         "squares[0]: matrix does not preserve the bilinear form"
 
 
+@settings(max_examples=60)
+@given(st.sampled_from(("{4,3,5}", "{4,3,3,5}")),
+       st.lists(st.integers(0, 4), max_size=12))
+def test_negated_representative_reverses_time(name, word):
+    # -w preserves the form as w does, and is refused by the sign of
+    # B(-w x_2, x_2) alone
+    s = build_system(name)
+    w = _identity(s.rank)
+    for i in word:
+        w = _mat_mul(w, s.generators[i % s.rank])
+    gens = s.parabolic_gens(2)
+    rep = [[[-t for t in e] for e in row]
+           for row in CosetKey(s, gens, w).min_rep()]
+    doc = {"format": "gridded", "ambient": name,
+           "squares": [{"mask": sum(1 << i for i in gens), "rep": rep}]}
+    with pytest.raises(ValueError) as info:
+        jsonable_to_complex(doc)
+    assert str(info.value) == \
+        "squares[0]: matrix reverses the time orientation"
+
+
 @pytest.mark.parametrize("square,message", [
     (["a", "a", "c", "d"], "squares[1]: square needs 4 distinct vertices"),
     (["b", "c", "d", "a"], "squares[1]: same square as squares[0]"),

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from helpers import (
-    edge_parallel_class_search, hypercube_graph_distance,
+    brute_surface_check, edge_parallel_class_search, hypercube_graph_distance,
     opposite_face_search, random_cells, random_word, solid_betti_numbers,
     transport_up_search,
 )
@@ -319,12 +319,27 @@ def _shape(rep):
             rep.boundary_circles, sorted(rep.components, key=repr))
 
 
+def _faces_cycle(square):
+    """The corners of a square in cyclic order, from its four edges and
+    their end vertices alone (not from its representative's turns)."""
+    ends = [set(cell_faces(e, 0)) for e in cell_faces(square, 1)]
+    cycle = list(ends.pop())
+    while len(cycle) < 4:
+        (step,) = [p for p in ends if cycle[-1] in p]
+        ends.remove(step)
+        cycle += step - {cycle[-1]}
+    assert ends == [{cycle[0], cycle[-1]}]
+    return tuple(cycle)
+
+
 def test_random_hyperbolic_solids_against_homology():
     """Boundary of a random solid of {4,3,5}: when it validates, it is a
     closed orientable surface whose component count and total genus the
     solid's GF(2) homology forces (b0 + b2 and b1, since the solid sits
-    in hyperbolic 3-space).  Its classify report survives a save and
-    load, and a motion of the honeycomb by a random word."""
+    in hyperbolic 3-space).  The brute-force surface check on corner
+    cycles rebuilt from cell_faces agrees with classify on validity and
+    orientability.  The classify report survives a save and load, and a
+    motion of the honeycomb by a random word."""
     s = build_system("{4,3,5}")
     rng = random.Random(20261019)
     rejected = tori = several = 0
@@ -338,10 +353,16 @@ def test_random_hyperbolic_solids_against_homology():
         w = random_word(s, rng, rng.randrange(1, 12))
         moved = GriddedComplex("{4,3,5}", {transform(w, q) for q in g.squares})
         assert _shape(classify(moved)) == _shape(rep)
+        ids = {}  # int vertex names, cheaper to hash than coset keys
+        bad_edges, bad_vertices, orientable = brute_surface_check(
+            [tuple(ids.setdefault(v, len(ids)) for v in _faces_cycle(q))
+             for q in sorted(g.squares)])
+        assert (not bad_edges and not bad_vertices) == rep.is_surface
         if not rep.is_surface:
             rejected += 1
             continue
         b0, b1, b2 = solid_betti_numbers(cubes, cell_faces)
+        assert orientable == rep.orientable
         assert rep.is_closed and rep.orientable
         assert len(rep.components) == b0 + b2
         assert sum(c.genus for c in rep.components) == b1
