@@ -1,8 +1,8 @@
 import pytest
 
 from gridforge.constructors import (
-    EndDecoration, box_column, closed_surface, crosscap_z4, frame_torus,
-    klein_bottle, prune_and_decorate, spiral_tree, tree_of_life,
+    EndDecoration, PlaneTree, box_column, closed_surface, crosscap_z4,
+    frame_torus, klein_bottle, prune_and_decorate, spiral_tree, tree_of_life,
 )
 from gridforge.lattice import cube_union_boundary
 from gridforge.surface import classify
@@ -153,10 +153,29 @@ def test_several_ends():
 
 
 def test_end_decoration_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown end kind 'spiral'$"):
         EndDecoration("spiral", 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^truncation must be >= 1$"):
         EndDecoration("cylinder", 0)
+
+
+def test_plane_trees_and_ends_compare_hash_and_print_by_their_fields():
+    tree = PlaneTree(frozenset({((0, 0), (0, 1))}), ((0, 1),), 0)
+    same = PlaneTree(segments=frozenset({((0, 0), (0, 1))}),
+                     leaves=((0, 1),), depth=0)
+    assert tree == same and hash(tree) == hash(same)
+    assert tree != PlaneTree(tree.segments, tree.leaves, 1)
+    assert spiral_tree(2) == spiral_tree(2) != spiral_tree(1)
+    assert repr(tree) == ("PlaneTree(segments=frozenset({((0, 0), (0, 1))}), "
+                          "leaves=((0, 1),), depth=0)")
+    end = EndDecoration("ladder", 2)
+    assert end == EndDecoration(kind="ladder", truncation=2)
+    assert hash(end) == hash(EndDecoration("ladder", 2))
+    assert end != EndDecoration("ladder", 3)
+    assert repr(end) == "EndDecoration(kind='ladder', truncation=2)"
+    for record, name in ((tree, "depth"), (end, "kind")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_box_column():

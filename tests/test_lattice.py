@@ -274,6 +274,14 @@ def test_gridded_complex_equality_ignores_meta():
     assert a == b
     assert hash(a) == hash(b)
     assert len(a) == 1
+    assert a != GriddedComplex("Z3", {(1, 0, 1)})
+    assert a != GriddedComplex("Z4", {(1, 1, 0, 0)})
+    assert a != ("Z3", frozenset({(1, 1, 0)}))
+    assert repr(a) == "GriddedComplex(ambient='Z3', squares=frozenset({(1, 1, 0)}))"
+    for name in ("ambient", "squares", "meta"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert a.meta == {"kind": "a"}
 
 
 @settings(max_examples=80, deadline=None)

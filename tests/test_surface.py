@@ -92,6 +92,48 @@ def test_abstract_square_complex_rejects_bad_squares():
         AbstractSquareComplex(frozenset([0, 1, 2]), ((0, 1, 2, 3),))
 
 
+def test_records_compare_hash_and_print_by_their_fields():
+    a = AbstractSquareComplex.from_squares([(0, 1, 2, 3)], meta={"kind": "a"})
+    b = AbstractSquareComplex(frozenset(range(4)), ((1, 2, 3, 0),),
+                              meta={"kind": "b"})
+    assert a == b and hash(a) == hash(b)
+    assert a != AbstractSquareComplex(frozenset(range(5)), ((0, 1, 2, 3),))
+    assert a != GriddedComplex("Z3", {(1, 1, 0)})
+    assert repr(a) == ("AbstractSquareComplex(vertices=frozenset({0, 1, 2, "
+                       "3}), squares=((0, 1, 2, 3),))")
+    for name in ("vertices", "squares", "meta"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert a.meta == {"kind": "a"}
+
+    sphere, disk = classify(sphere_cube()), validate_surface(a)
+    assert sphere == classify(sphere_cube())
+    assert hash(sphere) == hash(classify(sphere_cube()))
+    assert sphere != classify(box_column(2))
+    assert repr(disk) == (
+        "SurfaceReport(is_surface=True, is_closed=False, vertex_count=4, "
+        "edge_count=4, square_count=1, euler_characteristic=1, failures=(), "
+        "orientable=None, boundary_circles=None, components=(), "
+        "class_name='not a surface', genus=None, crosscaps=None, "
+        "nonorientable_witness=None)")
+    (comp,) = sphere.components
+    assert repr(comp) == (
+        "ComponentReport(vertex_count=8, edge_count=12, square_count=6, "
+        "euler_characteristic=2, orientable=True, boundary_circles=0, "
+        "genus=0, crosscaps=None, class_name='orientable genus 0')")
+    assert repr(sphere) == (
+        "SurfaceReport(is_surface=True, is_closed=True, vertex_count=8, "
+        "edge_count=12, square_count=6, euler_characteristic=2, failures=(), "
+        f"orientable=True, boundary_circles=0, components=({comp!r},), "
+        "class_name='orientable genus 0', genus=0, crosscaps=None, "
+        "nonorientable_witness=None)")
+    assert comp == classify(box_column(1)).components[0]
+    assert hash(comp) == hash(classify(box_column(1)).components[0])
+    for record, name in ((sphere, "genus"), (comp, "class_name")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
 def test_abstract_torus():
     rep = classify(grid_torus())
     assert rep.is_closed and rep.orientable
