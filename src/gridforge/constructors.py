@@ -10,8 +10,7 @@ sphere whose shape supports pruning and decorating operations.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from gridforge import lattice
 from gridforge.lattice import GriddedComplex, cube_union_boundary
@@ -100,17 +99,14 @@ def klein_bottle():
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlaneTree:
+class PlaneTree(namedtuple("PlaneTree", "segments leaves depth")):
     """A tree of axis-parallel unit segments in Z^2.
 
     segments are pairs of adjacent lattice points, each pair sorted.  leaves
     are the degree-1 endpoints that hang off the final generation.
     """
 
-    segments: frozenset
-    leaves: tuple
-    depth: int
+    __slots__ = ()
 
 
 def _seg(a, b):
@@ -180,19 +176,18 @@ def tree_of_life(depth):
                                                "depth": depth})
 
 
-@dataclass(frozen=True)
-class EndDecoration:
+class EndDecoration(namedtuple("EndDecoration", "kind truncation")):
     """A truncated infinite end: kind is cylinder, ladder or crosscap_chain,
     truncation is how many repeating blocks of the infinite picture to keep."""
 
-    kind: str
-    truncation: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("cylinder", "ladder", "crosscap_chain"):
-            raise ValueError(f"unknown end kind {self.kind!r}")
-        if self.truncation < 1:
+    def __new__(cls, kind, truncation):
+        if kind not in ("cylinder", "ladder", "crosscap_chain"):
+            raise ValueError(f"unknown end kind {kind!r}")
+        if truncation < 1:
             raise ValueError("truncation must be >= 1")
+        return super().__new__(cls, kind, truncation)
 
 
 def box_column(height):

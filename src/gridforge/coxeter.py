@@ -370,6 +370,50 @@ def parabolic_order(system, gens):
     return len(enumerate_parabolic(system, gens))
 
 
+# The finite linear diagrams of 3 or more nodes other than A_n and B_n, by
+# their labels: H3 and H4
+_H_ORDERS = {(3, 5): 120, (5, 3): 120, (3, 3, 5): 14400, (5, 3, 3): 14400}
+
+
+def _run_order(labels):
+    """The order of the finite Coxeter group of the linear diagram on
+    n = len(labels) + 1 nodes with these labels: A_n, B_n, I2(m), H3 or
+    H4, whose orders are the products of their degrees (Humphreys,
+    Reflection Groups and Coxeter Groups, 2.11)."""
+    n = len(labels) + 1
+    if set(labels) <= {3}:
+        return math.factorial(n + 1)
+    if n == 2:
+        return 2 * labels[0]
+    if 4 in (labels[0], labels[-1]) and labels.count(3) == n - 2:
+        return 2 ** n * math.factorial(n)
+    if labels not in _H_ORDERS:
+        raise AssertionError(f"labels {labels} are not a finite diagram")
+    return _H_ORDERS[labels]
+
+
+def diagram_order(system, gens):
+    """The order of the standard parabolic <s_i : i in gens>, from the
+    diagram alone; parabolic_order, which enumerates it, is the reference.
+
+    The parabolic is the direct product of the groups of its maximal runs
+    of consecutive generators, and a run of n generators is the linear
+    diagram of the n - 1 labels between them.
+    """
+    gens = frozenset(gens)
+    if not gens < frozenset(range(system.rank)):
+        raise ValueError(f"parabolic {sorted(gens)} of {system.name} is not "
+                         "a proper subset of its generators")
+    order, n = 1, 0
+    for i in range(system.rank + 1):
+        if i in gens:
+            n += 1
+        elif n:
+            order *= _run_order(system.labels[i - n:i - 1])
+            n = 0
+    return order
+
+
 def _columns(t, parabolic):
     """The columns of t * p for each p of the parabolic, a tuple per p;
     each distinct column of the parabolic is multiplied by t once."""
@@ -645,15 +689,15 @@ def square_vertex_cycle(square):
 def incidence_counts(system, d):
     """Numbers of k-cells incident to a d-cell, for k = d+1 .. rank-1.
 
-    Computed from parabolic subgroup orders: the count is
-    |P_d| / |P_d intersect P_k|, and the intersection is the standard
+    Computed from parabolic subgroup orders (diagram_order): the count
+    is |P_d| / |P_d intersect P_k|, and the intersection is the standard
     parabolic omitting both d and k.
     """
     all_gens = frozenset(range(system.rank))
     out = []
-    big = parabolic_order(system, all_gens - {d})
+    big = diagram_order(system, all_gens - {d})
     for k in range(d + 1, system.rank):
-        small = parabolic_order(system, all_gens - {d, k})
+        small = diagram_order(system, all_gens - {d, k})
         count, rem = divmod(big, small)
         if rem:
             raise AssertionError("parabolic order does not divide")

@@ -11,12 +11,12 @@ and rcofactor turns an exact division into one by the integer norm.
 QF, an element of the field with rational coefficients over (1, sqrt2,
 sqrt5, sqrt10) and an interval-Newton sign, is not used by the library.
 It is the reference the tests check the ring against, through
-qf_from_ring; ring_float is its float, bit for bit.
+qf_from_ring; ring_float is its float, bit for bit.  Only that code
+imports fractions, so the library never loads it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import total_ordering
 
 _S2 = 2 ** 0.5
@@ -24,6 +24,8 @@ _S5 = 5 ** 0.5
 
 
 def _to_fraction(x):
+    from fractions import Fraction
+
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -58,9 +60,10 @@ class QF:
     def _coerce(x):
         if isinstance(x, QF):
             return x
-        if isinstance(x, (int, Fraction)):
-            return QF(x)
-        return None
+        try:
+            return QF(x)  # an int or a Fraction
+        except TypeError:
+            return None
 
     def __add__(self, other):
         o = QF._coerce(other)
@@ -144,6 +147,8 @@ class QF:
 
     def sign(self):
         """Exact sign: -1, 0, or +1."""
+        from fractions import Fraction
+
         if not self:
             return 0
         lo2, hi2 = Fraction(1), Fraction(2)
@@ -270,6 +275,8 @@ def ring_key(x):
 
 
 def qf_from_ring(x):
+    from fractions import Fraction
+
     p, q, r, s = x
     return QF(p + Fraction(r, 2), q + Fraction(s, 2), Fraction(r, 2), Fraction(s, 2))
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 
 from gridforge.coxeter import CosetKey, build_system, cell_faces
 
@@ -190,8 +189,46 @@ def ambient_dim(ambient):
     return int(ambient[1:])
 
 
-@dataclass(frozen=True)
-class GriddedComplex:
+class Frozen:
+    """Base of an immutable record with __slots__ = (*fields, "meta").
+
+    Equality, hashing and repr read the fields, in order; meta carries
+    construction notes and takes part in none of them.  _set gives every
+    slot its value once, and assignment raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values, meta=None):
+        values += ({} if meta is None else meta,)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__[:-1])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}(" + ", ".join(
+            map("{}={!r}".format, self.__slots__, self._values())) + ")"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), (*self._values(), self.meta)
+
+
+class GriddedComplex(Frozen):
     """A set of squares of a cubical tiling, tagged with its ambient space.
 
     For lattice ambients ("Z2", "Z3", "Z4") the squares are doubled integer
@@ -201,29 +238,27 @@ class GriddedComplex:
     carries construction notes and does not take part in equality.
     """
 
-    ambient: str
-    squares: frozenset
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("ambient", "squares", "meta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "squares", frozenset(self.squares))
-        if is_lattice_ambient(self.ambient):
-            n = ambient_dim(self.ambient)
+    def __init__(self, ambient, squares, meta=None):
+        self._set(ambient, frozenset(squares), meta=meta)
+        if is_lattice_ambient(ambient):
+            n = ambient_dim(ambient)
             for s in self.squares:
                 # the parities of the coordinates that pass the test of
                 # _all_ints, in the one pass a large complex can afford
                 odd = [x & 1 for x in s if type(x) is int]
                 if len(s) != n or len(odd) != n or sum(odd) != 2:
-                    raise ValueError(f"not a square of {self.ambient}: {s}")
+                    raise ValueError(f"not a square of {ambient}: {s}")
             return
-        system = build_system(self.ambient)  # rejects an unknown ambient
+        system = build_system(ambient)  # rejects an unknown ambient
         if system.affine:
-            raise ValueError(f"{self.ambient} is a lattice: use ambient "
+            raise ValueError(f"{ambient} is a lattice: use ambient "
                              f"Z{system.rank - 1}")
         for s in self.squares:
-            if (not isinstance(s, CosetKey) or s.system.name != self.ambient
+            if (not isinstance(s, CosetKey) or s.system.name != ambient
                     or s.dim != 2):
-                raise ValueError(f"not a square of {self.ambient}: {s!r}")
+                raise ValueError(f"not a square of {ambient}: {s!r}")
 
     def __len__(self):
         return len(self.squares)

@@ -29,12 +29,13 @@ through their sides' edge ids, one tree of squares per component.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from collections import Counter, namedtuple
 from functools import cached_property
 
 from gridforge import lattice
-from gridforge.lattice import GriddedComplex, corners_cyclic, is_lattice_ambient
+from gridforge.lattice import (
+    Frozen, GriddedComplex, corners_cyclic, is_lattice_ambient,
+)
 
 
 class GridCollisionError(ValueError):
@@ -70,41 +71,38 @@ def _distinct(items, message):
     return frozenset(first)
 
 
-@dataclass(frozen=True)
-class AbstractSquareComplex:
+class AbstractSquareComplex(Frozen):
     """A purely combinatorial square complex.
 
     squares are cyclic 4-tuples of distinct vertices; they are stored in a
     canonical rotation so that structural equality works.  vertices may
     include points not used by any square (such a complex is never a
     surface, but it is representable).  A bad square raises ValueError
-    naming it by position.
+    naming it by position.  meta does not take part in equality.
     """
 
-    vertices: frozenset
-    squares: tuple
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("vertices", "squares", "meta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
+    def __init__(self, vertices, squares, meta=None):
+        vertices = frozenset(vertices)
         canon = []
-        for i, s in enumerate(self.squares):
+        for i, s in enumerate(squares):
             s = tuple(s)
             if len(s) != 4 or len(set(s)) != 4:
                 raise ValueError(
                     f"squares[{i}]: square needs 4 distinct vertices")
-            if not self.vertices.issuperset(s):
+            if not vertices.issuperset(s):
                 raise ValueError(f"squares[{i}]: unknown vertex")
             canon.append(_cycle_key(s))
         canon = _distinct(canon, "squares[{j}]: same square as squares[{i}]")
-        object.__setattr__(self, "squares", tuple(sorted(canon)))
+        self._set(vertices, tuple(sorted(canon)), meta=meta)
 
     @classmethod
     def from_squares(cls, squares, meta=None):
         verts = set()
         for s in squares:
             verts.update(s)
-        return cls(frozenset(verts), tuple(squares), meta or {})
+        return cls(verts, squares, meta)
 
     def __len__(self):
         return len(self.squares)
@@ -123,7 +121,6 @@ def square_cycles(obj):
     raise TypeError(f"not a square complex: {type(obj).__name__}")
 
 
-@dataclass(frozen=True)
 class SquareIndex:
     """The squares of a complex in dense integer form.
 
@@ -144,12 +141,11 @@ class SquareIndex:
     its nodes; on other complexes masks and arcs are None.
     """
 
-    vertices: list
-    squares: list
-    square_edges: list
-    edge_counts: list
-    masks: list | None = None
-    arcs: list | None = None
+    def __init__(self, vertices, squares, square_edges, edge_counts,
+                 masks=None, arcs=None):
+        self.vertices, self.squares = vertices, squares
+        self.square_edges, self.edge_counts = square_edges, edge_counts
+        self.masks, self.arcs = masks, arcs
 
     @cached_property
     def edges(self):
@@ -272,35 +268,15 @@ def declared_vertices(obj):
     return set(square_index(obj).vertices)
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    vertex_count: int
-    edge_count: int
-    square_count: int
-    euler_characteristic: int
-    orientable: bool
-    boundary_circles: int
-    genus: int | None
-    crosscaps: int | None
-    class_name: str
+ComponentReport = namedtuple("ComponentReport", (
+    "vertex_count edge_count square_count euler_characteristic orientable "
+    "boundary_circles genus crosscaps class_name"))
 
-
-@dataclass(frozen=True)
-class SurfaceReport:
-    is_surface: bool
-    is_closed: bool
-    vertex_count: int
-    edge_count: int
-    square_count: int
-    euler_characteristic: int
-    failures: tuple = ()
-    orientable: bool | None = None
-    boundary_circles: int | None = None
-    components: tuple = ()
-    class_name: str = "not a surface"
-    genus: int | None = None
-    crosscaps: int | None = None
-    nonorientable_witness: tuple | None = None
+SurfaceReport = namedtuple("SurfaceReport", (
+    "is_surface is_closed vertex_count edge_count square_count "
+    "euler_characteristic failures orientable boundary_circles components "
+    "class_name genus crosscaps nonorientable_witness"),
+    defaults=((), None, None, (), "not a surface", None, None, None))
 
 
 def _plural(n, word):
@@ -588,8 +564,7 @@ def classify(obj):
     else:
         name = f"{n_comp} components: " + "; ".join(c.class_name for c in comps)
     bad = next((w for w in witnesses if w is not None), None)
-    return replace(
-        base,
+    return base._replace(
         orientable=all(orientable),
         boundary_circles=sum(circles_by_comp),
         components=tuple(comps),
@@ -689,6 +664,8 @@ def connected_sum_embedded(a, face_a, b, face_b, axis=None):
     clashes += sorted(v for v in declared_vertices(copy)
                       if not a.squares.isdisjoint(lattice.cofaces(v, 2)))
     clashes += sorted(f for f in sides if f in a.squares or f in moved)
+    # a side face of Q that both complexes hold is listed once, as shared
+    clashes = list(dict.fromkeys(clashes))
     if clashes:
         raise GridCollisionError(
             f"translated complex collides with the base at {len(clashes)} cells",

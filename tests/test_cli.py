@@ -141,6 +141,21 @@ def test_sum_collision_exits_1(tmp_path):
             (0, 1, 3), (1, 0, 3), (1, 2, 3), (2, 1, 3)))]
 
 
+def test_sum_collision_lists_each_cell_once(tmp_path):
+    a = build(tmp_path, "sphere")
+    code, _, err = run(["sum", str(a), str(a), "--face-a", "1,1,0",
+                        "--face-b", "1,1,2"])
+    assert code == 1
+    # the copy lands on the sphere itself: its 4 side squares are shared,
+    # and are also the occupied sides of the connecting cube, listed once
+    assert err.splitlines() == [
+        "error: translated complex collides with the base at 12 cells",
+        *(f"  collision at {cell}" for cell in (
+            (0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1),
+            (0, 0, 0), (0, 0, 2), (0, 2, 0), (0, 2, 2),
+            (2, 0, 0), (2, 0, 2), (2, 2, 0), (2, 2, 2)))]
+
+
 def test_sum_bad_face_exits_2(tmp_path):
     a = build(tmp_path, "sphere")
     code, _, err = run(["sum", str(a), str(a), "--face-a", "9,9,8",
@@ -403,9 +418,12 @@ def test_cli_runs_a_lattice_command_without_numpy(tmp_path):
     assert proc.stdout.startswith("OFF\n")
 
 
-def test_importing_a_module_loads_only_what_it_uses():
+def test_importing_a_module_loads_only_what_it_uses(tmp_path):
     """The package root re-exports nothing, so importing it loads no
-    submodule, and gridforge.coxeter loads neither lattice nor surface."""
+    submodule, and gridforge.coxeter loads neither lattice nor surface.
+    Every command pays the import of gridforge.cli first, and none loads
+    standard modules it does not run: dataclasses with inspect, and
+    fractions with decimal, which only the tests' field reference uses."""
     script = ("import sys, {}\n"
               "print(' '.join(sorted(m for m in sys.modules "
               "if m.startswith('gridforge.'))))\n")
@@ -418,6 +436,18 @@ def test_importing_a_module_loads_only_what_it_uses():
     assert loaded["gridforge"] == set()
     assert not loaded["gridforge.coxeter"] & {"gridforge.lattice",
                                               "gridforge.surface"}
+    path = build(tmp_path, "torus-32")
+    script = ("import sys, gridforge.cli\n"
+              f"gridforge.cli.main(['classify', {str(path)!r}])\n"
+              "gridforge.cli.main(['stats', '{4,3,5}'])\n"
+              "print(*sorted({'dataclasses', 'inspect', 'fractions', "
+              "'decimal'} & set(sys.modules)), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=SRC_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "orientable genus 1"
+    assert "{4,3,5} vertex: computed 12 30 20" in proc.stdout
+    assert proc.stderr == "\n"
 
 
 def test_usage_errors_exit_2(tmp_path):

@@ -15,7 +15,7 @@ from helpers import (
 from gridforge import coxeter
 from gridforge.coxeter import (
     CLAIMED_INCIDENCE, CosetKey, build_system, cell_faces, central_symmetry,
-    enumerate_parabolic, identity_cell, incidence_counts, matrix_key,
+    diagram_order, enumerate_parabolic, identity_cell, incidence_counts, matrix_key,
     neighbor, parabolic_order, preserves_form, reflection,
     square_vertex_cycle, transform,
     _identity, _leading_minors, _mat_mul, _mat_vec, _pivot_signs,
@@ -74,6 +74,21 @@ def test_parabolic_orders():
     s4334 = build_system("{4,3,3,4}")
     assert parabolic_order(s4334, s4334.parabolic_gens(0)) == 384
     assert parabolic_order(s4334, s4334.parabolic_gens(4)) == 384
+
+
+def test_diagram_orders_match_the_enumeration():
+    # every proper parabolic of every system, the H4 vertex group included
+    count = 0
+    for name in ALL_SYSTEMS:
+        s = build_system(name)
+        for r in range(s.rank):
+            for gens in itertools.combinations(range(s.rank), r):
+                assert diagram_order(s, gens) == parabolic_order(s, gens), \
+                    (name, gens)
+                count += 1
+        with pytest.raises(ValueError, match="not a proper subset"):
+            diagram_order(s, range(s.rank))
+    assert count == 99
 
 
 def test_icosahedral_vertex_group_within_budget():

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 import re
 from math import comb
@@ -282,6 +284,8 @@ def test_gridded_complex_equality_ignores_meta():
         with pytest.raises(AttributeError):
             setattr(a, name, None)
     assert a.meta == {"kind": "a"}
+    for twin in (copy.copy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and twin.meta == a.meta
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from collections import Counter
@@ -105,6 +106,7 @@ def test_records_compare_hash_and_print_by_their_fields():
         with pytest.raises(AttributeError):
             setattr(a, name, None)
     assert a.meta == {"kind": "a"}
+    assert copy.copy(a) == a and copy.copy(a).meta == a.meta
 
     sphere, disk = classify(sphere_cube()), validate_surface(a)
     assert sphere == classify(sphere_cube())
@@ -630,9 +632,11 @@ def test_connected_sum_clashes_match_a_corner_walk(args):
     def corners(squares):
         return {v for s in squares for v in lattice.corners_cyclic(s)}
 
-    expected = (sorted((a.squares - {face_a}) & (moved - {far}))
-                + sorted(corners(a.squares) & corners(moved))
-                + sorted(f for f in sides if f in a.squares or f in moved))
+    # each cell once, in the first of the three lists that holds it
+    expected = list(dict.fromkeys(
+        sorted((a.squares - {face_a}) & (moved - {far}))
+        + sorted(corners(a.squares) & corners(moved))
+        + sorted(f for f in sides if f in a.squares or f in moved)))
     try:
         out = connected_sum_embedded(a, face_a, b, face_b, axis)
     except GridCollisionError as e:
