@@ -15,8 +15,8 @@ from helpers import (
 from gridforge import coxeter
 from gridforge.coxeter import (
     CLAIMED_INCIDENCE, CosetKey, build_system, cell_faces, central_symmetry,
-    diagram_order, enumerate_parabolic, identity_cell, incidence_counts, matrix_key,
-    neighbor, parabolic_order, preserves_form, reflection,
+    diagram_order, enumerate_parabolic, identity_cell, incidence_counts,
+    matrix_key, neighbor, parabolic_order, preserves_form, reflection,
     square_vertex_cycle, transform,
     _identity, _leading_minors, _mat_mul, _mat_vec, _pivot_signs,
     _transversal,
