@@ -18,19 +18,18 @@ written from one template per square, not through json.dumps.  Abstract
 vertex labels are stringified on write and stay strings on load.
 In-memory `meta` annotations are not serialized.
 
-Loading validates shapes, with JSON true and false rejected where an
-integer is expected, and, for honeycomb cells, checks that each is a
-square (its mask leaves out generator 2 alone) and that its
-representative m preserves the bilinear form: m^T 4B m = 4B, compared
-on and above the diagonal only, since both sides are symmetric (see
+Loading checks JSON shape only, with JSON true and false rejected where
+an integer is expected, and, for honeycomb cells, that each mask is a
+square's (it leaves out generator 2 alone) and that each representative
+m preserves the bilinear form: m^T 4B m = 4B, compared on and above the
+diagonal only, since both sides are symmetric (see
 coxeter.preserves_form), and keeps the time orientation as the elements
 of the reflection group W do (coxeter.keeps_time_orientation), which the
 negation of a representative does not.  Membership in W itself is not
-checked: a matrix outside W that passes both loads too.  A square
-listed twice, as the same lattice key, as two representatives of one
-coset or as one abstract cycle up to rotation and reflection, and a
-repeated abstract vertex label are rejected too; bad documents raise
-ValueError naming the bad entries by position.
+checked: a matrix outside W that passes both loads too.  The loader
+hands entries over in document order to GriddedComplex or
+AbstractSquareComplex, which check each square as it is drawn and then
+look for repeats, so ValueError names the first bad entry by position.
 """
 
 from __future__ import annotations
@@ -40,8 +39,18 @@ import json
 from gridforge.coxeter import (
     CosetKey, build_system, keeps_time_orientation, preserves_form,
 )
-from gridforge.lattice import GriddedComplex, _all_ints, is_lattice_ambient
-from gridforge.surface import AbstractSquareComplex, _cycle_key, _distinct
+from gridforge.lattice import GriddedComplex, is_lattice_ambient
+from gridforge.surface import AbstractSquareComplex
+
+
+_INT = frozenset([int])
+
+
+def _all_ints(items):
+    """Whether every item is an int proper, of type int: a float, even
+    1.0, is not, and nor are JSON true and false, which load as bools
+    and which isinstance(x, int) would let through."""
+    return _INT.issuperset(map(type, items))
 
 
 def _square_mask(system):
@@ -74,11 +83,11 @@ def complex_to_jsonable(obj):
         names = {v: str(v) for v in obj.vertices}
         if len(set(names.values())) != len(names):
             raise ValueError("vertex labels collide when stringified")
-        squares = sorted(_cycle_key(tuple(names[v] for v in s))
-                         for s in obj.squares)
+        named = AbstractSquareComplex(
+            names.values(), ([names[v] for v in s] for s in obj.squares))
         return {"format": "abstract",
-                "vertices": sorted(names.values()),
-                "squares": squares}
+                "vertices": sorted(named.vertices),
+                "squares": list(named.squares)}
     raise TypeError(f"not a square complex: {type(obj).__name__}")
 
 
@@ -136,20 +145,19 @@ def _require(cond, message):
 
 
 def _load_lattice_squares(raw):
-    squares = []
+    """A document's lattice keys, each checked as it is drawn."""
     for i, s in enumerate(raw):
         _require(isinstance(s, list) and _all_ints(s),
                  f"squares[{i}]: expected a list of integers")
-        squares.append(tuple(s))
-    return squares
+        yield tuple(s)
 
 
 def _load_coset_squares(ambient, raw):
+    """A document's coset squares, each checked as it is drawn."""
     system = build_system(ambient)
     rank = system.rank
     gens = system.parabolic_gens(2)
     mask = _square_mask(system)
-    squares = []
     for i, entry in enumerate(raw):
         where = f"squares[{i}]"
         _require(isinstance(entry, dict) and {"mask", "rep"} <= set(entry),
@@ -171,13 +179,11 @@ def _load_coset_squares(ambient, raw):
         key = CosetKey(system, gens, mat)
         _require(keeps_time_orientation(key),
                  f"{where}: matrix reverses the time orientation")
-        squares.append(key)
-    return squares
+        yield key
 
 
 def _abstract_squares(raw):
-    """A document's abstract squares, each shape-checked as it is drawn,
-    so that AbstractSquareComplex meets the errors in document order."""
+    """A document's abstract squares, each checked as it is drawn."""
     for i, s in enumerate(raw):
         _require(isinstance(s, list) and len(s) == 4
                  and all(isinstance(v, str) for v in s),
@@ -185,28 +191,28 @@ def _abstract_squares(raw):
         yield s
 
 
+def _field(data, name, kind, what):
+    _require(name in data, f"missing {name}")
+    _require(isinstance(data[name], kind), f"{name} must be {what}")
+    return data[name]
+
+
 def jsonable_to_complex(data):
     _require(isinstance(data, dict), "top level must be an object")
     fmt = data.get("format")
     if fmt == "gridded":
-        ambient = data.get("ambient")
-        _require(isinstance(ambient, str), "missing ambient")
-        raw = data.get("squares")
-        _require(isinstance(raw, list), "missing squares")
-        squares = (_load_lattice_squares(raw) if is_lattice_ambient(ambient)
-                   else _load_coset_squares(ambient, raw))
-        return GriddedComplex(ambient, _distinct(
-            squares, "squares[{j}]: same square as squares[{i}]"))
+        ambient = _field(data, "ambient", str, "a string")
+        raw = _field(data, "squares", list, "a list")
+        return GriddedComplex(ambient, (
+            _load_lattice_squares(raw) if is_lattice_ambient(ambient)
+            else _load_coset_squares(ambient, raw)))
     if fmt == "abstract":
         verts = data.get("vertices")
-        raw = data.get("squares")
         _require(isinstance(verts, list)
                  and all(isinstance(v, str) for v in verts),
                  "abstract vertices must be strings")
-        _require(isinstance(raw, list), "missing squares")
-        vset = _distinct(verts, "vertices[{j}]: label {x!r} repeats "
-                               "vertices[{i}]")
-        return AbstractSquareComplex(vset, _abstract_squares(raw))
+        raw = _field(data, "squares", list, "a list")
+        return AbstractSquareComplex(verts, _abstract_squares(raw))
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -30,16 +30,6 @@ from collections import Counter
 from gridforge.coxeter import CosetKey, build_system, cell_faces
 
 
-_INT = frozenset([int])
-
-
-def _all_ints(items):
-    """Whether every item is an int proper, of type int: a float, even
-    1.0, is not, and nor are JSON true and false, which load as bools
-    and which isinstance(x, int) would let through."""
-    return _INT.issuperset(map(type, items))
-
-
 def cell_dim(key):
     """Dimension of the cell with the given doubled-coordinate key."""
     return sum(1 for x in key if x % 2)
@@ -192,12 +182,23 @@ def ambient_dim(ambient):
 class Frozen:
     """Base of an immutable record with __slots__ = (*fields, "meta").
 
-    Equality, hashing and repr read the fields, in order; meta carries
-    construction notes and takes part in none of them.  _set gives every
-    slot its value once, and assignment raises AttributeError.
+    Equality, hashing and repr read the fields, in order, and leave out
+    meta.  _set gives every slot its value once; assignment raises
+    AttributeError.  _distinct is the one check for a repeated entry.
     """
 
     __slots__ = ()
+
+    @staticmethod
+    def _distinct(items, message):
+        """frozenset(items); an item equal to an earlier one raises
+        ValueError with message formatted by both positions i < j and x."""
+        first = {}
+        for j, x in enumerate(items):
+            i = first.setdefault(x, j)
+            if i != j:
+                raise ValueError(message.format(i=i, j=j, x=x))
+        return frozenset(first)
 
     def _set(self, *values, meta=None):
         values += ({} if meta is None else meta,)
@@ -234,31 +235,37 @@ class GriddedComplex(Frozen):
     For lattice ambients ("Z2", "Z3", "Z4") the squares are doubled integer
     keys.  For the curved honeycombs ("{4,3,5}", "{4,3,3,5}") they are coset
     keys from gridforge.coxeter, 2-cells of that honeycomb's system.  Any
-    other ambient or cell, "{4,3,4}" included, raises ValueError.  meta
-    carries construction notes and does not take part in equality.
+    other ambient or cell, "{4,3,4}" included, raises ValueError; a cell is
+    named by its position in the order given, and so is a repeated square,
+    looked for once every cell has passed.  meta is not compared.
     """
 
     __slots__ = ("ambient", "squares", "meta")
 
     def __init__(self, ambient, squares, meta=None):
+        n = ambient_dim(ambient) if is_lattice_ambient(ambient) else 0
+        if not n:
+            system = build_system(ambient)  # rejects an unknown ambient
+            if system.affine:
+                raise ValueError(f"{ambient} is a lattice: use ambient "
+                                 f"Z{system.rank - 1}")
+        checked = []
+        for i, s in enumerate(squares):
+            if n:  # odd reads int coordinates only: a float or bool fails
+                odd = isinstance(s, tuple) and [x & 1 for x in s
+                                                if type(x) is int]
+                ok = odd and len(s) == n == len(odd) and sum(odd) == 2
+            else:
+                ok = (isinstance(s, CosetKey) and s.system.name == ambient
+                      and s.dim == 2)
+            if not ok:
+                raise ValueError(
+                    f"squares[{i}]: not a square of {ambient}: {s!r}")
+            checked.append(s)
+        if not isinstance(squares, (set, frozenset)):  # a set cannot repeat
+            squares = self._distinct(
+                checked, "squares[{j}]: same square as squares[{i}]")
         self._set(ambient, frozenset(squares), meta=meta)
-        if is_lattice_ambient(ambient):
-            n = ambient_dim(ambient)
-            for s in self.squares:
-                # the parities of the coordinates that pass the test of
-                # _all_ints, in the one pass a large complex can afford
-                odd = [x & 1 for x in s if type(x) is int]
-                if len(s) != n or len(odd) != n or sum(odd) != 2:
-                    raise ValueError(f"not a square of {ambient}: {s}")
-            return
-        system = build_system(ambient)  # rejects an unknown ambient
-        if system.affine:
-            raise ValueError(f"{ambient} is a lattice: use ambient "
-                             f"Z{system.rank - 1}")
-        for s in self.squares:
-            if (not isinstance(s, CosetKey) or s.system.name != ambient
-                    or s.dim != 2):
-                raise ValueError(f"not a square of {ambient}: {s!r}")
 
     def __len__(self):
         return len(self.squares)

@@ -60,31 +60,21 @@ def _cycle_key(cyc):
     return min(candidates)
 
 
-def _distinct(items, message):
-    """frozenset(items); an item equal to an earlier one raises
-    ValueError with message formatted by both positions i < j and x."""
-    first = {}
-    for j, x in enumerate(items):
-        i = first.setdefault(x, j)
-        if i != j:
-            raise ValueError(message.format(i=i, j=j, x=x))
-    return frozenset(first)
-
-
 class AbstractSquareComplex(Frozen):
     """A purely combinatorial square complex.
 
     squares are cyclic 4-tuples of distinct vertices; they are stored in a
     canonical rotation so that structural equality works.  vertices may
     include points not used by any square (such a complex is never a
-    surface, but it is representable).  A bad square raises ValueError
-    naming it by position.  meta does not take part in equality.
+    surface, but it is representable).  A repeated vertex, then a bad
+    square, raises ValueError naming it by position.  meta is not compared.
     """
 
     __slots__ = ("vertices", "squares", "meta")
 
     def __init__(self, vertices, squares, meta=None):
-        vertices = frozenset(vertices)
+        vertices = self._distinct(
+            vertices, "vertices[{j}]: label {x!r} repeats vertices[{i}]")
         canon = []
         for i, s in enumerate(squares):
             s = tuple(s)
@@ -94,7 +84,8 @@ class AbstractSquareComplex(Frozen):
             if not vertices.issuperset(s):
                 raise ValueError(f"squares[{i}]: unknown vertex")
             canon.append(_cycle_key(s))
-        canon = _distinct(canon, "squares[{j}]: same square as squares[{i}]")
+        canon = self._distinct(canon,
+                               "squares[{j}]: same square as squares[{i}]")
         self._set(vertices, tuple(sorted(canon)), meta=meta)
 
     @classmethod

@@ -346,6 +346,38 @@ def test_repeated_entries_exit_2_naming_both(tmp_path, command, document,
 
 
 @pytest.mark.parametrize("command", ["validate", "classify"])
+def test_a_cell_that_is_not_a_square_exits_2_naming_it(tmp_path, command):
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps({"format": "gridded", "ambient": "Z3",
+                                "squares": [[1, 1, 0], [1, 1, 1]]}))
+    code, out, err = run([command, str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: squares[1]: not a square of Z3: (1, 1, 1)\n"
+
+
+@pytest.mark.parametrize("document,message", [
+    ({"format": "gridded", "squares": []}, "missing ambient"),
+    ({"format": "gridded", "ambient": 3, "squares": []},
+     "ambient must be a string"),
+    ({"format": "gridded", "ambient": "Z3"}, "missing squares"),
+    ({"format": "gridded", "ambient": "Z3", "squares": {}},
+     "squares must be a list"),
+    ({"format": "abstract", "vertices": []}, "missing squares"),
+    ({"format": "abstract", "vertices": [], "squares": {}},
+     "squares must be a list"),
+], ids=["no ambient", "ambient 3", "no squares", "squares {}",
+        "abstract no squares", "abstract squares {}"])
+@pytest.mark.parametrize("command", ["validate", "classify"])
+def test_document_shape_errors_say_what_is_wrong(tmp_path, command, document,
+                                                 message):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run([command, str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "classify"])
 def test_abstract_square_with_a_repeated_vertex_exits_2(tmp_path, command):
     path = tmp_path / "pinched.json"
     path.write_text(json.dumps({

@@ -326,6 +326,152 @@ def test_two_bad_abstract_entries_report_the_first(squares, message):
     assert str(info.value) == message
 
 
+def _pants_entries():
+    return json.loads(dumps_complex(hyperbolic_pants_435()))["squares"][:3]
+
+
+# the gridded twin: cells are checked one at a time in document order,
+# by the loader for JSON shape and by GriddedComplex for the cell itself
+@pytest.mark.parametrize("ambient,squares,message", [
+    ("Z3", [[1, 1, 1], [True, 1, 0]],
+     "squares[0]: not a square of Z3: (1, 1, 1)"),
+    ("Z3", [[True, 1, 0], [1, 1, 1]],
+     "squares[0]: expected a list of integers"),
+    ("Z3", [[1, 1, 0], [1, 1, 0], [1, 1]],
+     "squares[2]: not a square of Z3: (1, 1)"),
+    ("Z3", [[1, 1, 0], [1, 1, 0], "110"],
+     "squares[2]: expected a list of integers"),
+    ("{4,3,5}", lambda e: [e[0], e[1], e[0], {**e[2], "mask": 3}],
+     "squares[3]: mask must be 11, every generator but 2 (a square)"),
+], ids=["cell then shape", "shape then cell", "duplicate then cell",
+        "duplicate then shape", "coset duplicate then shape"])
+def test_two_bad_gridded_entries_report_the_first(ambient, squares, message):
+    if callable(squares):
+        squares = squares(_pants_entries())
+    data = {"format": "gridded", "ambient": ambient, "squares": squares}
+    with pytest.raises(ValueError) as info:
+        jsonable_to_complex(data)
+    assert str(info.value) == message
+
+
+def _lattice_corruption(draw, squares, p):
+    """Entry p of a list of distinct lattice keys, corrupted one of the
+    ways a document can be wrong, with the message that names it in a
+    file and the one that names it in Python, where the loader's JSON
+    type check does not run."""
+    key = squares[p]
+    n = len(key)
+    kinds = ["parity", "drop", "extra", "bool", "float", "string",
+             "non-list"] + ["copy"] * (p > 0)
+    kind = draw(st.sampled_from(kinds))
+    k = draw(st.integers(0, n - 1))
+    if kind == "copy":
+        q = draw(st.integers(0, p - 1))
+        message = f"squares[{p}]: same square as squares[{q}]"
+        return squares[q], message, message
+    head, x, tail = key[:k], key[k], key[k + 1:]
+    if kind == "parity":
+        entry = head + (x + draw(st.sampled_from((-1, 1))),) + tail
+    elif kind == "drop":
+        entry = head + tail
+    elif kind == "extra":
+        entry = key + (2 * draw(st.integers(-3, 3)),)
+    elif kind == "bool":
+        entry = head + (draw(st.booleans()),) + tail
+    elif kind == "float":
+        entry = head + (float(x),) + tail
+    elif kind == "string":
+        entry = head + (str(x),) + tail
+    else:
+        entry = draw(st.sampled_from((None, 7, "110", {"x": 1})))
+    cell = f"squares[{p}]: not a square of Z{n}: {entry!r}"
+    if kind in ("parity", "drop", "extra"):
+        return entry, cell, cell
+    return entry, f"squares[{p}]: expected a list of integers", cell
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    lattice_squares(n), min_size=2, max_size=8, unique=True)), st.data())
+def test_loader_fuzz_names_the_corrupted_lattice_entry(squares, data):
+    ambient = f"Z{len(squares[0])}"
+    doc = {"format": "gridded", "ambient": ambient,
+           "squares": [list(key) for key in squares]}
+    assert jsonable_to_complex(doc).squares == set(squares)
+    p = data.draw(st.integers(0, len(squares) - 1))
+    entry, in_file, in_python = _lattice_corruption(data.draw, squares, p)
+    bad = squares[:p] + [entry] + squares[p + 1:]
+    doc["squares"] = [list(e) if isinstance(e, tuple) else e for e in bad]
+    with pytest.raises(ValueError) as info:
+        jsonable_to_complex(json.loads(json.dumps(doc)))
+    assert str(info.value) == in_file
+    with pytest.raises(ValueError) as info:
+        GriddedComplex(ambient, bad)
+    assert str(info.value) == in_python
+
+
+@st.composite
+def coset_word_squares(draw, name):
+    """A square of the system and its representative, the product of a
+    random word in the generators."""
+    s = build_system(name)
+    w = _identity(s.rank)
+    for i in draw(st.lists(st.integers(0, s.rank - 1), max_size=10)):
+        w = _mat_mul(w, s.generators[i])
+    return CosetKey(s, s.parabolic_gens(2), w), w
+
+
+def _as_json(rep):
+    return [[list(e) for e in row] for row in rep]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("{4,3,5}", "{4,3,3,5}")).flatmap(
+    lambda name: st.tuples(st.just(name), st.lists(
+        coset_word_squares(name), min_size=2, max_size=8,
+        unique_by=lambda kw: kw[0]))), st.data())
+def test_loader_fuzz_names_the_corrupted_coset_entry(case, data):
+    name, drawn = case
+    s = build_system(name)
+    mask = sum(1 << i for i in s.parabolic_gens(2))
+    entries = [{"mask": mask, "rep": _as_json(w)} for _, w in drawn]
+    doc = {"format": "gridded", "ambient": name, "squares": entries}
+    assert jsonable_to_complex(doc).squares == {k for k, _ in drawn}
+    p = data.draw(st.integers(0, len(entries) - 1))
+    rep = _as_json(drawn[p][1])
+    kinds = ["mask", "shape", "true", "unit", "negated"] + ["coset"] * (p > 0)
+    kind = data.draw(st.sampled_from(kinds))
+    i, j, k = (data.draw(st.integers(0, n - 1)) for n in (s.rank, s.rank, 4))
+    message = None
+    if kind == "mask":
+        entry = {"mask": data.draw(st.sampled_from(
+            [mask ^ (1 << b) for b in range(s.rank)] + [True, str(mask)])),
+                 "rep": rep}
+    elif kind == "shape":
+        del data.draw(st.sampled_from((rep, rep[i], rep[i][j])))[0]
+        entry = {"mask": mask, "rep": rep}
+    elif kind == "true":
+        rep[i][j][k] = True
+        entry = {"mask": mask, "rep": rep}
+    elif kind == "unit":
+        rep[i][j][k] += data.draw(st.sampled_from((-1, 1)))
+        entry = {"mask": mask, "rep": rep}
+    elif kind == "negated":
+        entry = {"mask": mask,
+                 "rep": [[[-t for t in e] for e in row] for row in rep]}
+    else:
+        q = data.draw(st.integers(0, p - 1))
+        entry = {"mask": mask,
+                 "rep": _as_json(_mat_mul(drawn[q][1], s.generators[0]))}
+        message = f"squares[{p}]: same square as squares[{q}]"
+    doc["squares"] = entries[:p] + [entry] + entries[p + 1:]
+    with pytest.raises(ValueError) as info:
+        jsonable_to_complex(json.loads(json.dumps(doc)))
+    assert str(info.value).startswith(f"squares[{p}]: ")
+    if message is not None:
+        assert str(info.value) == message
+
+
 class _Label:
     """Orderable vertex label whose string form hides the order field."""
 

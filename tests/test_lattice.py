@@ -222,6 +222,31 @@ def test_gridded_complex_rejects_non_integer_keys(key):
         GriddedComplex("Z3", {(1, 3, 0), key})
 
 
+@pytest.mark.parametrize("squares,message", [
+    ([(1, 1, 0), (1, 1, 1)], "squares[1]: not a square of Z3: (1, 1, 1)"),
+    ([(1, 1, 0), (1, 1, 0)], "squares[1]: same square as squares[0]"),
+    ([(1, 1, 0), [1, 0, 1]], "squares[1]: not a square of Z3: [1, 0, 1]"),
+    ([None, (1, 1, 1)], "squares[0]: not a square of Z3: None"),
+    ([(1, 1, 0), (1, 1, 0), (1, 1, 1)],
+     "squares[2]: not a square of Z3: (1, 1, 1)"),
+], ids=["cell", "repeat", "list", "non-sequence", "repeat then cell"])
+def test_gridded_complex_names_the_bad_square_by_position(squares, message):
+    # cells are checked in the order given, repeats once all have passed
+    with pytest.raises(ValueError) as info:
+        GriddedComplex("Z3", squares)
+    assert str(info.value) == message
+
+
+def test_gridded_complex_names_a_repeated_coset_square_by_position():
+    s = build_system("{4,3,5}")
+    square = identity_cell(s, 2)
+    other = next(f for f in cell_faces(identity_cell(s, 3), 2)
+                 if f != square)
+    with pytest.raises(ValueError) as info:
+        GriddedComplex(s.name, iter([square, other, square]))
+    assert str(info.value) == "squares[2]: same square as squares[0]"
+
+
 def test_gridded_complex_rejects_unknown_ambient():
     with pytest.raises(ValueError, match="unknown system 'nonsense'"):
         GriddedComplex("nonsense", {(1, 1, 0)})

@@ -93,6 +93,17 @@ def test_abstract_square_complex_rejects_bad_squares():
         AbstractSquareComplex(frozenset([0, 1, 2]), ((0, 1, 2, 3),))
 
 
+def test_abstract_square_complex_names_a_repeated_label():
+    with pytest.raises(ValueError) as info:
+        AbstractSquareComplex(["a", "b", "b", "c", "d"],
+                              [("a", "b", "c", "d")])
+    assert str(info.value) == "vertices[2]: label 'b' repeats vertices[1]"
+    # a repeated label is found before a bad square
+    with pytest.raises(ValueError) as info:
+        AbstractSquareComplex([0, 1, 2, 3, 0], [(0, 1, 2, 2)])
+    assert str(info.value) == "vertices[4]: label 0 repeats vertices[0]"
+
+
 def test_records_compare_hash_and_print_by_their_fields():
     a = AbstractSquareComplex.from_squares([(0, 1, 2, 3)], meta={"kind": "a"})
     b = AbstractSquareComplex(frozenset(range(4)), ((1, 2, 3, 0),),
