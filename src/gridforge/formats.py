@@ -40,7 +40,7 @@ from gridforge.coxeter import (
     CosetKey, build_system, keeps_time_orientation, preserves_form,
 )
 from gridforge.lattice import GriddedComplex, is_lattice_ambient
-from gridforge.surface import AbstractSquareComplex
+from gridforge.surface import AbstractSquareComplex, cycle_key
 
 
 _INT = frozenset([int])
@@ -83,11 +83,11 @@ def complex_to_jsonable(obj):
         names = {v: str(v) for v in obj.vertices}
         if len(set(names.values())) != len(names):
             raise ValueError("vertex labels collide when stringified")
-        named = AbstractSquareComplex(
-            names.values(), ([names[v] for v in s] for s in obj.squares))
+        squares = sorted(cycle_key(tuple(names[v] for v in s))
+                         for s in obj.squares)
         return {"format": "abstract",
-                "vertices": sorted(named.vertices),
-                "squares": list(named.squares)}
+                "vertices": sorted(names.values()),
+                "squares": squares}
     raise TypeError(f"not a square complex: {type(obj).__name__}")
 
 

@@ -179,26 +179,29 @@ def ambient_dim(ambient):
     return int(ambient[1:])
 
 
-class Frozen:
-    """Base of an immutable record with __slots__ = (*fields, "meta").
-
-    Equality, hashing and repr read the fields, in order, and leave out
-    meta.  _set gives every slot its value once; assignment raises
-    AttributeError.  _distinct is the one check for a repeated entry.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def _distinct(items, message):
-        """frozenset(items); an item equal to an earlier one raises
-        ValueError with message formatted by both positions i < j and x."""
+def distinct(items, message):
+    """frozenset of the list items, the one check for a repeated entry:
+    an item equal to an earlier one raises ValueError with message
+    formatted by both positions i < j and the item x."""
+    found = frozenset(items)
+    if len(found) < len(items):  # walk only to name the first repeat
         first = {}
         for j, x in enumerate(items):
             i = first.setdefault(x, j)
             if i != j:
                 raise ValueError(message.format(i=i, j=j, x=x))
-        return frozenset(first)
+    return found
+
+
+class Frozen:
+    """Base of an immutable record with __slots__ = (*fields, "meta").
+
+    Equality, hashing and repr read the fields, in order, and leave out
+    meta.  _set gives every slot its value once; assignment raises
+    AttributeError.
+    """
+
+    __slots__ = ()
 
     def _set(self, *values, meta=None):
         values += ({} if meta is None else meta,)
@@ -262,10 +265,8 @@ class GriddedComplex(Frozen):
                 raise ValueError(
                     f"squares[{i}]: not a square of {ambient}: {s!r}")
             checked.append(s)
-        if not isinstance(squares, (set, frozenset)):  # a set cannot repeat
-            squares = self._distinct(
-                checked, "squares[{j}]: same square as squares[{i}]")
-        self._set(ambient, frozenset(squares), meta=meta)
+        self._set(ambient, distinct(
+            checked, "squares[{j}]: same square as squares[{i}]"), meta=meta)
 
     def __len__(self):
         return len(self.squares)

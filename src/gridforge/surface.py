@@ -34,7 +34,7 @@ from functools import cached_property
 
 from gridforge import lattice
 from gridforge.lattice import (
-    Frozen, GriddedComplex, corners_cyclic, is_lattice_ambient,
+    Frozen, GriddedComplex, corners_cyclic, distinct, is_lattice_ambient,
 )
 
 
@@ -50,7 +50,7 @@ class GridCollisionError(ValueError):
         self.cells = tuple(cells)
 
 
-def _cycle_key(cyc):
+def cycle_key(cyc):
     """Canonical form of a cyclic 4-tuple up to rotation and reflection."""
     a, b, c, d = cyc
     candidates = []
@@ -73,8 +73,8 @@ class AbstractSquareComplex(Frozen):
     __slots__ = ("vertices", "squares", "meta")
 
     def __init__(self, vertices, squares, meta=None):
-        vertices = self._distinct(
-            vertices, "vertices[{j}]: label {x!r} repeats vertices[{i}]")
+        vertices = distinct(
+            list(vertices), "vertices[{j}]: label {x!r} repeats vertices[{i}]")
         canon = []
         for i, s in enumerate(squares):
             s = tuple(s)
@@ -83,9 +83,8 @@ class AbstractSquareComplex(Frozen):
                     f"squares[{i}]: square needs 4 distinct vertices")
             if not vertices.issuperset(s):
                 raise ValueError(f"squares[{i}]: unknown vertex")
-            canon.append(_cycle_key(s))
-        canon = self._distinct(canon,
-                               "squares[{j}]: same square as squares[{i}]")
+            canon.append(cycle_key(s))
+        canon = distinct(canon, "squares[{j}]: same square as squares[{i}]")
         self._set(vertices, tuple(sorted(canon)), meta=meta)
 
     @classmethod
@@ -587,17 +586,17 @@ def connected_sum_abstract(a, square_a, b, square_b):
     to disjoint integer ranges (a first, each in sorted vertex order), so
     the result's vertices are 0..len(a)+len(b)-1.
     """
-    if _cycle_key(tuple(square_a)) not in a.squares:
+    if cycle_key(tuple(square_a)) not in a.squares:
         raise ValueError(f"square {square_a} not in first complex")
-    if _cycle_key(tuple(square_b)) not in b.squares:
+    if cycle_key(tuple(square_b)) not in b.squares:
         raise ValueError(f"square {square_b} not in second complex")
     map_a, squares_a = _relabelled(a, 0)
     map_b, squares_b = _relabelled(b, len(a.vertices))
     ca = tuple(map_a[v] for v in square_a)
     cb = tuple(map_b[v] for v in square_b)
 
-    keep = [s for s in squares_a if _cycle_key(s) != _cycle_key(ca)]
-    keep += [s for s in squares_b if _cycle_key(s) != _cycle_key(cb)]
+    keep = [s for s in squares_a if cycle_key(s) != cycle_key(ca)]
+    keep += [s for s in squares_b if cycle_key(s) != cycle_key(cb)]
 
     def rot_to_min(cyc):
         i = cyc.index(min(cyc))

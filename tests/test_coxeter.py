@@ -29,7 +29,7 @@ from gridforge.formats import (
 )
 from gridforge.honeycombs import opposite_face, tree_of_life_435
 from gridforge.lattice import cell_dim
-from gridforge.surface import _cycle_key, classify
+from gridforge.surface import classify, cycle_key
 
 ALL_SYSTEMS = ("{4,4}", "{4,3,4}", "{4,3,3,4}", "{4,3,5}", "{4,3,3,5}")
 # the systems with coset cells; Euclidean cells are lattice keys
@@ -406,11 +406,11 @@ def test_square_vertex_cycle_is_canonical(name, word, picks):
     cyc = square_vertex_cycle(square)
     assert len(set(cyc)) == 4
     assert set(cyc) == set(cell_faces(square, 0))
-    base = _cycle_key(cyc)
+    base = cycle_key(cyc)
     for k in picks:
         p = parab[k % len(parab)]
         cyc = square_vertex_cycle(CosetKey(s, gens, _mat_mul(w, p)))
-        assert _cycle_key(cyc) == base
+        assert cycle_key(cyc) == base
 
 
 def test_square_cycle_consecutive_corners_share_an_edge():

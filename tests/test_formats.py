@@ -22,7 +22,7 @@ from gridforge.honeycombs import (
 )
 from gridforge.lattice import GriddedComplex
 from gridforge.surface import (
-    AbstractSquareComplex, _cycle_key, classify, validate_surface,
+    AbstractSquareComplex, classify, cycle_key, validate_surface,
 )
 
 
@@ -124,7 +124,7 @@ def abstract_complexes(draw):
     labels = draw(st.lists(st.text(max_size=3), min_size=4, max_size=7,
                            unique=True))
     squares = draw(st.lists(st.permutations(labels).map(lambda p: p[:4]),
-                            max_size=5, unique_by=_cycle_key))
+                            max_size=5, unique_by=cycle_key))
     return AbstractSquareComplex(frozenset(labels), tuple(squares))
 
 

@@ -1,8 +1,8 @@
 """Each gridforge module keeps its underscore names to itself.
 
 A module may import another's public names only: no `from gridforge.x
-import _name`, and no `x._name` read through an imported module.  A
-rule that two modules need lives in one public place.
+import _name`, and no `x._name` read through an imported module, class
+or function.  A rule that two modules need lives in one public place.
 """
 
 import ast
@@ -32,7 +32,7 @@ def foreign_private_names(source, module):
     of gridforge.<module> imports or reads, as sorted (line, name)."""
     tree = ast.parse(source)
     me = f"gridforge.{module}"
-    bound = {}  # local name -> the gridforge module it names
+    bound = {}  # local name -> the gridforge module or name it binds
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -44,8 +44,7 @@ def foreign_private_names(source, module):
                 node.module or "").split(".")[0] == "gridforge":
             for alias in node.names:
                 name = f"{node.module}.{alias.name}"
-                if node.module == "gridforge":
-                    bound[alias.asname or alias.name] = name
+                bound[alias.asname or alias.name] = name
                 if _private(alias.name) and node.module != me:
                     found.add((node.lineno, name))
     for node in ast.walk(tree):
@@ -56,7 +55,7 @@ def foreign_private_names(source, module):
             if target is None:
                 continue
             target = f"{target}.{rest}" if rest else target
-            if target != me:
+            if target != me and not target.startswith(f"{me}."):
                 found.add((node.lineno, f"{target}.{node.attr}"))
     return sorted(found)
 
@@ -81,13 +80,20 @@ def test_no_module_reads_another_modules_underscore_names(path):
      [(2, "gridforge.coxeter._mat_mul")]),
     ("def f():\n    from gridforge.coxeter import _identity",
      [(2, "gridforge.coxeter._identity")]),
+    ("from gridforge.lattice import Frozen\nFrozen._set(x, 1)",
+     [(2, "gridforge.lattice.Frozen._set")]),
+    ("from gridforge.surface import AbstractSquareComplex as A\n"
+     "A.from_squares._x", [(2, "gridforge.surface.AbstractSquareComplex."
+                             "from_squares._x")]),
     ("from gridforge.formats import _require\n_require(1, 'x')", []),
+    ("from gridforge.formats import _field\n_field._x", []),
     ("from gridforge import lattice\nlattice.faces\nself._set(1)", []),
     ("from gridforge.coxeter import build_system\n"
      "build_system('{4,3,5}')._square_form", []),
     ("import json\njson._default_encoder", []),
 ], ids=["from import", "module read", "aliased module", "dotted import",
-        "aliased import", "local import", "own module", "public and self",
+        "aliased import", "local import", "class attribute",
+        "aliased class", "own module", "own name", "public and self",
         "object attribute", "not gridforge"])
 def test_the_fence_sees_each_way_in(source, found):
     assert foreign_private_names(source, "formats") == found
