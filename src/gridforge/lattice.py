@@ -14,6 +14,13 @@ bookkeeping done by one step enumerator: a face steps r of the odd
 coordinates by +-1 to a neighbouring even value, a coface steps r of the
 even ones to an odd value.
 
+Bulk work runs on mixed-radix int cell codes (cell_codes), in which a
+step of +-1 along coordinate t adds +-weights[t].  The boundary of a
+union of cells (cube_union_boundary) counts its facets as such steps
+from the codes of the cells, after checking that the cells are int
+tuples of one length, and decodes only the facets counted once; the
+square index of gridforge.surface finds corners the same way.
+
 A lattice ambient is named "Z" and its dimension in ASCII decimal digits
 with no leading zero ("Z2", "Z3", "Z10"); is_lattice_ambient is that one
 grammar, and ambient_dim reads the dimension of a name it accepts.  Any
@@ -24,7 +31,6 @@ the honeycomb systems, which reject it as unknown.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import Counter
 
 from gridforge.coxeter import CosetKey, build_system, cell_faces
@@ -82,34 +88,80 @@ def cell_codes(keys):
 
     Coordinate t of a key becomes a digit that runs from one below the
     least coordinate t of the keys to one above the greatest, most
-    significant first.  So int order is tuple order, and every cell a
-    coordinate step of 1 from a key has a code too: the step moves the
-    code by weights[t].  Returns (codes, odd, weights, decode): the codes
-    in increasing order, odd[i] the mask of the odd coordinates of the
-    key of codes[i] (bit t for coordinate t), and decode, which maps a
-    list of codes back to key tuples.
+    significant first.  The digits of each 8 coordinates form a run that
+    fills whole bytes of the code.  So int order is tuple order, and
+    every cell a coordinate step of 1 from a key has a code too: the step
+    moves the code by weights[t].  Returns (codes, odd, weights, decode):
+    the codes in increasing order, odd[i] the mask of the odd coordinates
+    of the key of codes[i] (bit t for coordinate t), and decode, which
+    maps a list of codes back to key tuples.  Past 8 coordinates, codes
+    and masks are joined from the bytes of their runs, and decode splits
+    a code into those bytes, so both cost time linear in the dimension
+    per key.
     """
     cols = list(zip(*keys))
     n = len(cols)
     lows = [min(col) - 1 for col in cols]
     sizes = [max(col) + 2 - low for col, low in zip(cols, lows)]
-    weights = [1] * n
-    for t in range(n - 2, -1, -1):
-        weights[t] = weights[t + 1] * sizes[t + 1]
+    # most significant first (one of no digits for keys of length 0):
+    # each run's (t, weight of digit t within the run), and its bytes
+    runs = []
+    for g in range(0, max(n, 1), 8):
+        w, digits = 1, []
+        for t in reversed(range(g, min(g + 8, n))):
+            digits.append((t, w))
+            w *= sizes[t]
+        runs.append((digits[::-1], ((w - 1).bit_length() + 7) // 8))
+    starts = [0, *itertools.accumulate(width for _, width in runs)]
+    # per run, its digits above the odd bits of its coordinates
+    weights, words = [0] * n, []
+    for (digits, _), end in zip(runs, starts[1:]):
+        offset = -sum(lows[t] * w for t, w in digits) << len(digits)
+        word = [offset] * len(keys)
+        for i, (t, w) in enumerate(digits):
+            weights[t] = w << 8 * (starts[-1] - end)
+            w <<= len(digits)
+            word = [v + x * w + ((x & 1) << i) for v, x in zip(word, cols[t])]
+        words.append(word)
+    if len(runs) == 1:
+        # the word is the code above its mask: a round trip through bytes
+        # would about double the time to encode the squares and decode
+        # the vertices of a tree-of-life of depth 7
+        packed = words[0]
+    else:
+        codes = _join([[v >> len(digits) for v in word]
+                       for word, (digits, _) in zip(words, runs)],
+                      [width for _, width in runs])
+        odd = _join([[v & (1 << len(digits)) - 1 for v in word]
+                     for word, (digits, _) in zip(words[::-1], runs[::-1])],
+                    [1] * len(runs))
+        packed = [c << n | m for c, m in zip(codes, odd)]
     # sort the codes with their masks in the low n bits
-    packed = [-sum(map(operator.mul, lows, weights)) << n] * len(cols[0])
-    for t, (col, w) in enumerate(zip(cols, weights)):
-        w <<= n
-        packed = [p + x * w + ((x & 1) << t) for p, x in zip(packed, col)]
     packed.sort()
     mask = (1 << n) - 1
+    reads = [[(w, sizes[t], lows[t]) for t, w in digits] for digits, _ in runs]
 
     def decode(codes):
-        return list(zip(*[[c // w % size + low for c in codes]
-                          for w, size, low in zip(weights, sizes, lows)]))
+        if len(runs) == 1:  # the code is its one run, as above
+            words = [codes]
+        else:
+            raws = [c.to_bytes(starts[-1], "big") for c in codes]
+            words = [[int.from_bytes(r[a:b], "big") for r in raws]
+                     for a, b in zip(starts, starts[1:])]
+        return list(zip(*[[x // w % size + low for x in word]
+                          for word, read in zip(words, reads)
+                          for w, size, low in read]))
 
     return [p >> n for p in packed], [p & mask for p in packed], weights, \
         decode
+
+
+def _join(words, widths):
+    """The ints whose big-endian bytes are those of words[0][i] in
+    widths[0] bytes, then of words[1][i] in widths[1] bytes, and so on."""
+    parts = [[x.to_bytes(width, "big") for x in word]
+             for word, width in zip(words, widths)]
+    return [int.from_bytes(b"".join(p), "big") for p in zip(*parts)]
 
 
 def translate(squares, vec):
@@ -139,7 +191,13 @@ def cube_union_boundary(cells):
     Given solid d-cells, either lattice keys or honeycomb cells
     (gridforge.coxeter.CosetKey), returns the (d-1)-faces that belong to
     exactly one of them.  For a finite union of cubes in Z^3 or {4,3,5}
-    this is the usual boundary surface.
+    this is the usual boundary surface.  Lattice keys must be tuples of
+    ints (no bool or float) of one length; the first that is not raises
+    ValueError naming it by position.  They are counted on their cell
+    codes: a facet of a cell steps one odd coordinate t by +-1, which
+    moves the cell's code by weights[t], and only the facets counted once
+    are decoded.  Cells of two dimensions, then a repeated cell, raise
+    ValueError.
     """
     cells = list(cells)
     if not cells:
@@ -150,18 +208,49 @@ def cube_union_boundary(cells):
         raise ValueError("cells mix lattice keys and honeycomb cells: "
                          f"{other!r} is not like {cells[0]!r}")
     if coset:
-        dims, facets = {c.dim for c in cells}, cell_faces
+        dims, keys = {c.dim for c in cells}, cells
     else:
-        dims, facets = {cell_dim(c) for c in cells}, faces
+        _check_keys(cells)
+        keys, odd, weights, decode = cell_codes(cells)
+        dims = set(map(int.bit_count, odd))
     if len(dims) != 1:
         raise ValueError("cells must all have the same dimension")
-    if len(set(cells)) != len(cells):
+    if len(set(keys)) != len(keys):
         raise ValueError("duplicate cells in union")
-    d = dims.pop()
-    counts = Counter()
-    for c in cells:
-        counts.update(facets(c, d - 1))
-    return frozenset(f for f, m in counts.items() if m == 1)
+    if coset:
+        d = dims.pop()
+        counts = Counter()
+        for c in cells:
+            counts.update(cell_faces(c, d - 1))
+        return frozenset(f for f, m in counts.items() if m == 1)
+    by_mask = {}
+    for code, m in zip(keys, odd):
+        by_mask.setdefault(m, []).append(code)
+    facets = []
+    for m, group in by_mask.items():
+        while m:  # the odd coordinates of the group, lowest first
+            w = weights[(m & -m).bit_length() - 1]
+            m &= m - 1
+            facets += map(w.__rsub__, group)
+            facets += map(w.__add__, group)
+    counts = Counter(facets)
+    return frozenset(decode([f for f, m in counts.items() if m == 1]))
+
+
+def _check_keys(cells):
+    """Raise ValueError naming the first cell that is not a tuple of ints
+    as long as cells[0]; the cells are walked only when one is bad."""
+    n = len(cells[0]) if isinstance(cells[0], tuple) else -1
+    if (set(map(type, cells)) == {tuple} and set(map(len, cells)) == {n}
+            and set(map(type, itertools.chain.from_iterable(cells)))
+            <= {int}):
+        return
+    for i, c in enumerate(cells):
+        if not (isinstance(c, tuple) and all(type(x) is int for x in c)):
+            raise ValueError(f"cells[{i}]: not a tuple of ints: {c!r}")
+        if len(c) != n:
+            raise ValueError(f"cells[{i}]: {len(c)} coordinates, "
+                             f"cells[0] has {n}: {c!r}")
 
 
 def is_lattice_ambient(ambient):
@@ -179,17 +268,26 @@ def ambient_dim(ambient):
     return int(ambient[1:])
 
 
-def distinct(items, message):
+def distinct(items, name, message):
     """frozenset of the list items, the one check for a repeated entry:
-    an item equal to an earlier one raises ValueError with message
-    formatted by both positions i < j and the item x."""
-    found = frozenset(items)
-    if len(found) < len(items):  # walk only to name the first repeat
+    an item equal to an earlier one raises ValueError "name[j]: " and
+    message formatted by the earlier position i and the item x, and an
+    unhashable item raises ValueError "name[j]: not hashable: x"."""
+    try:
+        found = frozenset(items)
+    except TypeError:  # the walk below names the unhashable item
+        found = ()
+    if len(found) < len(items):  # walk only to name the first bad item
         first = {}
         for j, x in enumerate(items):
-            i = first.setdefault(x, j)
+            try:
+                i = first.setdefault(x, j)
+            except TypeError:
+                raise ValueError(f"{name}[{j}]: not hashable: {x!r}") \
+                    from None
             if i != j:
-                raise ValueError(message.format(i=i, j=j, x=x))
+                raise ValueError(f"{name}[{j}]: "
+                                 + message.format(i=i, x=x))
     return found
 
 
@@ -238,7 +336,8 @@ class GriddedComplex(Frozen):
     For lattice ambients ("Z2", "Z3", "Z4") the squares are doubled integer
     keys.  For the curved honeycombs ("{4,3,5}", "{4,3,3,5}") they are coset
     keys from gridforge.coxeter, 2-cells of that honeycomb's system.  Any
-    other ambient or cell, "{4,3,4}" included, raises ValueError; a cell is
+    other ambient (a name that is not a string included) or cell,
+    "{4,3,4}" included, raises ValueError; a cell is
     named by its position in the order given, and so is a repeated square,
     looked for once every cell has passed.  meta is not compared.
     """
@@ -246,6 +345,8 @@ class GriddedComplex(Frozen):
     __slots__ = ("ambient", "squares", "meta")
 
     def __init__(self, ambient, squares, meta=None):
+        if not isinstance(ambient, str):
+            raise ValueError(f"ambient must be a string: {ambient!r}")
         n = ambient_dim(ambient) if is_lattice_ambient(ambient) else 0
         if not n:
             system = build_system(ambient)  # rejects an unknown ambient
@@ -266,7 +367,7 @@ class GriddedComplex(Frozen):
                     f"squares[{i}]: not a square of {ambient}: {s!r}")
             checked.append(s)
         self._set(ambient, distinct(
-            checked, "squares[{j}]: same square as squares[{i}]"), meta=meta)
+            checked, "squares", "same square as squares[{i}]"), meta=meta)
 
     def __len__(self):
         return len(self.squares)

@@ -66,25 +66,31 @@ class AbstractSquareComplex(Frozen):
     squares are cyclic 4-tuples of distinct vertices; they are stored in a
     canonical rotation so that structural equality works.  vertices may
     include points not used by any square (such a complex is never a
-    surface, but it is representable).  A repeated vertex, then a bad
-    square, raises ValueError naming it by position.  meta is not compared.
+    surface, but it is representable).  A repeated or unhashable vertex,
+    then a bad square, raises ValueError naming it by position.  meta is
+    not compared.
     """
 
     __slots__ = ("vertices", "squares", "meta")
 
     def __init__(self, vertices, squares, meta=None):
         vertices = distinct(
-            list(vertices), "vertices[{j}]: label {x!r} repeats vertices[{i}]")
+            list(vertices), "vertices", "label {x!r} repeats vertices[{i}]")
         canon = []
         for i, s in enumerate(squares):
             s = tuple(s)
-            if len(s) != 4 or len(set(s)) != 4:
+            try:
+                square = len(s) == 4 and len(set(s)) == 4
+            except TypeError:
+                raise ValueError(f"squares[{i}]: not hashable: {s!r}") \
+                    from None
+            if not square:
                 raise ValueError(
                     f"squares[{i}]: square needs 4 distinct vertices")
             if not vertices.issuperset(s):
                 raise ValueError(f"squares[{i}]: unknown vertex")
             canon.append(cycle_key(s))
-        canon = distinct(canon, "squares[{j}]: same square as squares[{i}]")
+        canon = distinct(canon, "squares", "same square as squares[{i}]")
         self._set(vertices, tuple(sorted(canon)), meta=meta)
 
     @classmethod

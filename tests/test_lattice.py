@@ -3,6 +3,7 @@ import json
 import pickle
 import random
 import re
+from collections import Counter
 from math import comb
 
 import pytest
@@ -134,6 +135,78 @@ def test_cube_union_boundary_basics():
         cube_union_boundary([(1, 1, 1), (1, 1, 0)])
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.integers(0, n).flatmap(
+    lambda d: st.sets(st.tuples(*[st.integers(-4, 4)] * n).map(
+        lambda key, d=d: _with_dimension(key, d)), max_size=10))))
+def test_union_boundary_is_the_faces_counted_once(cells):
+    counts = Counter()
+    for c in cells:
+        d = cell_dim(c)
+        counts.update(brute_faces(c, d - 1))
+    expected = {f for f, m in counts.items() if m == 1}
+    assert cube_union_boundary(list(cells)) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(9, 20).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, n - 1), min_size=3, max_size=3,
+                         unique=True), st.integers(0, 3))).flatmap(
+    lambda shape: st.sets(st.tuples(*[st.integers(-3, 3)] * 3).map(
+        lambda xs, shape=shape: _spread(shape, xs)), max_size=10)))
+def test_union_boundary_across_runs_of_the_codes(cells):
+    # past 8 coordinates a code has runs; the cells move on 3 axes
+    # anywhere in the key, and a facet steps one odd coordinate by +-1
+    counts = Counter(c[:t] + (x + s,) + c[t + 1:] for c in cells
+                     for t, x in enumerate(c) if x % 2 for s in (-1, 1))
+    expected = {f for f, m in counts.items() if m == 1}
+    assert cube_union_boundary(list(cells)) == expected
+
+
+def _spread(shape, xs):
+    """The key of Z^n with xs on the axes, the first d made odd."""
+    n, axes, d = shape
+    key = [0] * n
+    for i, (t, x) in enumerate(zip(axes, xs)):
+        key[t] = x | 1 if i < d else x & ~1
+    return tuple(key)
+
+
+def _with_dimension(key, d):
+    """key with its first d coordinates made odd and the rest even."""
+    return tuple(x | 1 if t < d else x & ~1 for t, x in enumerate(key))
+
+
+@pytest.mark.parametrize("cells,message", [
+    ([(1, 1, 1), (1, 1, 1, 0)],
+     "cells[1]: 4 coordinates, cells[0] has 3: (1, 1, 1, 0)"),
+    ([(1, 1, 1, 0), (1, 1, 1)],
+     "cells[1]: 3 coordinates, cells[0] has 4: (1, 1, 1)"),
+    ([(1, 1, 1), (3, 1.0, 1)], "cells[1]: not a tuple of ints: (3, 1.0, 1)"),
+    ([(1, 1, 1), (3, True, 1)],
+     "cells[1]: not a tuple of ints: (3, True, 1)"),
+    ([(1, 1, 1), [3, 1, 1]], "cells[1]: not a tuple of ints: [3, 1, 1]"),
+    ([None, (1, 1, 1)], "cells[0]: not a tuple of ints: None"),
+    ([(1, 1, 1), (1, 1, 0), (1, 1)],
+     "cells[2]: 2 coordinates, cells[0] has 3: (1, 1)"),
+    ([(1, 1, 1), (3, 1, 1), (1, 1, 1)], "duplicate cells in union"),
+    ([(1, 1, 1), (1, 1, 1), (1, 1, 0)],
+     "cells must all have the same dimension"),
+], ids=["longer", "shorter", "float", "bool", "list", "None",
+        "length before dimension", "duplicate", "dimension before duplicate"])
+def test_union_boundary_names_a_bad_lattice_cell(cells, message):
+    with pytest.raises(ValueError) as info:
+        cube_union_boundary(cells)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("cells", [
+    [], iter([]), [(0, 0, 0)], [(0, 0), (2, 0), (0, -2)], [()]],
+    ids=["empty", "empty iterator", "vertex", "vertices", "Z0 vertex"])
+def test_union_boundary_without_facets_is_empty(cells):
+    assert cube_union_boundary(cells) == frozenset()
+
+
 def _lattice_cells():
     """Ambient, a cube, its neighbour through a face, that face and a
     square of a lattice."""
@@ -247,6 +320,13 @@ def test_gridded_complex_names_a_repeated_coset_square_by_position():
     assert str(info.value) == "squares[2]: same square as squares[0]"
 
 
+@pytest.mark.parametrize("ambient", [3, None, b"Z3"])
+def test_gridded_complex_rejects_an_ambient_that_is_not_a_string(ambient):
+    with pytest.raises(ValueError) as info:
+        GriddedComplex(ambient, [])
+    assert str(info.value) == f"ambient must be a string: {ambient!r}"
+
+
 def test_gridded_complex_rejects_unknown_ambient():
     with pytest.raises(ValueError, match="unknown system 'nonsense'"):
         GriddedComplex("nonsense", {(1, 1, 0)})
@@ -329,3 +409,29 @@ def test_cell_codes_order_steps_and_decode(keys):
             for step in (-1, 1):
                 moved = key[:t] + (key[t] + step,) + key[t + 1:]
                 assert decode([code + step * w]) == [moved]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(-2 ** 70, 2 ** 70))
+def test_cell_codes_round_trip_in_z2000(seed, far):
+    # digits of many runs, and one coordinate wider than 64 bits
+    rng = random.Random(seed)
+    base = [rng.randint(-3, 3) for _ in range(2000)]
+    moved = set(rng.sample(range(2000), 5))
+    keys = {tuple(base), tuple(x + 5 if t in moved else x
+                               for t, x in enumerate(base)),
+            tuple(base[:-1]) + (far,)}
+    codes, odd, weights, decode = cell_codes(keys)
+    assert decode(codes) == sorted(keys)
+    key = sorted(keys)[0]
+    for t in (0, 999, 1999):
+        for step in (-1, 1):
+            stepped = key[:t] + (key[t] + step,) + key[t + 1:]
+            assert decode([codes[0] + step * weights[t]]) == [stepped]
+
+
+def test_one_square_classifies_in_z5000():
+    square = (1, 1) + (0,) * 4998
+    r = classify(GriddedComplex("Z5000", [square]))
+    assert r.class_name == "orientable genus 0, 1 boundary circle"
+    assert (r.vertex_count, r.edge_count) == (4, 4)

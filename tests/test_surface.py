@@ -104,6 +104,22 @@ def test_abstract_square_complex_names_a_repeated_label():
     assert str(info.value) == "vertices[4]: label 0 repeats vertices[0]"
 
 
+@pytest.mark.parametrize("vertices,squares,message", [
+    (["a", "b", "c", "d"], [("a", "b", "c", ["d"])],
+     "squares[0]: not hashable: ('a', 'b', 'c', ['d'])"),
+    (["a", "b", "c", ["d"]], [("a", "b", "c", "d")],
+     "vertices[3]: not hashable: ['d']"),
+    (["a", "a", ["d"]], [], "vertices[1]: label 'a' repeats vertices[0]"),
+    (["a", "b", "c", "d"], [("a", "b", ["c"])],
+     "squares[0]: square needs 4 distinct vertices"),
+], ids=["in a square", "in the vertices", "after a repeat", "after a length"])
+def test_abstract_square_complex_names_an_unhashable_label(
+        vertices, squares, message):
+    with pytest.raises(ValueError) as info:
+        AbstractSquareComplex(vertices, squares)
+    assert str(info.value) == message
+
+
 def test_records_compare_hash_and_print_by_their_fields():
     a = AbstractSquareComplex.from_squares([(0, 1, 2, 3)], meta={"kind": "a"})
     b = AbstractSquareComplex(frozenset(range(4)), ((1, 2, 3, 0),),
