@@ -601,6 +601,11 @@ def neighbor(top_cell, face):
     return others[0]
 
 
+def compose(a, b):
+    """The group element a b (ring matrices): b applied first, then a."""
+    return _mat_mul(a, b)
+
+
 def transform(g, cell):
     """Apply a group element (ring matrix) to a cell."""
     return CosetKey(cell.system, cell.gens, vec=_mat_vec(g, cell.vec),

@@ -7,11 +7,16 @@ bookkeeping runs on coset cells instead of integer coordinates.  Walking
 face, the image of the entry face under the cube's central symmetry.  An
 "up" marker is carried into the next cube by the reflection in the wall
 the two cubes share; that wall step, to the cube beyond a face with the
-marker carried across, is the one function _step.  In the 4-dimensional
-honeycomb the walk is handed from hypercube to hypercube through their
-shared wall.  The {4,3,3,5} pants is the one-piece signature surface,
-and every {4,3,5} torus and higher genus surface starts from one ring of
-12 cubes.
+marker carried across, is the one function _step.  The {4,3,5} pants
+tree walks only once: every piece is one unit of 4 cubes moved by an
+element of the reflection group W, and a child's element is its
+parent's times one of two arm moves.  The written bytes are those of a
+walk piece by piece, since a saved square carries the least matrix of
+its coset and the unit's symmetry swapping its arms maps it onto
+itself.  In the 4-dimensional honeycomb the walk is handed from
+hypercube to hypercube through their shared wall.  The {4,3,3,5} pants
+is the one-piece signature surface, and every {4,3,5} torus and higher
+genus surface starts from one ring of 12 cubes.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from __future__ import annotations
 from collections import Counter
 
 from gridforge.coxeter import (
-    build_system, cell_faces, central_symmetry, identity_cell, neighbor,
-    reflection, square_vertex_cycle, transform,
+    build_system, cell_faces, central_symmetry, compose, identity_cell,
+    neighbor, reflection, square_vertex_cycle, transform,
 )
 from gridforge.lattice import (
     GriddedComplex, cube_union_boundary as union_boundary,
@@ -147,6 +152,36 @@ def _pants_unit(stem, entry, up):
     return cubes, holes
 
 
+def _pants_moves(stem, entry, up):
+    """The pants unit grown from the frame (stem, entry, up), and for each
+    arm the element of W that takes this frame to the frame (child, far
+    face, child up) of the piece hung beyond the arm's hole.
+
+    The product of the three wall reflections stem -> center -> arm ->
+    child takes stem to child and up to the child's up marker, as the
+    walk of _step carries it.  If it lands entry on another face of the
+    child than far, the reflection exchanging that face with far, which
+    keeps the child's up marker, is applied after it.  That is the same
+    element as the walk after the symmetry of the stem that exchanges
+    entry with the face the walk takes to far.
+    """
+    cubes, holes = _pants_unit(stem, entry, up)
+    center = cubes[1]
+    moves = []
+    for arm, far, arm_up in holes:
+        child, child_up = _step(arm, far, arm_up)
+        walk = compose(reflection(arm, child), reflection(center, arm))
+        move = compose(walk, reflection(stem, center))
+        landed = transform(move, entry)
+        if landed != far:
+            move = compose(reflection(landed, far), move)
+        if [transform(move, c) for c in (stem, entry, up)] != \
+                [child, far, child_up]:
+            raise AssertionError("arm move misses the child's frame")
+        moves.append(move)
+    return cubes, moves
+
+
 # The deepest tree of pants with at most 65536 squares (65522).
 MAX_TREE_DEPTH_435 = 12
 
@@ -162,6 +197,17 @@ def tree_of_life_435(depth):
     exponential volume of hyperbolic space keeps the tested depths clear.
     The tree has 16 * 2^depth - 14 squares, so a depth past
     MAX_TREE_DEPTH_435 is refused before any work.
+
+    Every piece is the image e U of one unit U, grown once from the base
+    cube, under an element e of W: the root has the identity, and a piece
+    e has the children e g_k, for g_k the two arm moves of _pants_moves.
+    So a piece costs one group product and each of its cubes one
+    transform.  A move is fixed by the frame it carries only up to the
+    reflection that keeps the stem's entry and up faces; that reflection
+    swaps the unit's two arms and so maps U onto itself, and either choice
+    places the same cubes.  The saved squares carry the least matrix of
+    their cosets, so the written bytes do not depend on the path by which
+    a piece was reached.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -176,18 +222,14 @@ def tree_of_life_435(depth):
     back = opposite_face(stem, entry)
     up = min(f for f in faces if f not in (entry, back))
 
-    cubes = []
-    layer = [(stem, entry, up)]
-    for level in range(depth):
-        next_layer = []
-        for s, f_in, f_up in layer:
-            unit_cubes, holes = _pants_unit(s, f_in, f_up)
-            cubes.extend(unit_cubes)
-            if level + 1 < depth:
-                for arm, far, arm_up in holes:
-                    child, child_up = _step(arm, far, arm_up)
-                    next_layer.append((child, far, child_up))
-        layer = next_layer
+    unit, moves = _pants_moves(stem, entry, up)
+    cubes = list(unit)
+    # the elements of W placing the pieces of one level below the root
+    layer = moves
+    for level in range(1, depth):
+        cubes.extend(transform(e, c) for e in layer for c in unit)
+        if level + 1 < depth:
+            layer = [compose(e, g) for e in layer for g in moves]
 
     dupes = [c for c, m in Counter(cubes).items() if m > 1]
     if dupes:

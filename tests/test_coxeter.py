@@ -624,20 +624,6 @@ def test_transform_equals_the_key_of_the_product(word):
     _assert_same_key(transform(g, cube), CosetKey(s, cube.gens, rep), rep)
 
 
-@pytest.fixture
-def products(monkeypatch):
-    """Counts ring-matrix products made through coxeter._mat_mul."""
-    count = [0]
-    inner = coxeter._mat_mul
-
-    def counted(a, b):
-        count[0] += 1
-        return inner(a, b)
-
-    monkeypatch.setattr(coxeter, "_mat_mul", counted)
-    return count
-
-
 def test_square_corners_make_no_products(products):
     s = build_system("{4,3,5}")
     w = random_word(s, random.Random(5), 9)
@@ -648,16 +634,17 @@ def test_square_corners_make_no_products(products):
 
 
 def test_tree_build_and_write_product_count(monkeypatch, products):
-    # exact: opposite faces and up markers are closed-form images, keys
-    # come from fixed vectors and a face's min_rep is taken from its
-    # factors; a face search or an eager product anywhere on this path
-    # raises the count
+    # exact: each pants piece is placed by one product with an arm move,
+    # opposite faces and up markers are closed-form images, keys come
+    # from fixed vectors and a face's min_rep is taken from its factors;
+    # a reflection walk per piece, a face search or an eager product
+    # anywhere on this path raises the count
     build_system("{4,3,5}")
     monkeypatch.setattr(coxeter, "_ENUM_CACHE", {})
     monkeypatch.setattr(coxeter, "_TRANSVERSAL_CACHE", {})
     products[0] = 0
     dumps_complex(tree_of_life_435(3))
-    assert products[0] == 267
+    assert products[0] == 239
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Surfaces gridded in the hyperbolic honeycombs."""
 
+import hashlib
 import json
 import random
 
@@ -10,6 +11,8 @@ from helpers import (
     opposite_face_search, random_cells, random_word, solid_betti_numbers,
     transport_up_search,
 )
+from gridforge import honeycombs
+from gridforge.cli import main
 from gridforge.coxeter import (
     build_system, cell_faces, identity_cell, neighbor, reflection,
     transform,
@@ -19,10 +22,13 @@ from gridforge.honeycombs import (
     closed_orientable_435, crosscap_abstract_34, hyperbolic_pants_435,
     hyperbolic_torus_435, opposite_face,
     pants_4335, surface_4335, torus_4335, tree_of_life_435, union_boundary,
-    _cube_row_4335, _edge_parallel_class, _hypercube_ring, _torus_ring_435,
+    _cube_row_4335, _edge_parallel_class, _hypercube_ring, _pants_unit,
+    _step, _torus_ring_435,
 )
 from gridforge.lattice import GriddedComplex
-from gridforge.surface import AbstractSquareComplex, classify, validate_surface
+from gridforge.surface import (
+    AbstractSquareComplex, GridCollisionError, classify, validate_surface,
+)
 
 
 def test_union_boundary_rejects_duplicates():
@@ -100,9 +106,86 @@ def test_tree_of_life_hyperbolic_is_a_sphere(depth, cubes, squares):
     assert r.is_closed
 
 
-def test_tree_of_life_rejects_bad_depth():
-    with pytest.raises(ValueError):
-        tree_of_life_435(0)
+def test_tree_of_life_rejects_bad_depth(products):
+    # the depth guard runs before any work: no ring product is formed
+    for depth, message in (
+            (0, "depth must be at least 1"),
+            (13, "depth must be at most 12: a tree of depth 13 has "
+                 "16 * 2^13 - 14 squares, more than 65536")):
+        with pytest.raises(ValueError) as err:
+            tree_of_life_435(depth)
+        assert str(err.value) == message
+    assert products[0] == 0
+
+
+def _walked_tree_of_life_435(depth):
+    """The pants tree grown piece by piece: each piece walks wall
+    reflections from its own stem frame, and a wall step carries the
+    frame into each child's stem.  tree_of_life_435 places the same
+    pieces by group elements instead."""
+    system = build_system("{4,3,5}")
+    stem = identity_cell(system, 3)
+    faces = sorted(cell_faces(stem, 2))
+    entry = faces[0]
+    back = opposite_face(stem, entry)
+    up = min(f for f in faces if f not in (entry, back))
+    cubes = []
+    layer = [(stem, entry, up)]
+    for level in range(depth):
+        next_layer = []
+        for cube, f_in, f_up in layer:
+            unit_cubes, holes = _pants_unit(cube, f_in, f_up)
+            cubes.extend(unit_cubes)
+            if level + 1 < depth:
+                for arm, far, arm_up in holes:
+                    child, child_up = _step(arm, far, arm_up)
+                    next_layer.append((child, far, child_up))
+        layer = next_layer
+    assert len(set(cubes)) == len(cubes)
+    meta = {"kind": "tree_of_life_hyperbolic", "depth": depth,
+            "pants_count": 2 ** depth - 1, "cube_count": len(cubes)}
+    return GriddedComplex(system.name, union_boundary(cubes), meta)
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_tree_of_life_placed_by_group_elements_equals_the_walk(depth):
+    assert dumps_complex(tree_of_life_435(depth)) == \
+        dumps_complex(_walked_tree_of_life_435(depth))
+
+
+# sha256 of the stdout of `build hyp-tree --depth d`, the benchmark's
+# build, at depths past the one in the acceptance pins
+HYP_TREE_DIGESTS = {
+    6: "47b4240c12f032d24a0b578f0044587b32c475800b9986d03022df6ad46699fd",
+    7: "67d9c62983b8a696e8246859a93f2f19b0935064da65b1300187512f1fd96616",
+}
+
+
+@pytest.mark.parametrize("depth", sorted(HYP_TREE_DIGESTS))
+def test_hyp_tree_build_bytes_are_pinned(depth, capsys):
+    assert main(["build", "hyp-tree", "--depth", str(depth)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        HYP_TREE_DIGESTS[depth]
+
+
+def test_overlapping_pants_pieces_raise_a_collision(monkeypatch):
+    # both arm moves the same element: the two children of the root
+    # fall on the same 4 cubes, which the count of cubes must name
+    moves = honeycombs._pants_moves
+    repeated = []
+
+    def one_move_twice(stem, entry, up):
+        unit, (g, _) = moves(stem, entry, up)
+        repeated.extend(transform(g, c) for c in unit)
+        return unit, [g, g]
+
+    monkeypatch.setattr(honeycombs, "_pants_moves", one_move_twice)
+    with pytest.raises(GridCollisionError, match="pants pieces overlap") \
+            as err:
+        tree_of_life_435(2)
+    assert sorted(err.value.cells) == sorted(repeated)
+    assert len(repeated) == 4
 
 
 @pytest.mark.parametrize("genus,squares", [(0, 6), (1, 48), (2, 98), (3, 148)])
