@@ -28,13 +28,19 @@ of the reflection group W do (coxeter.keeps_time_orientation), which the
 negation of a representative does not.  Membership in W itself is not
 checked: a matrix outside W that passes both loads too.  The loader
 hands entries over in document order to GriddedComplex or
-AbstractSquareComplex, which check each square as it is drawn and then
-look for repeats, so ValueError names the first bad entry by position.
+AbstractSquareComplex, which check each square and then look for
+repeats, so ValueError names the first bad entry by position.  Lattice
+keys are tested in bulk, by one set of the entry types and one of the
+types of all their coordinates; only when that fails does the loader
+hand over a generator that checks each entry as it is drawn, and
+GriddedComplex, which checks the keys drawn before an entry the
+generator refuses, still names the first bad one.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from gridforge.coxeter import (
     CosetKey, build_system, keeps_time_orientation, preserves_form,
@@ -44,6 +50,7 @@ from gridforge.surface import AbstractSquareComplex, cycle_key
 
 
 _INT = frozenset([int])
+_LIST = frozenset([list])
 
 
 def _all_ints(items):
@@ -145,7 +152,19 @@ def _require(cond, message):
 
 
 def _load_lattice_squares(raw):
-    """A document's lattice keys, each checked as it is drawn."""
+    """A document's lattice keys: a list of tuples when every entry is a
+    list of ints, which two set tests over the whole document tell, and
+    otherwise _walk_lattice_squares."""
+    if (_LIST.issuperset(map(type, raw))
+            and _all_ints(chain.from_iterable(raw))):
+        return list(map(tuple, raw))
+    return _walk_lattice_squares(raw)
+
+
+def _walk_lattice_squares(raw):
+    """A document's lattice keys, each checked as it is drawn, so that
+    GriddedComplex, which checks the keys drawn before a refused one,
+    names the first bad entry."""
     for i, s in enumerate(raw):
         _require(isinstance(s, list) and _all_ints(s),
                  f"squares[{i}]: expected a list of integers")

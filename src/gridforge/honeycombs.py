@@ -24,8 +24,8 @@ from __future__ import annotations
 from collections import Counter
 
 from gridforge.coxeter import (
-    build_system, cell_faces, central_symmetry, compose, identity_cell,
-    neighbor, reflection, square_vertex_cycle, transform,
+    CosetKey, build_system, cell_faces, central_symmetry, compose,
+    identity_cell, neighbor, reflection, square_vertex_cycle, transform,
 )
 from gridforge.lattice import (
     GriddedComplex, cube_union_boundary as union_boundary,
@@ -201,13 +201,14 @@ def tree_of_life_435(depth):
     Every piece is the image e U of one unit U, grown once from the base
     cube, under an element e of W: the root has the identity, and a piece
     e has the children e g_k, for g_k the two arm moves of _pants_moves.
-    So a piece costs one group product and each of its cubes one
-    transform.  A move is fixed by the frame it carries only up to the
-    reflection that keeps the stem's entry and up faces; that reflection
-    swaps the unit's two arms and so maps U onto itself, and either choice
-    places the same cubes.  The saved squares carry the least matrix of
-    their cosets, so the written bytes do not depend on the path by which
-    a piece was reached.
+    So a piece costs one group product and each of its cubes but the
+    stem one transform; the stem is the coset of e itself.  A move is
+    fixed by the frame it carries only up to the reflection that keeps
+    the stem's entry and up faces; that reflection swaps the unit's two
+    arms and so maps U onto itself, and either choice places the same
+    cubes.  The saved squares carry the least matrix of their cosets, so
+    the written bytes do not depend on the path by which a piece was
+    reached.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -227,7 +228,11 @@ def tree_of_life_435(depth):
     # the elements of W placing the pieces of one level below the root
     layer = moves
     for level in range(1, depth):
-        cubes.extend(transform(e, c) for e in layer for c in unit)
+        for e in layer:
+            # the stem, with the identity for its rep, moves to the coset
+            # of e itself
+            cubes.append(CosetKey(system, stem.gens, e))
+            cubes.extend(transform(e, c) for c in unit[1:])
         if level + 1 < depth:
             layer = [compose(e, g) for e in layer for g in moves]
 

@@ -19,7 +19,9 @@ step of +-1 along coordinate t adds +-weights[t].  The boundary of a
 union of cells (cube_union_boundary) counts its facets as such steps
 from the codes of the cells, after checking that the cells are int
 tuples of one length, and decodes only the facets counted once; the
-square index of gridforge.surface finds corners the same way.
+square index of gridforge.surface finds corners and edges the same way.
+Keys are checked in bulk, by set tests over all of them (_check_keys),
+and walked one by one only to name the first bad one.
 
 A lattice ambient is named "Z" and its dimension in ASCII decimal digits
 with no leading zero ("Z2", "Z3", "Z10"); is_lattice_ambient is that one
@@ -34,6 +36,9 @@ import itertools
 from collections import Counter
 
 from gridforge.coxeter import CosetKey, build_system, cell_faces
+
+_TUPLE = frozenset([tuple])
+_INT = frozenset([int])
 
 
 def cell_dim(key):
@@ -210,7 +215,8 @@ def cube_union_boundary(cells):
     if coset:
         dims, keys = {c.dim for c in cells}, cells
     else:
-        _check_keys(cells)
+        _check_keys(cells, len(cells[0]) if isinstance(cells[0], tuple)
+                    else -1)
         keys, odd, weights, decode = cell_codes(cells)
         dims = set(map(int.bit_count, odd))
     if len(dims) != 1:
@@ -237,20 +243,40 @@ def cube_union_boundary(cells):
     return frozenset(decode([f for f, m in counts.items() if m == 1]))
 
 
-def _check_keys(cells):
-    """Raise ValueError naming the first cell that is not a tuple of ints
-    as long as cells[0]; the cells are walked only when one is bad."""
-    n = len(cells[0]) if isinstance(cells[0], tuple) else -1
-    if (set(map(type, cells)) == {tuple} and set(map(len, cells)) == {n}
-            and set(map(type, itertools.chain.from_iterable(cells)))
-            <= {int}):
-        return
+def _check_keys(cells, n, odd=None, message=None):
+    """Raise ValueError naming the first cell that is not a tuple of n
+    ints (a bool or a float is not one) or, given odd, that has other
+    than odd odd coordinates.
+
+    The tests run in bulk: one set of the cell types, one of their
+    lengths, one of the types of all their coordinates, and the count of
+    odd coordinates of every cell, summed column by column.  Only when
+    one fails are the cells walked, to name the first bad one by
+    message(i, c) of its position i and the cell c, or by default by
+    what is wrong with it.
+    """
+    if (_TUPLE.issuperset(map(type, cells))
+            and {n}.issuperset(map(len, cells))
+            and _INT.issuperset(map(type, itertools.chain.from_iterable(
+                cells)))):
+        if odd is None:
+            return
+        counts = [0] * len(cells)
+        for col in zip(*cells):
+            counts = [m + (x & 1) for m, x in zip(counts, col)]
+        if {odd}.issuperset(counts):
+            return
     for i, c in enumerate(cells):
         if not (isinstance(c, tuple) and all(type(x) is int for x in c)):
-            raise ValueError(f"cells[{i}]: not a tuple of ints: {c!r}")
-        if len(c) != n:
-            raise ValueError(f"cells[{i}]: {len(c)} coordinates, "
-                             f"cells[0] has {n}: {c!r}")
+            why = "not a tuple of ints"
+        elif len(c) != n:
+            why = f"{len(c)} coordinates, cells[0] has {n}"
+        elif odd is not None and sum(x & 1 for x in c) != odd:
+            why = f"not {odd} odd coordinates"
+        else:
+            continue
+        raise ValueError(message(i, c) if message
+                         else f"cells[{i}]: {why}: {c!r}")
 
 
 def is_lattice_ambient(ambient):
@@ -340,6 +366,12 @@ class GriddedComplex(Frozen):
     "{4,3,4}" included, raises ValueError; a cell is
     named by its position in the order given, and so is a repeated square,
     looked for once every cell has passed.  meta is not compared.
+
+    Lattice keys are checked in bulk (_check_keys): tuple type, length,
+    int coordinates and two odd ones each, walked one by one only to name
+    the first bad key.  If the squares iterable itself raises ValueError
+    for an entry, as the loader's does, the keys drawn before it are
+    checked first, so a bad one among them is named instead.
     """
 
     __slots__ = ("ambient", "squares", "meta")
@@ -354,20 +386,31 @@ class GriddedComplex(Frozen):
                 raise ValueError(f"{ambient} is a lattice: use ambient "
                                  f"Z{system.rank - 1}")
         checked = []
-        for i, s in enumerate(squares):
-            if n:  # odd reads int coordinates only: a float or bool fails
-                odd = isinstance(s, tuple) and [x & 1 for x in s
-                                                if type(x) is int]
-                ok = odd and len(s) == n == len(odd) and sum(odd) == 2
-            else:
-                ok = (isinstance(s, CosetKey) and s.system.name == ambient
-                      and s.dim == 2)
-            if not ok:
-                raise ValueError(
-                    f"squares[{i}]: not a square of {ambient}: {s!r}")
-            checked.append(s)
+        try:
+            checked.extend(squares)
+        except ValueError:
+            # the iterable refused an entry: a bad one drawn before it
+            # is named first
+            self._check(ambient, n, checked)
+            raise
+        self._check(ambient, n, checked)
         self._set(ambient, distinct(
             checked, "squares", "same square as squares[{i}]"), meta=meta)
+
+    @staticmethod
+    def _check(ambient, n, squares):
+        """Raise ValueError naming the first entry that is not a square
+        of the ambient, of dimension n or 0 for a honeycomb."""
+        def message(i, c):
+            return f"squares[{i}]: not a square of {ambient}: {c!r}"
+
+        if n:
+            _check_keys(squares, n, 2, message)
+            return
+        for i, s in enumerate(squares):
+            if not (isinstance(s, CosetKey) and s.system.name == ambient
+                    and s.dim == 2):
+                raise ValueError(message(i, s))
 
     def __len__(self):
         return len(self.squares)

@@ -15,22 +15,30 @@ single simple path.
 Validation, classification, the Euler characteristic, mesh export,
 to_abstract and the embedded sum's vertex clash test read one SquareIndex:
 dense int vertex ids, int squares, the edge ids of each square's sides
-(one numbering, _edge_ids) and the number of squares on each edge.  A
+(one numbering, _edge_ids), whether each side rises from the lower
+vertex id to the higher, and the number of squares on each edge.  A
 lattice complex builds it in one pass over int cell codes
 (lattice.cell_codes), where a square's corners are its code plus or minus
-two weights, and marks the corners at each vertex in a bit mask, 4 bits
+two weights and its sides' midpoints, which key its edges, its code plus
+or minus one.  It marks the corners at each vertex in a bit mask, 4 bits
 per pair of odd axes in use, that fixes the vertex's link up to renaming,
-so each distinct mask is checked once.  Other complexes build it from one
-square_cycles pass, which on honeycomb complexes costs ring-matrix
-products and exact coset keys.
+so each distinct mask is checked once.  Corner ids rise with the code, so
+sides 0 and 1 of every lattice square rise and sides 2 and 3 fall.  The
+vertex tuples are decoded from their codes only when first read, which
+export does and validate and classify do only to name a failure or a
+nonorientable loop: they count vertices.  Other complexes build the index
+from one square_cycles pass, which on honeycomb complexes costs
+ring-matrix products and exact coset keys.
 Classify validates on the index it builds, and orients the squares
-through their sides' edge ids, one tree of squares per component.
+through their sides' edge ids, one tree of squares per component: two
+sides on one edge run the same way iff both rise or both fall.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cached_property
+from operator import add
 
 from gridforge import lattice
 from gridforge.lattice import (
@@ -121,27 +129,39 @@ class SquareIndex:
     """The squares of a complex in dense integer form.
 
     A vertex's id is its position in the sorted vertices, so ids compare
-    as the vertices do.  squares are the cycles of square_cycles, in order,
-    as id 4-tuples, and cycles the same with the vertices themselves.
-    Edges are numbered in order of first sight: square_edges[4 * i + k]
-    is the id of side k of square i, the side from its corner k to corner
-    k + 1 (mod 4), and edge_counts[e] the number of squares containing
-    edge e.  edges maps each edge (a, b) with a < b to that number, in id
-    order.  links[v] has one arc (u, w) per square corner at v, where u
-    and w are the corner's two neighbours: the link of v has a node per
-    edge at v, named by its other end.  edges, cycles and links are
-    formed when first read.  On a lattice complex masks[v] has bit 4p + k
-    set when corner k of a square spanning the p-th pair of odd axes in
-    use lies at v, and arcs[4p + k] is that corner's arc in the link of v
-    (see _lattice_index), so masks[v] fixes the link of v up to renaming
-    its nodes; on other complexes masks and arcs are None.
+    as the vertices do, and vertex_count is their number.  squares are
+    the cycles of square_cycles, in order, as id 4-tuples, and cycles the
+    same with the vertices themselves.  Edges are numbered in order of
+    first sight: square_edges[4 * i + k] is the id of side k of square i,
+    the side from its corner k to corner k + 1 (mod 4), rises[4 * i + k]
+    whether that side runs from the lower vertex id to the higher, and
+    edge_counts[e] the number of squares containing edge e.  edges maps
+    each edge (a, b) with a < b to that number, in id order.  links[v]
+    has one arc (u, w) per square corner at v, where u and w are the
+    corner's two neighbours: the link of v has a node per edge at v,
+    named by its other end.  edges, cycles and links are formed when
+    first read.  On a lattice complex so are the vertices, decoded from
+    the sorted vertex codes given with decode: only export and failure
+    messages read them.  There masks[v] has bit 4p + k set when corner k
+    of a square spanning the p-th pair of odd axes in use lies at v, and
+    arcs[4p + k] is that corner's arc in the link of v (see
+    _lattice_index), so masks[v] fixes the link of v up to renaming its
+    nodes; on other complexes masks and arcs are None.
     """
 
-    def __init__(self, vertices, squares, square_edges, edge_counts,
-                 masks=None, arcs=None):
-        self.vertices, self.squares = vertices, squares
-        self.square_edges, self.edge_counts = square_edges, edge_counts
+    def __init__(self, vertices, squares, square_edges, edge_counts, rises,
+                 masks=None, arcs=None, decode=None):
+        self.vertex_count = len(vertices)
+        self._vertices, self._decode = vertices, decode
+        self.squares, self.square_edges = squares, square_edges
+        self.edge_counts, self.rises = edge_counts, rises
         self.masks, self.arcs = masks, arcs
+
+    @cached_property
+    def vertices(self):
+        if self._decode is None:
+            return self._vertices
+        return self._decode(self._vertices)
 
     @cached_property
     def edges(self):
@@ -160,7 +180,7 @@ class SquareIndex:
 
     @cached_property
     def links(self):
-        links = [[] for _ in self.vertices]
+        links = [[] for _ in range(self.vertex_count)]
         for a, b, c, d in self.squares:
             links[a].append((d, b))
             links[b].append((a, c))
@@ -184,35 +204,33 @@ def _cycle_index(cycles, declared=()):
 
     Each corner costs one hash lookup to find its vertex, each vertex one
     more to rank it, and each side one to number its edge; everything
-    after that works on ints.
+    after that works on ints.  Side (a, b) with a < b has the key
+    a * n + b over n vertex ids.
     """
     first = {v: i for i, v in enumerate(declared)}
     see = first.setdefault
     raw = [(see(a, len(first)), see(b, len(first)), see(c, len(first)),
             see(d, len(first))) for a, b, c, d in cycles]
     vertices = sorted(first)
-    rank = [0] * len(vertices)
+    n = len(vertices)
+    rank = [0] * n
     for new, v in enumerate(vertices):
         rank[first[v]] = new
     squares = [(rank[a], rank[b], rank[c], rank[d]) for a, b, c, d in raw]
-    return SquareIndex(vertices, squares, *_edge_ids(squares, len(vertices)))
+    sides = [pair for a, b, c, d in squares
+             for pair in ((a, b), (b, c), (c, d), (d, a))]
+    rises = [a < b for a, b in sides]
+    keys = [a * n + b if up else b * n + a
+            for (a, b), up in zip(sides, rises)]
+    return SquareIndex(vertices, squares, *_edge_ids(keys), rises)
 
 
-def _edge_ids(squares, n):
-    """The square_edges and edge_counts of id squares over n vertex ids:
-    side (a, b) with a < b is the int a * n + b, and edges are numbered
-    in order of first sight."""
-    sides = [e for a, b, c, d in squares
-             for e in (a * n + b if a < b else b * n + a,
-                       b * n + c if b < c else c * n + b,
-                       c * n + d if c < d else d * n + c,
-                       d * n + a if d < a else a * n + d)]
-    ids = Counter(sides)
-    counts = list(ids.values())
-    for i, e in enumerate(ids):
-        ids[e] = i
-    sides[:] = map(ids.__getitem__, sides)
-    return sides, counts
+def _edge_ids(keys):
+    """The square_edges and edge_counts of the sides with the given keys,
+    one per edge, the edges numbered in order of first sight."""
+    counts = Counter(keys)
+    ids = dict(zip(counts, range(len(counts))))
+    return list(map(ids.__getitem__, keys)), list(counts.values())
 
 
 # The signs of each corner's step from a lattice square's center along its
@@ -225,38 +243,54 @@ def _lattice_index(keys):
 
     A square with code S whose odd axes i < j have the weights w_i, w_j
     (lattice.cell_codes) has corner k at S + si * w_i + sj * w_j, where
-    (si, sj) is _CORNERS[k].  Each odd-axes mask in use gets the next 4
-    bits of masks and their arcs.  Vertex tuples are decoded once each,
-    from the sorted corner codes.
+    (si, sj) is _CORNERS[k], and side k, from corner k to corner k + 1,
+    has its midpoint, a cell of the tiling too, at the mean of theirs:
+    S - w_j, S + w_i, S + w_j and S - w_i.  Those midpoint codes key the
+    edges.  Corner ids rise with the code, so sides 0 and 1 rise and
+    sides 2 and 3 fall.  Each odd-axes mask in use gets the next 4 bits
+    of masks and their arcs.  The vertices are decoded from the sorted
+    corner codes when first read.
     """
     if not keys:
-        return SquareIndex([], [], [], [])
+        return SquareIndex([], [], [], [], [])
     codes, odd, weights, decode = lattice.cell_codes(keys)
-    # per odd-axes mask: the offset of each corner and the bit of corner 0
-    steps, arcs = {}, []
+    # per odd-axes mask m: the offsets from a square's code of its corner
+    # k and of the midpoint of its side k, and the bit of its corner 0
+    corner_at = [{} for _ in _CORNERS]
+    side_at = [{} for _ in _CORNERS]
+    bit_at, arcs = {}, []
     for m in sorted(set(odd)):
         i, j = (m & -m).bit_length() - 1, m.bit_length() - 1
-        steps[m] = (*(si * weights[i] + sj * weights[j]
-                      for si, sj in _CORNERS), 1 << len(arcs))
+        wi, wj = weights[i], weights[j]
+        for k, (si, sj) in enumerate(_CORNERS):
+            corner_at[k][m] = si * wi + sj * wj
+        for k, step in enumerate((-wj, wi, wj, -wi)):
+            side_at[k][m] = step
+        bit_at[m] = 1 << len(arcs)
         # the square lies at -si along i from its corner: the link node
         # of the edge along -i or +i is 2i or 2i + 1
         arcs += [(2 * i + (si < 0), 2 * j + (sj < 0)) for si, sj in _CORNERS]
-    *offsets, bits = zip(*map(steps.__getitem__, odd))
-    # from here on codes[k] holds the code of corner k of each square
-    codes = [[S + d for S, d in zip(codes, off)] for off in offsets]
-    order = sorted(set().union(*codes))
+    F = len(codes)
+    sides = [0] * (4 * F)
+    for k, at in enumerate(side_at):
+        sides[k::4] = map(add, codes, map(at.__getitem__, odd))
+    square_edges, edge_counts = _edge_ids(sides)
+    del sides  # it would raise the peak memory of the corner pass by a third
+    corners = [list(map(add, codes, map(at.__getitem__, odd)))
+               for at in corner_at]
+    order = sorted(set().union(*corners))
     n = len(order)
     vid = dict(zip(order, range(n)))
-    corners = [list(map(vid.__getitem__, c)) for c in codes]
-    # the edge pass below sets the peak memory: free the codes first
-    del codes, odd, offsets, vid
+    squares = list(zip(*[map(vid.__getitem__, c) for c in corners]))
+    del corners, vid
     masks = [0] * n
-    for k, ids in enumerate(corners):
-        for v, bit in zip(ids, bits):
-            masks[v] |= bit << k
-    squares = list(zip(*corners))
-    return SquareIndex(decode(order), squares, *_edge_ids(squares, n), masks,
-                       arcs)
+    for (a, b, c, d), bit in zip(squares, map(bit_at.__getitem__, odd)):
+        masks[a] |= bit
+        masks[b] |= bit << 1
+        masks[c] |= bit << 2
+        masks[d] |= bit << 3
+    return SquareIndex(order, squares, square_edges, edge_counts,
+                       [True, True, False, False] * F, masks, arcs, decode)
 
 
 def declared_vertices(obj):
@@ -322,10 +356,12 @@ def _link_failure(arcs):
 
 
 def _validate(index):
-    vertices, squares = index.vertices, index.squares
-    counts = index.edge_counts
+    """The SurfaceReport of validate_surface; vertices are read only to
+    name a failure."""
+    squares, counts = index.squares, index.edge_counts
     failures = []
     if max(counts, default=0) > 2:
+        vertices = index.vertices
         failures = [f"edge {(vertices[a], vertices[b])} lies in {m} squares"
                     for (a, b), m in sorted(e for e in index.edges.items()
                                             if e[1] > 2)]
@@ -333,22 +369,23 @@ def _validate(index):
     if index.masks is None:
         for v, arcs in enumerate(index.links):
             if not arcs:
-                failures.append(f"vertex {vertices[v]} is isolated")
+                failures.append(f"vertex {index.vertices[v]} is isolated")
                 continue
             why = _link_failure(arcs)
             if why is not None:
-                bad_links.append(f"vertex {vertices[v]} link {why}")
+                bad_links.append(f"vertex {index.vertices[v]} link {why}")
     else:
         # each distinct corner pattern is one link up to node names
         arcs = index.arcs
         why = {m: _link_failure([a for b, a in enumerate(arcs) if m >> b & 1])
                for m in set(index.masks)}
         if any(why.values()):
+            vertices = index.vertices
             bad_links = [f"vertex {vertices[v]} link {why[m]}"
                          for v, m in enumerate(index.masks) if why[m]]
     failures += bad_links
 
-    V = len(vertices)
+    V = index.vertex_count
     E = len(counts)
     F = len(squares)
     is_closed = bool(squares) and counts.count(2) == E
@@ -375,7 +412,7 @@ def validate_surface(obj):
 
 def euler_characteristic(obj):
     index = square_index(obj)
-    return len(index.vertices) - len(index.edge_counts) + len(index.squares)
+    return index.vertex_count - len(index.edge_counts) + len(index.squares)
 
 
 def _orient_components(index):
@@ -384,11 +421,13 @@ def _orient_components(index):
     A shared edge forces neighbouring squares to traverse it in opposite
     directions.  An inconsistency yields a witness loop of squares whose
     orientations cannot be reconciled.  Every edge must lie in at most two
-    squares, as it does once the complex has validated.  Returns the tree
-    of each square, the trees numbered in order of their first square,
-    and per tree its orientability and witness.
+    squares, as it does once the complex has validated.  Two sides on an
+    edge run the same way iff both rise or both fall (index.rises).
+    Returns the tree of each square, the trees numbered in order of their
+    first square, and per tree its orientability and witness.
     """
-    squares, square_edges = index.squares, index.square_edges
+    squares, square_edges, rises = (index.squares, index.square_edges,
+                                    index.rises)
     # mate[p] is the position in square_edges of the other side on the
     # same edge as position p, or -1 on the boundary
     mate = [-1] * len(square_edges)
@@ -415,15 +454,13 @@ def _orient_components(index):
         stack = [root]
         while stack:
             cur = stack.pop()
-            s = squares[cur]
-            for i in range(4):
-                q = mate[4 * cur + i]
+            here = sign[cur]
+            for p in range(4 * cur, 4 * cur + 4):
+                q = mate[p]
                 if q < 0:
                     continue
                 other = q >> 2
-                # the two sides run the same way iff they start at one vertex
-                same_way = squares[other][q & 3] == s[i]
-                need = -sign[cur] if same_way else sign[cur]
+                need = -here if rises[p] == rises[q] else here
                 if not sign[other]:
                     sign[other] = need
                     tree[other] = t
@@ -490,7 +527,7 @@ def classify(obj):
         return base
 
     squares = index.squares
-    n = len(index.vertices)
+    n = index.vertex_count
     tree, orientable, witnesses = _orient_components(index)
     n_comp = len(orientable)
     if n_comp == 1:

@@ -635,16 +635,17 @@ def test_square_corners_make_no_products(products):
 
 def test_tree_build_and_write_product_count(monkeypatch, products):
     # exact: each pants piece is placed by one product with an arm move,
-    # opposite faces and up markers are closed-form images, keys come
-    # from fixed vectors and a face's min_rep is taken from its factors;
-    # a reflection walk per piece, a face search or an eager product
-    # anywhere on this path raises the count
+    # its stem is the coset of that product, opposite faces and up
+    # markers are closed-form images, keys come from fixed vectors and a
+    # face's min_rep is taken from its factors; a reflection walk per
+    # piece, a product by the identity for a stem, a face search or an
+    # eager product anywhere on this path raises the count
     build_system("{4,3,5}")
     monkeypatch.setattr(coxeter, "_ENUM_CACHE", {})
     monkeypatch.setattr(coxeter, "_TRANSVERSAL_CACHE", {})
     products[0] = 0
     dumps_complex(tree_of_life_435(3))
-    assert products[0] == 239
+    assert products[0] == 233
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """JSON serialization of the three complex families."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -390,16 +391,15 @@ def _lattice_corruption(draw, squares, p):
     return entry, f"squares[{p}]: expected a list of integers", cell
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(2, 4).flatmap(lambda n: st.lists(
-    lattice_squares(n), min_size=2, max_size=8, unique=True)), st.data())
-def test_loader_fuzz_names_the_corrupted_lattice_entry(squares, data):
+def _check_corrupted_lattice_entry(squares, p, draw):
+    """Corrupt entry p of a document of distinct lattice keys: loaded
+    from a file, and handed to GriddedComplex, it is named with the
+    message _lattice_corruption gives."""
     ambient = f"Z{len(squares[0])}"
     doc = {"format": "gridded", "ambient": ambient,
            "squares": [list(key) for key in squares]}
     assert jsonable_to_complex(doc).squares == set(squares)
-    p = data.draw(st.integers(0, len(squares) - 1))
-    entry, in_file, in_python = _lattice_corruption(data.draw, squares, p)
+    entry, in_file, in_python = _lattice_corruption(draw, squares, p)
     bad = squares[:p] + [entry] + squares[p + 1:]
     doc["squares"] = [list(e) if isinstance(e, tuple) else e for e in bad]
     with pytest.raises(ValueError) as info:
@@ -408,6 +408,28 @@ def test_loader_fuzz_names_the_corrupted_lattice_entry(squares, data):
     with pytest.raises(ValueError) as info:
         GriddedComplex(ambient, bad)
     assert str(info.value) == in_python
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    lattice_squares(n), min_size=2, max_size=8, unique=True)), st.data())
+def test_loader_fuzz_names_the_corrupted_lattice_entry(squares, data):
+    p = data.draw(st.integers(0, len(squares) - 1))
+    _check_corrupted_lattice_entry(squares, p, data.draw)
+
+
+# the 3300 squares of Z3 with coordinates 0..20, sorted: the loader and
+# GriddedComplex test such a document in bulk and walk it only when a
+# test fails
+MANY_SQUARES = [k for k in itertools.product(range(21), repeat=3)
+                if sum(x % 2 for x in k) == 2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((0, len(MANY_SQUARES) // 2, len(MANY_SQUARES) - 1)),
+       st.data())
+def test_loader_names_the_corrupted_entry_of_a_large_document(p, data):
+    _check_corrupted_lattice_entry(MANY_SQUARES, p, data.draw)
 
 
 @st.composite

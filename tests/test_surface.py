@@ -2,6 +2,7 @@ import copy
 import itertools
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,7 +13,9 @@ from helpers import (
     solid_is_well_composed,
 )
 from gridforge import coxeter, lattice, surface
-from gridforge.constructors import box_column, frame_torus, sphere_cube
+from gridforge.constructors import (
+    box_column, crosscap_z4, frame_torus, klein_bottle, sphere_cube,
+)
 from gridforge.export import to_off
 from gridforge.honeycombs import hyperbolic_torus_435
 from gridforge.lattice import GriddedComplex, cube_union_boundary
@@ -181,16 +184,25 @@ def test_mobius_strip():
     assert rep.class_name == "nonorientable, 1 crosscap, 1 boundary circle"
 
 
-def test_nonorientable_witness_is_an_odd_dual_loop():
-    rep = classify(mobius_strip())
-    loop = rep.nonorientable_witness
+def _assert_odd_dual_loop(obj):
+    loop = classify(obj).nonorientable_witness
     assert loop is not None and len(loop) >= 2
+    assert set(loop) <= set(surface.square_cycles(obj))
     product = 1
     for i in range(len(loop)):
         flip = orientation_flip(loop[i], loop[(i + 1) % len(loop)])
         assert flip is not None
         product *= flip
     assert product == -1
+
+
+def test_nonorientable_witness_is_an_odd_dual_loop():
+    _assert_odd_dual_loop(mobius_strip())
+
+
+@pytest.mark.parametrize("build", [klein_bottle, crosscap_z4])
+def test_lattice_nonorientable_witness_is_an_odd_dual_loop(build):
+    _assert_odd_dual_loop(build())
 
 
 def test_two_components():
@@ -372,6 +384,36 @@ def test_square_index_keeps_isolated_vertices():
     assert index.squares == [(0, 1, 2, 3)]
     assert index.links[4] == []
     assert index.links[0] == [(3, 1)]
+
+
+@pytest.mark.parametrize("g,by_validate,by_classify", [
+    (frame_torus(), 0, 0),
+    (GriddedComplex("Z3", cube_union_boundary({(1, 1, 1), (3, 1, 1)})), 0, 0),
+    (klein_bottle(), 0, 1),
+    (GriddedComplex("Z3", {(1, 1, 0), (1, 0, 1), (1, 0, -1)}), 1, 1),
+    (GriddedComplex("Z2", {(1, 1), (3, 3)}), 1, 1),
+], ids=["torus", "two-cubes", "klein-bottle", "edge-in-3", "pinched"])
+def test_lattice_vertices_are_decoded_only_when_read(
+        monkeypatch, g, by_validate, by_classify):
+    """Validate and classify read a vertex count: they decode the vertex
+    tuples, all at once, only to name a failure or a nonorientable
+    loop; to_off decodes them once."""
+    decoded = []
+    encode = lattice.cell_codes
+
+    def counted(keys):
+        *coded, decode = encode(keys)
+        return (*coded, lambda codes: decoded.append(len(codes))
+                or decode(codes))
+
+    monkeypatch.setattr(lattice, "cell_codes", counted)
+    vertex_count = len({v for s in g.squares
+                        for v in lattice.corners_cyclic(s)})
+    for command, calls in ((validate_surface, by_validate),
+                           (classify, by_classify), (to_off, 1)):
+        command(g)
+        assert decoded == [vertex_count] * calls, command.__name__
+        decoded.clear()
 
 
 @pytest.mark.parametrize("build", [sphere_cube, hyperbolic_torus_435])
@@ -588,8 +630,8 @@ def _check_lattice_index(g):
     index = square_index(g)
     cycles = surface.square_cycles(g)
     generic = surface._cycle_index(cycles)
-    for name in ("vertices", "squares", "square_edges", "edge_counts",
-                 "cycles", "links"):
+    for name in ("vertex_count", "vertices", "squares", "square_edges",
+                 "edge_counts", "rises", "cycles", "links"):
         assert getattr(index, name) == getattr(generic, name), name
     assert list(index.edges.items()) == list(generic.edges.items())
     abstract = AbstractSquareComplex.from_squares(cycles)
@@ -597,7 +639,16 @@ def _check_lattice_index(g):
     assert surface.declared_vertices(g) == {
         v for s in g.squares for v in lattice.corners_cyclic(s)}
     assert validate_surface(g).failures == validate_surface(abstract).failures
-    assert _summary(classify(g)) == _summary(classify(abstract))
+    rep = classify(g)
+    assert _summary(rep) == _summary(classify(abstract))
+    if rep.is_surface:
+        # the same trees of squares, orientability and witness loops
+        assert surface._orient_components(square_index(g)) == \
+            surface._orient_components(generic)
+    # the whole report, witness included, on the generic index
+    with mock.patch.object(surface, "_lattice_index",
+                           lambda keys: surface._cycle_index(cycles)):
+        assert classify(g) == rep
 
 
 @settings(max_examples=150, deadline=None)
@@ -616,8 +667,10 @@ def test_lattice_index_equals_the_generic_index(g):
     GriddedComplex("Z7", {(1, 0, 0, 0, 0, 0, 1), (0, 0, -1, 0, 0, 1, 0),
                           (0, 1, 0, -1, 0, 0, 0), (-1, 0, 0, 1, 0, 0, 0)}
                    | cube_union_boundary({(1, 0, 0, 1, 0, 0, -1)})),
+    klein_bottle(),
+    crosscap_z4(),
 ], ids=["edge-in-3", "cubes-at-a-vertex", "z2-pinch", "empty",
-        "z7-scattered-pairs"])
+        "z7-scattered-pairs", "klein-bottle", "crosscap-z4"])
 def test_lattice_index_fixed_cases(g):
     _check_lattice_index(g)
 
