@@ -28,13 +28,18 @@ Ring-matrix products are the dominant cost, so they are formed only where
 a matrix is read.  A hyperbolic cell reached from another one, as a face
 or an image, is keyed by one matrix-vector product rep * x_d and keeps
 its representative as a pair of factors, multiplied on first read.  The
-corners of a square are keyed from the square's own vector: each lies at
-an offset from it that reads two columns of the representative, and
-opposite corners sum to twice it.  The least matrix of a coset is built
-one entry at a time, going on only with the candidates still tied for
-least; a face w t P_j takes it from the factors, as the least w (t p),
-so the product w t is never formed.  Whether a loaded matrix preserves
-the form is decided on the upper half of its Gram matrix.
+corners of a square are keyed from the square's own key, as plain tuples
+(corner_keys): each lies at a constant offset from the square's vector
+that reads two columns of the representative, through integer tables
+formed once per system, and opposite corners sum to twice it.  A corner
+becomes a vertex cell only when one is asked for (corner_vertex).  The
+least matrix of a coset is built one entry at a time, going on only with
+the candidates still tied for least; a face w t P_j takes it from the
+factors, as the least w (t p), so the product w t is never formed.
+Loaded matrices are checked and keyed in one pass (square_keys): whether
+each preserves the form is decided on the upper half of its Gram matrix,
+and whether it keeps the time orientation on one coordinate of its key
+vector.
 """
 
 from __future__ import annotations
@@ -161,20 +166,69 @@ def preserves_form(system, m):
 
     Both sides are symmetric, so only the entries on and above the
     diagonal are compared; entry (i, j) is column i of m dotted with 4B
-    times column j.
+    times column j, the ring products written out inline as in _dot
+    (without its test for zero terms, which a loaded matrix seldom has).
     """
     cols = tuple(zip(*m))
-    images = [_form_image(system._form_terms, col) for col in cols]
-    b4 = system.bilinear4
-    return all(_dot(cols[i], images[j]) == b4[i][j]
-               for i in range(len(cols)) for j in range(i, len(cols)))
+    b4, terms = system.bilinear4, system._form_terms
+    for j, col in enumerate(cols):
+        image = _form_image(terms, col)
+        for i in range(j + 1):
+            a = b = c = d = 0
+            for (p1, q1, r1, s1), (p2, q2, r2, s2) in zip(cols[i], image):
+                rr = r1 * r2
+                ss = s1 * s2
+                rs = r1 * s2 + s1 * r2
+                a += p1 * p2 + rr + 2 * (q1 * q2 + ss)
+                b += p1 * q2 + q1 * p2 + rs
+                c += p1 * r2 + r1 * p2 + rr + 2 * (q1 * s2 + s1 * q2 + ss)
+                d += p1 * s2 + s1 * p2 + q1 * r2 + r1 * q2 + rs
+            if (a, b, c, d) != b4[i][j]:
+                return False
+    return True
 
 
 def keeps_time_orientation(square):
     """Whether the rep w of a square key keeps the future light cone, as
     W does: B(w x_2, x_2) < 0 for the timelike centre x_2.  A matrix that
-    preserves the form keeps the cone or swaps it with the past, as -w."""
-    return rsign(_dot(square.system._square_form, square.vec)) < 0
+    preserves the form keeps the cone or swaps it with the past, as -w.
+
+    4B x_2 is zero but at coordinate 2 (CoxeterSystem checks it), so the
+    sign of B(w x_2, x_2) is that of coordinate 2 of vec = w x_2 times
+    that of the one entry of 4B x_2.
+    """
+    return rsign(square.vec[2]) * square.system._centre_sign < 0
+
+
+def square_keys(system, reps):
+    """The square cells w P_2 of the system for the ring matrices w in
+    reps, in order, each given as nested lists or tuples.
+
+    Each w must preserve the form (preserves_form) and keep the time
+    orientation (keeps_time_orientation); the first that does not raises
+    ValueError naming it by its position i, as squares[i].  reps may be
+    a generator: each entry is checked before the next is drawn, so a
+    check the generator makes on a later entry comes after these.
+    """
+    gens = system.parabolic_gens(2)
+    keys = []
+    for i, rep in enumerate(reps):
+        mat = tuple([tuple(map(tuple, row)) for row in rep])
+        if not preserves_form(system, mat):
+            raise ValueError(f"squares[{i}]: matrix does not preserve the "
+                             "bilinear form")
+        key = CosetKey(system, gens, mat)
+        if not keeps_time_orientation(key):
+            raise ValueError(f"squares[{i}]: matrix reverses the time "
+                             "orientation")
+        keys.append(key)
+    return keys
+
+
+def _key_table(e):
+    """The integer matrix of x -> ring_key(x e) for a ring element e, a
+    linear map of the coordinates of x: 4 rows, one per key coordinate."""
+    return tuple(zip(*[ring_key(rmul(_unit(u, 1), e)) for u in range(4)]))
 
 
 class CoxeterSystem:
@@ -224,7 +278,8 @@ class CoxeterSystem:
         self.affine = pivots[-1] == 0
         if self.affine:
             # a Euclidean system has lattice cells, not cosets
-            self.fixed_vectors = self.corner_turns = self._square_form = None
+            self.fixed_vectors = self.corner_turns = None
+            self.corner_tables = self._centre_sign = None
             return
         sig = (pivots.count(1), pivots.count(-1))
         if sig != (rank - 1, 1):
@@ -234,10 +289,15 @@ class CoxeterSystem:
         trail = _leading_minors(tuple(row[::-1] for row in b4[::-1]))[::-1]
         self.fixed_vectors = x = tuple(self._fixed_vector(lead, trail, i)
                                        for i in range(rank))
-        # 4B x_2, the form against a square's centre (keeps_time_orientation)
-        self._square_form = _form_image(self._form_terms, x[2])
+        # 4B x_2, the form against a square's centre, is zero but at
+        # coordinate 2, as x_2 is B-orthogonal to every e_j with j != 2;
+        # the sign of that entry is kept (keeps_time_orientation)
+        centre = _form_image(self._form_terms, x[2])
+        if [k for k, e in enumerate(centre) if e != RZERO] != [2]:
+            raise AssertionError("4B x_2 is not a multiple of e_2")
+        self._centre_sign = rsign(centre[2])
         # q = s_0 s_1 turns the base square a quarter: the corners of a
-        # square w P_2 are the vertices w q^k P_0 (see square_vertex_cycle).
+        # square w P_2 are the vertices w q^k P_0 (see corner_keys).
         # Each turn q^k is kept with the offset d_k = q^k x_0 - x_2 of its
         # corner from the square's center.  The corners rely on three facts,
         # checked here: d_k is zero past the coordinates 0 and 1, opposite
@@ -257,7 +317,17 @@ class CoxeterSystem:
                                      "not opposite")
         if len(set(offsets)) != 4:
             raise AssertionError("corner offsets are not distinct")
+        # s_1 fixes x_0, so q x_0 = s_0 x_0 moves x_0 along e_0 alone and
+        # d_1 - d_0 is zero past coordinate 0; d_1 is zero there too
+        (d00, d01), (d10, d11) = offsets[0][:2], offsets[1][:2]
+        if d10 != RZERO or d01 != d11:
+            raise AssertionError("corner 1 is not corner 0 moved along "
+                                 "coordinate 0")
         self.corner_turns = tuple(zip(turns, offsets))
+        # corner 1 lies at w[i][1] d_1[1] from the square's vector in row
+        # i, and corner 0 at w[i][0] d_0[0] from corner 1: the integer
+        # tables of those two steps on keys (see corner_keys)
+        self.corner_tables = (_key_table(d11), _key_table(d00))
 
     def _verify(self, m_of):
         ident = _identity(self.rank)
@@ -470,6 +540,9 @@ class CosetKey:
     vector rep * x_d decides; min_rep() gives the canonical matrix of the
     coset, its lexicographically least one, built entry by entry.  A
     Euclidean system raises ValueError: its cells are lattice keys.
+    `key`, the ring_key of each coordinate of vec, is a plain tuple of
+    int 4-tuples that orders and hashes the cells of one system and
+    dimension as the keys themselves do.
 
     A key is made from its representative, or from its vector `vec` and
     `factors` (left, right) whose product is the representative.  That
@@ -479,7 +552,7 @@ class CosetKey:
     keeps the columns of right * P_j in, so that min_rep needs no product.
     """
 
-    __slots__ = ("system", "gens", "dim", "vec", "_rep", "_factors", "_key",
+    __slots__ = ("system", "gens", "dim", "vec", "key", "_rep", "_factors",
                  "_id", "_minrep")
 
     def __init__(self, system, gens, rep=None, vec=None, factors=None):
@@ -500,7 +573,7 @@ class CosetKey:
         if vec is None:
             vec = _mat_vec(self.rep, system.fixed_vectors[dim])
         self.vec = vec
-        self._key = key = tuple([ring_key(e) for e in vec])
+        self.key = key = tuple([ring_key(e) for e in vec])
         # what equality, hashing and order compare
         self._id = (system.name, dim, key)
 
@@ -543,7 +616,7 @@ class CosetKey:
         return self._id < other._id
 
     def __repr__(self):
-        return f"<{self.system.name} {self.dim}-cell {self._key}>"
+        return f"<{self.system.name} {self.dim}-cell {self.key}>"
 
 
 def identity_cell(system, d):
@@ -662,33 +735,72 @@ def central_symmetry(cell):
     return _signed_reflection(cell.system, cell.vec, -1)
 
 
-def square_vertex_cycle(square):
-    """The 4 vertices of a square cell in cyclic order.
+def corner_keys(square):
+    """The keys of the 4 corners of a square cell in cyclic order, each
+    the key tuple of its vertex cell (CosetKey.key).
 
     Corners are the orbit of the base vertex under the rotation s_0 s_1,
     which turns the square by a quarter; the starting corner depends on
     the coset representative, so the cycle is canonical up to rotation
     and reflection, which is all a gluing pattern needs.
 
-    Corner k of w P_2 is keyed by w q^k x_0 = vec + w d_k, where vec =
-    w x_2 is the square's own vector and the offset d_k (see
-    CoxeterSystem.corner_turns) reads only the columns 0 and 1 of w.
-    Opposite corners sum to 2 vec, so corners 2 and 3 take no product.
-    The 4 corners are distinct for every square, because w is invertible
-    and the 4 offsets are distinct, which CoxeterSystem checks once at
-    set-up; so no call tests it again.
+    Corner k of w P_2 is w q^k x_0 = vec + w d_k, where vec = w x_2 is
+    the square's own vector and the offset d_k (see
+    CoxeterSystem.corner_turns) reads only the columns 0 and 1 of w:
+    d_1 only column 1, and d_0 column 0 on top of that.  ring_key is
+    linear, so in row i the key of corner 1 is the square's key plus
+    that of w[i][1] d_1[1], and the key of corner 0 that of corner 1
+    plus that of w[i][0] d_0[0]; CoxeterSystem.corner_tables gives both
+    steps as integer tables on the coordinates of those entries.
+    Opposite corners sum to 2 vec, so corners 2 and 3 take twice the
+    square's key minus corners 0 and 1.  The 4 corners are distinct for
+    every square, because w is invertible and the 4 offsets are
+    distinct, which CoxeterSystem checks once at set-up; so no call
+    tests it again.
     """
-    system = square.system
     if square.dim != 2:
         raise ValueError("not a square cell")
-    gens0 = system.parabolic_gens(0)
-    rep, vec = square.rep, square.vec
-    near = [tuple(map(radd, vec, _mat_vec(rep, d)))
-            for _, d in system.corner_turns[:2]]
-    vecs = near + [tuple([rsub(rscale(2, v), c) for v, c in zip(vec, corner)])
-                   for corner in near]
-    return tuple(CosetKey(system, gens0, vec=v, factors=(rep, q))
-                 for v, (q, _) in zip(vecs, system.corner_turns))
+    ((f00, f01, f02, f03), (f10, f11, f12, f13), (f20, f21, f22, f23),
+     (f30, f31, f32, f33)), ((e00, e01, e02, e03), (e10, e11, e12, e13),
+                             (e20, e21, e22, e23), (e30, e31, e32, e33)) \
+        = square.system.corner_tables
+    c0, c1, c2, c3 = [], [], [], []
+    for row, (k0, k1, k2, k3) in zip(square.rep, square.key):
+        (p, q, r, s), (P, Q, R, S) = row[0], row[1]
+        b0 = k0 + f00 * P + f01 * Q + f02 * R + f03 * S
+        b1 = k1 + f10 * P + f11 * Q + f12 * R + f13 * S
+        b2 = k2 + f20 * P + f21 * Q + f22 * R + f23 * S
+        b3 = k3 + f30 * P + f31 * Q + f32 * R + f33 * S
+        a0 = b0 + e00 * p + e01 * q + e02 * r + e03 * s
+        a1 = b1 + e10 * p + e11 * q + e12 * r + e13 * s
+        a2 = b2 + e20 * p + e21 * q + e22 * r + e23 * s
+        a3 = b3 + e30 * p + e31 * q + e32 * r + e33 * s
+        c0.append((a0, a1, a2, a3))
+        c1.append((b0, b1, b2, b3))
+        k0 += k0    # twice the square's key, which opposite corners sum to
+        k1 += k1
+        k2 += k2
+        k3 += k3
+        c2.append((k0 - a0, k1 - a1, k2 - a2, k3 - a3))
+        c3.append((k0 - b0, k1 - b1, k2 - b2, k3 - b3))
+    return tuple(c0), tuple(c1), tuple(c2), tuple(c3)
+
+
+def corner_vertex(square, k, key):
+    """Corner k of a square cell as a vertex cell, from its key, entry k
+    of corner_keys(square): the cell w q^k P_0, keyed by the vector that
+    key encodes and kept as the factors w and q^k."""
+    system = square.system
+    vec = tuple([((a - r) // 2, (b - s) // 2, r, s) for a, b, r, s in key])
+    return CosetKey(system, system.parabolic_gens(0), vec=vec,
+                    factors=(square.rep, system.corner_turns[k][0]))
+
+
+def square_vertex_cycle(square):
+    """The 4 vertices of a square cell in cyclic order: the corner_vertex
+    of each of its corner_keys."""
+    return tuple([corner_vertex(square, k, key)
+                  for k, key in enumerate(corner_keys(square))])
 
 
 def incidence_counts(system, d):

@@ -21,7 +21,7 @@ had (it is the one numpy.linalg.eigh picked when it computed the frame),
 so the OFF and OBJ files written before keep their coordinates.
 
 A coset square's corners start where its representative puts them
-(coxeter.square_vertex_cycle), so to_off and to_obj of a complex built
+(coxeter.corner_keys), so to_off and to_obj of a complex built
 in-process follow its squares' representatives.  The command line
 exports a loaded file, whose representatives are canonical.
 
@@ -34,7 +34,8 @@ from itertools import combinations
 from math import copysign, fsum, sqrt
 from operator import mul
 
-from gridforge.lattice import GriddedComplex, is_lattice_ambient
+from gridforge.coxeter import build_system
+from gridforge.lattice import GriddedComplex, ambient_dim, is_lattice_ambient
 from gridforge.surface import square_index
 from gridforge.field import ring_float
 
@@ -116,8 +117,6 @@ def _points(ambient, vertices):
     if is_lattice_ambient(ambient):
         return list(zip(*[[c / 2.0 for c in axis]
                           for axis in zip(*vertices)]))
-    from gridforge.coxeter import build_system
-
     return _klein_coords(build_system(ambient), vertices)
 
 
@@ -142,10 +141,16 @@ class _Digits(dict):
 
 
 def _mesh(obj):
-    """Points in sorted vertex order, faces as sorted 4-tuples of point
-    positions, and the number of edges."""
+    """The dimension of the points, the points in sorted vertex order,
+    faces as sorted 4-tuples of point positions, and the number of
+    edges.  The dimension is the ambient's, so an empty complex has one
+    too: n in Zn, and rank - 1 for a honeycomb, whose points lie in the
+    Klein ball."""
     index = _gridded_index(obj)
-    return (_points(obj.ambient, index.vertices), sorted(index.squares),
+    ambient = obj.ambient
+    dim = (ambient_dim(ambient) if is_lattice_ambient(ambient)
+           else build_system(ambient).rank - 1)
+    return (dim, _points(ambient, index.vertices), sorted(index.squares),
             len(index.edge_counts))
 
 
@@ -161,8 +166,7 @@ def _lines(head, prefix, points, template, faces):
 def to_off(obj):
     """OFF text; complexes in other than 3 coordinates use the nOFF
     extension, with their dimension on the second line."""
-    points, faces, n_edges = _mesh(obj)
-    dim = len(points[0]) if points else 3
+    dim, points, faces, n_edges = _mesh(obj)
     head = ["OFF"] if dim == 3 else ["nOFF", str(dim)]
     head.append(f"{len(points)} {len(faces)} {n_edges}")
     return _lines(head, "", points, "4 %d %d %d %d", faces)
@@ -171,10 +175,10 @@ def to_off(obj):
 def to_obj(obj):
     """Wavefront OBJ text; extra coordinates beyond 3 are dropped and 2D
     complexes get a zero third coordinate."""
-    points, faces, _ = _mesh(obj)
+    dim, points, faces, _ = _mesh(obj)
     head = []
-    if points and len(points[0]) > 3:
-        head.append(f"# first 3 of {len(points[0])} coordinates")
+    if dim > 3:
+        head.append(f"# first 3 of {dim} coordinates")
     return _lines(head, "v ", [(tuple(p) + (0.0, 0.0))[:3] for p in points],
                   "f %d %d %d %d",
                   [(a + 1, b + 1, c + 1, d + 1) for a, b, c, d in faces])

@@ -34,23 +34,30 @@ keys are tested in bulk, by one set of the entry types and one of the
 types of all their coordinates; only when that fails does the loader
 hand over a generator that checks each entry as it is drawn, and
 GriddedComplex, which checks the keys drawn before an entry the
-generator refuses, still names the first bad one.
+generator refuses, still names the first bad one.  Coset entries are
+tested in bulk the same way: set tests of the entry types, the masks,
+the types and lengths of the rep, its rows and entries, and the types
+of all coordinates.  Then coxeter.square_keys checks the form and the
+time orientation of each representative and keys it, in one pass.  Only
+when a set test fails are the entries walked one by one, each shape
+checked as square_keys draws it, after the entries before it have
+passed their own checks, so the first bad one is still named.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
+from operator import itemgetter
 
-from gridforge.coxeter import (
-    CosetKey, build_system, keeps_time_orientation, preserves_form,
-)
+from gridforge.coxeter import build_system, square_keys
 from gridforge.lattice import GriddedComplex, is_lattice_ambient
 from gridforge.surface import AbstractSquareComplex, cycle_key
 
 
 _INT = frozenset([int])
 _LIST = frozenset([list])
+_DICT = frozenset([dict])
 
 
 def _all_ints(items):
@@ -172,11 +179,42 @@ def _walk_lattice_squares(raw):
 
 
 def _load_coset_squares(ambient, raw):
-    """A document's coset squares, each checked as it is drawn."""
+    """A document's coset squares, drawn once GriddedComplex has checked
+    the ambient: coxeter.square_keys checks and keys the representatives
+    of _coset_reps in one pass."""
     system = build_system(ambient)
-    rank = system.rank
-    gens = system.parabolic_gens(2)
-    mask = _square_mask(system)
+    yield from square_keys(system, _coset_reps(system, raw))
+
+
+def _coset_reps(system, raw):
+    """A document's coset representatives, as nested lists, when set
+    tests over the whole document find every entry an object with the
+    square's mask and a rank x rank matrix of integer quadruples, and
+    otherwise _walk_coset_reps."""
+    rank, mask = system.rank, _square_mask(system)
+    if not _DICT.issuperset(map(type, raw)):
+        return _walk_coset_reps(system, raw)
+    try:
+        masks = list(map(itemgetter("mask"), raw))
+        reps = list(map(itemgetter("rep"), raw))
+    except KeyError:
+        return _walk_coset_reps(system, raw)
+    level = reps
+    for size in (rank, rank, 4):
+        if not (_LIST.issuperset(map(type, level))
+                and {size}.issuperset(map(len, level))):
+            return _walk_coset_reps(system, raw)
+        level = list(chain.from_iterable(level))
+    if _all_ints(masks) and {mask}.issuperset(masks) and _all_ints(level):
+        return reps
+    return _walk_coset_reps(system, raw)
+
+
+def _walk_coset_reps(system, raw):
+    """A document's coset representatives, the shape of each checked as
+    it is drawn, so that square_keys, which checks each representative
+    before it draws the next, names the first bad entry."""
+    rank, mask = system.rank, _square_mask(system)
     for i, entry in enumerate(raw):
         where = f"squares[{i}]"
         _require(isinstance(entry, dict) and {"mask", "rep"} <= set(entry),
@@ -192,13 +230,7 @@ def _load_coset_squares(ambient, raw):
         _require(all(isinstance(e, list) and len(e) == 4 and _all_ints(e)
                      for row in rep for e in row),
                  f"{where}: entries must be integer quadruples")
-        mat = tuple([tuple([tuple(e) for e in row]) for row in rep])
-        _require(preserves_form(system, mat),
-                 f"{where}: matrix does not preserve the bilinear form")
-        key = CosetKey(system, gens, mat)
-        _require(keeps_time_orientation(key),
-                 f"{where}: matrix reverses the time orientation")
-        yield key
+        yield rep
 
 
 def _abstract_squares(raw):

@@ -26,9 +26,12 @@ so each distinct mask is checked once.  Corner ids rise with the code, so
 sides 0 and 1 of every lattice square rise and sides 2 and 3 fall.  The
 vertex tuples are decoded from their codes only when first read, which
 export does and validate and classify do only to name a failure or a
-nonorientable loop: they count vertices.  Other complexes build the index
-from one square_cycles pass, which on honeycomb complexes costs
-ring-matrix products and exact coset keys.
+nonorientable loop: they count vertices.  A honeycomb complex builds it
+on the key tuples of its squares' corners (coxeter.corner_keys), integer
+sums off each square's own key with no ring product, which hash and sort
+as the vertex cells do; the cells are decoded from them only when the
+vertices are first read, as the lattice vertices are.  Abstract
+complexes build it from their vertex cycles (square_cycles).
 Classify validates on the index it builds, and orients the squares
 through their sides' edge ids, one tree of squares per component: two
 sides on one edge run the same way iff both rise or both fall.
@@ -38,9 +41,10 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cached_property
-from operator import add
+from itertools import chain
+from operator import add, attrgetter
 
-from gridforge import lattice
+from gridforge import coxeter, lattice
 from gridforge.lattice import (
     Frozen, GriddedComplex, corners_cyclic, distinct, is_lattice_ambient,
 )
@@ -140,9 +144,10 @@ class SquareIndex:
     has one arc (u, w) per square corner at v, where u and w are the
     corner's two neighbours: the link of v has a node per edge at v,
     named by its other end.  edges, cycles and links are formed when
-    first read.  On a lattice complex so are the vertices, decoded from
-    the sorted vertex codes given with decode: only export and failure
-    messages read them.  There masks[v] has bit 4p + k set when corner k
+    first read.  On a gridded complex so are the vertices, decoded by
+    decode from the sorted vertex codes of a lattice or corner key tuples
+    of a honeycomb: only export and failure messages read them.  On a
+    lattice complex masks[v] has bit 4p + k set when corner k
     of a square spanning the p-th pair of odd axes in use lies at v, and
     arcs[4p + k] is that corner's arc in the link of v (see
     _lattice_index), so masks[v] fixes the link of v up to renaming its
@@ -191,16 +196,40 @@ class SquareIndex:
 
 def square_index(obj):
     """The SquareIndex of a complex, from one pass over its squares."""
-    if isinstance(obj, GriddedComplex) and is_lattice_ambient(obj.ambient):
-        return _lattice_index(obj.squares)
+    if isinstance(obj, GriddedComplex):
+        if is_lattice_ambient(obj.ambient):
+            return _lattice_index(obj.squares)
+        return _coset_index(obj.squares)
     # abstract complexes may declare vertices that no square uses
-    declared = (obj.vertices if isinstance(obj, AbstractSquareComplex)
-                else ())
-    return _cycle_index(square_cycles(obj), declared)
+    return _cycle_index(square_cycles(obj), obj.vertices)
 
 
-def _cycle_index(cycles, declared=()):
-    """The SquareIndex of square vertex cycles, given in order.
+def _coset_index(squares):
+    """The SquareIndex of a set of coset squares, on the key tuples of
+    their corners (coxeter.corner_keys), which order and hash as the
+    vertex cells do, in C.
+
+    The squares are taken in their key order, as square_cycles takes
+    them.  Each vertex is decoded into a cell only when the vertices are
+    first read, as corner k of the first square that has it as corner k,
+    so that its rep is that square's times q^k.
+    """
+    order = sorted(squares, key=attrgetter("key"))
+    cycles = list(map(coxeter.corner_keys, order))
+
+    def decode(keys):
+        # corner positions in reverse, so each key keeps its first one
+        corners = list(chain.from_iterable(cycles))
+        first = dict(zip(reversed(corners), range(len(corners) - 1, -1, -1)))
+        return [coxeter.corner_vertex(order[p >> 2], p & 3, key)
+                for key, p in zip(keys, map(first.__getitem__, keys))]
+
+    return _cycle_index(cycles, decode=decode)
+
+
+def _cycle_index(cycles, declared=(), decode=None):
+    """The SquareIndex of square vertex cycles, given in order, whose
+    vertices decode, if given, turns into the vertices read.
 
     Each corner costs one hash lookup to find its vertex, each vertex one
     more to rank it, and each side one to number its edge; everything
@@ -222,7 +251,8 @@ def _cycle_index(cycles, declared=()):
     rises = [a < b for a, b in sides]
     keys = [a * n + b if up else b * n + a
             for (a, b), up in zip(sides, rises)]
-    return SquareIndex(vertices, squares, *_edge_ids(keys), rises)
+    return SquareIndex(vertices, squares, *_edge_ids(keys), rises,
+                       decode=decode)
 
 
 def _edge_ids(keys):

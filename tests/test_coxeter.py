@@ -1,6 +1,7 @@
 """Reflection-group engine: exact matrices, cosets, incidence."""
 
 import itertools
+import operator
 import random
 import time
 
@@ -15,14 +16,15 @@ from helpers import (
 from gridforge import coxeter
 from gridforge.coxeter import (
     CLAIMED_INCIDENCE, CosetKey, build_system, cell_faces, central_symmetry,
-    diagram_order, enumerate_parabolic, identity_cell, incidence_counts,
-    matrix_key, neighbor, parabolic_order, preserves_form, reflection,
-    square_vertex_cycle, transform,
+    diagram_order, enumerate_parabolic, identity_cell,
+    incidence_counts, keeps_time_orientation, matrix_key, neighbor,
+    parabolic_order, preserves_form, reflection, square_vertex_cycle,
+    transform,
     _identity, _leading_minors, _mat_mul, _mat_vec, _pivot_signs,
     _transversal,
 )
 from gridforge.field import (
-    QF, RZERO, qf_from_ring, radd, ring_key, rmul, rscale, rsub,
+    QF, RZERO, qf_from_ring, radd, ring_key, rmul, rneg, rscale, rsign, rsub,
 )
 from gridforge.formats import (
     complex_to_jsonable, dumps_complex, jsonable_to_complex,
@@ -615,6 +617,41 @@ def test_corner_offsets_touch_generators_0_and_1_only():
                 == tuple(rscale(2, e) for e in x[2])
 
 
+@settings(max_examples=60)
+@given(st.sampled_from(HYPERBOLIC), words)
+def test_time_orientation_reads_one_coordinate(name, word):
+    # 4B x_2 is zero but at coordinate 2, so the sign of B(w x_2, x_2)
+    # is read off coordinate 2 of the key's vector: it equals the sign of
+    # the full dot with 4B x_2, for w in W and for -w
+    s = build_system(name)
+    centre = naive_mat_vec(s.bilinear4, s.fixed_vectors[2])
+    assert centre == tuple(
+        {"{4,3,5}": (4, 0, -2, 0), "{4,3,3,5}": (8, 0, -4, 0)}[name]
+        if k == 2 else RZERO for k in range(s.rank))
+    w = naive_word(s, word)
+    gens = s.parabolic_gens(2)
+    for rep, kept in ((w, True),
+                      (tuple(tuple(map(rneg, row)) for row in w), False)):
+        key = CosetKey(s, gens, rep)
+        dot_form = rsign(naive_mat_vec((centre,), key.vec)[0]) < 0
+        assert keeps_time_orientation(key) == dot_form == kept
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(HYPERBOLIC), st.lists(ring_entries, min_size=2,
+                                             max_size=2))
+def test_corner_tables_are_the_key_of_a_product(name, entries):
+    # corner 1 steps from the square's key by w[i][1] d_1[1] and corner 0
+    # from corner 1 by w[i][0] d_0[0], as d_1 is zero at coordinate 0 and
+    # agrees with d_0 at coordinate 1
+    s = build_system(name)
+    (d00, d01), (d10, d11) = (d[:2] for _, d in s.corner_turns[:2])
+    assert d10 == RZERO and d01 == d11
+    for table, e, x in zip(s.corner_tables, (d11, d00), entries):
+        assert tuple(sum(map(operator.mul, row, x)) for row in table) \
+            == ring_key(rmul(x, e))
+
+
 @given(words)
 def test_transform_equals_the_key_of_the_product(word):
     s = build_system("{4,3,5}")
@@ -675,20 +712,30 @@ def test_tree_write_dot_count(monkeypatch, dots):
     assert dots[0] == 2837
 
 
-def test_tree_load_and_classify_dot_counts(dots):
-    # exact: a loaded square costs 10 dots for the upper half of its Gram
-    # matrix, rank = 4 for its key and 1 for its time orientation, and
-    # classifying costs 2 * rank for its corners; a full Gram product or a
+def test_tree_load_and_classify_dot_counts(monkeypatch, dots):
+    # exact: a loaded square costs rank = 4 dots for its key and one image
+    # 4B col per column for its Gram check, whose upper half is dotted
+    # inline; its time orientation reads one coordinate of its key, and
+    # classifying reads its corners off integer tables.  A dot per Gram
+    # entry, an image per entry, a dot for the time orientation or a
     # product per corner raises them
     build_system("{4,3,5}")
+    images = [0]
+    image = coxeter._form_image
+
+    def counted(terms, col):
+        images[0] += 1
+        return image(terms, col)
+
+    monkeypatch.setattr(coxeter, "_form_image", counted)
     data = complex_to_jsonable(tree_of_life_435(3))
     assert len(data["squares"]) == 114
-    dots[0] = 0
+    dots[0] = images[0] = 0
     loaded = jsonable_to_complex(data)
-    assert dots[0] == 114 * (10 + 4 + 1)
-    dots[0] = 0
+    assert (dots[0], images[0]) == (114 * 4, 114 * 4)
+    dots[0] = images[0] = 0
     classify(loaded)
-    assert dots[0] == 114 * 2 * 4
+    assert (dots[0], images[0]) == (0, 0)
 
 
 def test_only_proper_parabolics_are_enumerated(products):

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from gridforge import export
 from gridforge.constructors import crosscap_z4, sphere_cube
-from gridforge.coxeter import build_system
+from gridforge.coxeter import build_system, identity_cell
 from gridforge.export import to_obj, to_off, vertex_coordinates
+from gridforge.formats import jsonable_to_complex
 from gridforge.field import ring_float
 from gridforge.honeycombs import crosscap_abstract_34, hyperbolic_torus_435
 from gridforge.lattice import GriddedComplex
@@ -58,6 +59,27 @@ def test_obj_pads_plane_complexes():
     vs = [ln for ln in text.splitlines() if ln.startswith("v ")]
     assert len(vs) == 4
     assert all(ln.split()[3] == "0.000000000000" for ln in vs)
+
+
+# the header of every mesh of an ambient, the empty one too: nOFF with the
+# dimension outside 3 coordinates, and OBJ's note past 3
+@pytest.mark.parametrize("ambient,dim", [
+    ("Z2", 2), ("Z3", 3), ("Z5", 5), ("{4,3,5}", 3), ("{4,3,3,5}", 4)])
+def test_an_empty_complex_has_its_ambient_header(ambient, dim):
+    empty = jsonable_to_complex({"format": "gridded", "ambient": ambient,
+                                 "squares": []})
+    head = "OFF\n" if dim == 3 else f"nOFF\n{dim}\n"
+    assert to_off(empty) == head + "0 0 0\n"
+    note = f"# first 3 of {dim} coordinates\n" if dim > 3 else "\n"
+    assert to_obj(empty) == note
+    if ambient.startswith("Z"):
+        square = (1, 1) + (0,) * (dim - 2)
+        one = GriddedComplex(ambient, {square})
+    else:
+        one = GriddedComplex(ambient, {identity_cell(build_system(ambient),
+                                                     2)})
+    assert to_off(one).startswith(head)
+    assert to_obj(one).startswith(note if dim > 3 else "v ")
 
 
 def test_klein_coordinates_inside_unit_ball():

@@ -355,6 +355,58 @@ def test_two_bad_gridded_entries_report_the_first(ambient, squares, message):
     assert str(info.value) == message
 
 
+def _rep_fault(entry, kind):
+    """A copy of a coset entry whose rep fails a check of its own: the
+    form check, or, negated, the time orientation."""
+    rep = json.loads(json.dumps(entry["rep"]))
+    if kind == "form":
+        rep[0][0][0] += 1
+    else:
+        rep = [[[-t for t in e] for e in row] for row in rep]
+    return {**entry, "rep": rep}
+
+
+def _shape_fault(entry, kind):
+    """A copy of a coset entry that fails the loader's shape tests."""
+    entry = json.loads(json.dumps(entry))
+    if kind == "mask":
+        entry["mask"] = True
+    elif kind == "no rep":
+        del entry["rep"]
+    elif kind == "short row":
+        del entry["rep"][1][0]
+    elif kind == "true":
+        entry["rep"][2][3][1] = True
+    elif kind == "not an object":
+        entry = entry["rep"]
+    else:  # a rep fault too, which the shape tests pass
+        entry = _rep_fault(entry, kind)
+    return entry
+
+
+# a document whose shape tests fail only past an entry whose rep fails its
+# own check: the walk that names the shape fault checks each rep before it
+# draws the next entry, so the earlier entry is still named
+@pytest.mark.parametrize("late", ["mask", "no rep", "short row", "true",
+                                  "not an object", "form", "time"])
+@pytest.mark.parametrize("early,message", [
+    ("form", "squares[1]: matrix does not preserve the bilinear form"),
+    ("time", "squares[1]: matrix reverses the time orientation")])
+def test_an_earlier_rep_fault_is_named_before_a_later_shape_fault(
+        early, message, late):
+    first, second, third = _pants_entries()
+    squares = [first, _rep_fault(second, early), _shape_fault(third, late)]
+    data = {"format": "gridded", "ambient": "{4,3,5}", "squares": squares}
+    with pytest.raises(ValueError) as info:
+        jsonable_to_complex(data)
+    assert str(info.value) == message
+    # and with the earlier entry sound, the later fault is the one named
+    data["squares"][1] = second
+    with pytest.raises(ValueError) as info:
+        jsonable_to_complex(data)
+    assert str(info.value).startswith("squares[2]: ")
+
+
 def _lattice_corruption(draw, squares, p):
     """Entry p of a list of distinct lattice keys, corrupted one of the
     ways a document can be wrong, with the message that names it in a

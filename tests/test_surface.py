@@ -1,5 +1,6 @@
 import copy
 import itertools
+import json
 import random
 from collections import Counter
 from unittest import mock
@@ -17,7 +18,8 @@ from gridforge.constructors import (
     box_column, crosscap_z4, frame_torus, klein_bottle, sphere_cube,
 )
 from gridforge.export import to_off
-from gridforge.honeycombs import hyperbolic_torus_435
+from gridforge.formats import dumps_complex, jsonable_to_complex
+from gridforge.honeycombs import hyperbolic_torus_435, pants_4335, torus_4335
 from gridforge.lattice import GriddedComplex, cube_union_boundary
 from gridforge.surface import (
     AbstractSquareComplex, GridCollisionError, SurfaceReport, classify,
@@ -416,6 +418,75 @@ def test_lattice_vertices_are_decoded_only_when_read(
         decoded.clear()
 
 
+def _assert_coset_index_is_the_reference(obj):
+    """The index of a coset complex, built on corner key tuples, equals
+    the one _cycle_index builds from its cycles of vertex cells, field by
+    field; each decoded vertex is its corner in square_cycles and is the
+    coset of its own rep."""
+    index = square_index(obj)
+    cycles = surface.square_cycles(obj)
+    reference = surface._cycle_index(cycles)
+    for field in ("vertex_count", "squares", "square_edges", "edge_counts",
+                  "rises", "masks", "arcs", "vertices", "edges", "cycles",
+                  "links"):
+        assert getattr(index, field) == getattr(reference, field), field
+    vertices = index.vertices
+    for cycle, ids in zip(cycles, index.squares):
+        assert tuple(vertices[i] for i in ids) == cycle
+    # the rep of a vertex is that of the first square with it as a
+    # corner, k, times q^k
+    system = coxeter.build_system(obj.ambient)
+    first = {}
+    for p, v in enumerate(itertools.chain.from_iterable(index.squares)):
+        first.setdefault(v, p)
+    squares = sorted(obj.squares)
+    for i, v in enumerate(vertices):
+        p = first[i]
+        turn = system.corner_turns[p & 3][0]
+        assert v.rep == coxeter._mat_mul(squares[p >> 2].rep, turn)
+        assert coxeter.CosetKey(system, v.gens, v.rep) == v
+
+
+def _coset_word(draw, system):
+    w = coxeter._identity(system.rank)
+    for i in draw(st.lists(st.integers(0, system.rank - 1), max_size=8)):
+        w = coxeter._mat_mul(w, system.generators[i])
+    return w
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("{4,3,5}", "{4,3,3,5}")),
+       st.sampled_from(("faces", "image", "loaded")), st.data())
+def test_coset_index_is_the_reference_index(name, how, data):
+    # squares of two cubes that share a square, keyed from factors by
+    # cell_faces, then kept, moved by transform, or saved and loaded,
+    # which gives them their least reps
+    s = coxeter.build_system(name)
+    cube = coxeter.CosetKey(s, s.parabolic_gens(3), _coset_word(data.draw, s))
+    faces = coxeter.cell_faces(cube, 2)
+    face = data.draw(st.sampled_from(faces))
+    other = data.draw(st.sampled_from(
+        [c for c in coxeter.cell_faces(face, 3) if c != cube]))
+    squares = data.draw(st.sets(st.sampled_from(
+        sorted(set(faces) | set(coxeter.cell_faces(other, 2)))), min_size=1))
+    if how == "image":
+        g = _coset_word(data.draw, s)
+        squares = {coxeter.transform(g, sq) for sq in squares}
+    obj = GriddedComplex(name, squares)
+    if how == "loaded":
+        obj = jsonable_to_complex(json.loads(dumps_complex(obj)))
+    _assert_coset_index_is_the_reference(obj)
+
+
+@pytest.mark.parametrize("build", [hyperbolic_torus_435, torus_4335,
+                                   pants_4335])
+def test_coset_index_of_catalogue_builds_is_the_reference_index(build):
+    obj = build()
+    _assert_coset_index_is_the_reference(obj)
+    _assert_coset_index_is_the_reference(
+        jsonable_to_complex(json.loads(dumps_complex(obj))))
+
+
 @pytest.mark.parametrize("build", [sphere_cube, hyperbolic_torus_435])
 @pytest.mark.parametrize("command", [validate_surface, classify, to_off])
 def test_each_command_walks_the_squares_once(monkeypatch, build, command):
@@ -423,14 +494,14 @@ def test_each_command_walks_the_squares_once(monkeypatch, build, command):
     passes, corner_walks = [], []
     cycles = surface.square_cycles
     encode = lattice.cell_codes
-    vertex_cycle = coxeter.square_vertex_cycle
+    corner_keys = coxeter.corner_keys
     corners = lattice.corners_cyclic
     monkeypatch.setattr(surface, "square_cycles",
                         lambda o: passes.append(o) or cycles(o))
     monkeypatch.setattr(lattice, "cell_codes",
                         lambda keys: passes.append(keys) or encode(keys))
-    monkeypatch.setattr(coxeter, "square_vertex_cycle",
-                        lambda sq: corner_walks.append(sq) or vertex_cycle(sq))
+    monkeypatch.setattr(coxeter, "corner_keys",
+                        lambda sq: corner_walks.append(sq) or corner_keys(sq))
     for module in (lattice, surface):
         monkeypatch.setattr(module, "corners_cyclic",
                             lambda sq: corner_walks.append(sq) or corners(sq))
@@ -440,8 +511,10 @@ def test_each_command_walks_the_squares_once(monkeypatch, build, command):
         assert passes == [obj.squares]
         assert corner_walks == []
     else:
-        assert passes == [obj]
-        assert sorted(corner_walks) == sorted(obj.squares)
+        # one corner-key pass per square, in key order, and no cycles of
+        # vertex cells
+        assert passes == []
+        assert corner_walks == sorted(obj.squares)
 
 
 @pytest.mark.parametrize("obj,counts,failures", [
