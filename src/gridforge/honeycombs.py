@@ -245,41 +245,21 @@ def tree_of_life_435(depth):
     return GriddedComplex(system.name, union_boundary(cubes), meta)
 
 
-def _tubes(squares, blocked):
-    """Straight tubes of odd length leaving the blocked cubes through one
-    of `squares`, in the order they are tried: squares sorted, then
-    lengths 1, 3, 5, 7.  A tube is (cubes, walls), walls[k] and
-    walls[k + 1] being the entry and exit faces of cubes[k]; it stops
-    short of a blocked cube and of one it already holds."""
-    for f in sorted(squares):
-        outside = [c for c in cell_faces(f, 3) if c not in blocked]
-        if len(outside) != 1:
-            continue
-        cubes, walls, cube = [], [f], outside[0]
-        while len(cubes) < 7 and cube not in blocked and cube not in cubes:
-            cubes.append(cube)
-            walls.append(opposite_face(cube, walls[-1]))
-            cube = neighbor(cube, walls[-1])
-            if len(cubes) % 2:
-                yield cubes[:], walls[:]
-
-
 def closed_orientable_435(genus):
     """Closed orientable surface of the given genus gridded in {4,3,5}.
 
     Genus 0 is the boundary of one cube and genus 1 the 12-cube ring
-    torus.  Higher genus chains mirror images of that torus.  A straight
-    tube of odd length leaves a free square of the last copy, and the
-    mirror through the tube's middle cube maps the copy onto a fresh one
-    on the far side, with the free square onto the tube's far mouth.  The
-    mirror is the reflection s_d in closed form, for d the difference of
-    the fixed vectors of the middle cube's entry and exit faces
-    (coxeter.reflection).  The copy joins as
-    surface ^ union_boundary(tube) ^ copy, accepted when that set has
-    |surface| + |copy| + 4 * length - 2 squares, so that the three meet
-    in the two mouths only, and the cubes the copy encloses miss every
-    blocked cube and the tube.  Tubes are tried by sorted square, then
-    by length 1, 3, 5, 7.
+    torus.  Higher genus chains mirror images of that torus, each joined
+    to the last through one cube Q.  The free squares f of the last copy
+    are tried in sorted order, those with exactly one cube Q that is not
+    blocked.  The mirror is the reflection exchanging f with the face of
+    Q opposite it (coxeter.reflection, the reflection s_d in closed form
+    for d the difference of their fixed vectors), which fixes Q and maps
+    the copy onto a fresh one beyond Q.  The copy joins as
+    surface ^ union_boundary([Q]) ^ copy, accepted when that set has
+    |surface| + |copy| + 2 squares, so that the three meet in the two
+    mouths of Q only and Q's four side faces stay, and when the cubes the
+    copy encloses miss every blocked cube and Q.
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
@@ -295,36 +275,37 @@ def closed_orientable_435(genus):
                               {"kind": "closed_orientable", "genus": 1})
 
     # the 12 ring cubes plus the enclosed base cube; squares facing any of
-    # them are useless attachment sites, so a blocked tube is skipped early
+    # them are useless attachment sites, so a blocked cube is never Q
     blocked = ring | {base}
     # the surface so far, and the latest torus copy: its squares, the one
     # square already spent as its entry hole, and the cubes it bounds
     surface = copy = torus
     hole = None
     copy_solid = set(blocked)
-    tube_lengths = []
     for _ in range(genus - 1):
-        for cubes, walls in _tubes(copy - {hole}, blocked):
-            mid = len(cubes) // 2
-            mirror = reflection(walls[mid], walls[mid + 1])
-            if transform(mirror, walls[0]) != walls[-1]:
+        for f in sorted(copy - {hole}):
+            outside = [c for c in cell_faces(f, 3) if c not in blocked]
+            if len(outside) != 1:
+                continue
+            cube = outside[0]
+            far = opposite_face(cube, f)
+            mirror = reflection(f, far)
+            if transform(mirror, f) != far:
                 raise AssertionError("mirror does not map the hole "
-                                     "to the tube's far mouth")
+                                     "to the far face of the cube")
             new_copy = {transform(mirror, s) for s in copy}
             new_solid = {transform(mirror, c) for c in copy_solid}
-            joined = surface ^ union_boundary(cubes) ^ new_copy
-            if (len(joined) == len(surface) + len(copy) + 4 * len(cubes) - 2
-                    and not new_solid & blocked.union(cubes)):
+            joined = surface ^ union_boundary([cube]) ^ new_copy
+            if (len(joined) == len(surface) + len(copy) + 2
+                    and cube not in new_solid and not new_solid & blocked):
                 break
         else:
             raise RuntimeError("could not attach a mirror copy without "
                                "collisions")
-        surface, copy, hole, copy_solid = joined, new_copy, walls[-1], new_solid
-        blocked.update(cubes, new_solid)
-        tube_lengths.append(len(cubes))
-    meta = {"kind": "closed_orientable", "genus": genus,
-            "tube_lengths": tuple(tube_lengths)}
-    return GriddedComplex(system.name, surface, meta)
+        surface, copy, hole, copy_solid = joined, new_copy, far, new_solid
+        blocked.update([cube], new_solid)
+    return GriddedComplex(system.name, surface,
+                          {"kind": "closed_orientable", "genus": genus})
 
 
 def _hypercube_ring(hypercube, first=None, avoid=()):

@@ -173,11 +173,17 @@ def translate(squares, vec):
     """Translate cell keys by a doubled-coordinate vector.
 
     The vector must have all even entries, i.e. be a genuine lattice
-    translation; odd entries would scramble cell dimensions.
+    translation; odd entries would scramble cell dimensions.  A key of
+    another length than the vector raises ValueError naming both lengths.
     """
     vec = tuple(vec)
     if any(x % 2 for x in vec):
         raise ValueError(f"translation vector must be even in doubled coords: {vec}")
+    squares = frozenset(squares)
+    for s in squares:
+        if len(s) != len(vec):
+            raise ValueError(f"cell {s} has {len(s)} coordinates, the "
+                             f"vector {vec} has {len(vec)}")
     return frozenset(tuple(a + b for a, b in zip(s, vec)) for s in squares)
 
 
@@ -201,8 +207,9 @@ def cube_union_boundary(cells):
     ValueError naming it by position.  They are counted on their cell
     codes: a facet of a cell steps one odd coordinate t by +-1, which
     moves the cell's code by weights[t], and only the facets counted once
-    are decoded.  Cells of two dimensions, then a repeated cell, raise
-    ValueError.
+    are decoded.  Honeycomb cells must all be cells of the system of
+    cells[0]; the first that is not raises ValueError naming it.  Cells
+    of two dimensions, then a repeated cell, raise ValueError.
     """
     cells = list(cells)
     if not cells:
@@ -213,6 +220,11 @@ def cube_union_boundary(cells):
         raise ValueError("cells mix lattice keys and honeycomb cells: "
                          f"{other!r} is not like {cells[0]!r}")
     if coset:
+        name = cells[0].system.name
+        other = next((c for c in cells if c.system.name != name), None)
+        if other is not None:
+            raise ValueError("cells mix honeycombs: "
+                             f"{other!r} is not in {name} like {cells[0]!r}")
         dims, keys = {c.dim for c in cells}, cells
     else:
         _check_keys(cells, len(cells[0]) if isinstance(cells[0], tuple)

@@ -117,6 +117,14 @@ def test_translate_requires_even_vector():
         translate(sq, (1, 0, 0))
 
 
+@pytest.mark.parametrize("vec", [(2,), (2, 0), (2, 0, 0, 0)])
+def test_translate_rejects_a_vector_of_another_length(vec):
+    with pytest.raises(ValueError, match=re.escape(
+            f"cell (1, 1, 0) has 3 coordinates, the vector {vec} has "
+            f"{len(vec)}")):
+        translate({(1, 1, 0)}, vec)
+
+
 def test_embed_higher():
     assert embed_higher({(1, 1)}, 4) == {(1, 1, 0, 0)}
     with pytest.raises(ValueError):
@@ -265,12 +273,21 @@ def _mixed_kinds(first, second):
                    + re.escape(f"{cells[1]!r} is not like {cells[0]!r}") + "$")
 
 
+def _mixed_honeycombs():
+    _, cube, other, _, _ = _coset_cells()
+    cells = [cube, other, identity_cell(build_system("{4,3,3,5}"), 3)]
+    return cells, ("^cells mix honeycombs: " + re.escape(
+        f"{cells[2]!r} is not in {{4,3,5}} like {cube!r}") + "$")
+
+
 @pytest.mark.parametrize("mix", [
     lambda: _mixed_dimensions(_lattice_cells),
     lambda: _mixed_dimensions(_coset_cells),
     lambda: _mixed_kinds(_lattice_cells, _coset_cells),
     lambda: _mixed_kinds(_coset_cells, _lattice_cells),
-], ids=["lattice", "coset", "lattice-then-coset", "coset-then-lattice"])
+    _mixed_honeycombs,
+], ids=["lattice", "coset", "lattice-then-coset", "coset-then-lattice",
+        "two-honeycombs"])
 def test_union_boundary_rejects_mixed_dimensions(mix):
     cells, message = mix()
     with pytest.raises(ValueError, match=message):
