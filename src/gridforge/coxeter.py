@@ -36,16 +36,29 @@ becomes a vertex cell only when one is asked for (corner_vertex).  The
 least matrix of a coset is built one entry at a time, going on only with
 the candidates still tied for least; a face w t P_j takes it from the
 factors, as the least w (t p), so the product w t is never formed.
-Loaded matrices are checked and keyed in one pass (square_keys): whether
-each preserves the form is decided on the upper half of its Gram matrix,
-and whether it keeps the time orientation on one coordinate of its key
-vector.
+Loaded matrices are checked and keyed in one batch per document
+(square_keys), a column of ints across all of them at a time.  Each must
+pass the twist test: the twist M -> D sigma(M) D, for the automorphism
+sigma: sqrt2 -> -sqrt2 and D = diag(-1, 1, ..., 1), fixes every element
+of W, which makes each entry lie in Z[phi] or in sqrt2 Z[phi] by its
+place.  The test is necessary only: a matrix that passes is not known to
+lie in W.  Conjugated by diag(sqrt2, 1, ..., 1), such a matrix is one
+over Z[phi], and whether it preserves the form is decided exactly on the
+upper half of its Gram matrix, mapped into the integers modulo
+N = F^2 - F - 1 by phi -> F = 2^K, with K chosen from the document's
+largest coordinate so that no difference of Z[phi] elements it meets
+vanishes mod N unless it is zero.  Whether it keeps the time orientation
+is read off one coordinate of its key vector, formed from the same
+entries.  Only a matrix that fails is checked again by preserves_form,
+to name its fault.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, total_ordering
+from functools import lru_cache, partial, reduce, total_ordering
+from itertools import chain, repeat
+from operator import add, itemgetter, lshift, mod, mul
 
 from gridforge.field import (
     RONE, RZERO, radd, rcofactor, ring_key, rmul, rneg, rscale, rsign, rsub,
@@ -200,29 +213,158 @@ def keeps_time_orientation(square):
     return rsign(square.vec[2]) * square.system._centre_sign < 0
 
 
-def square_keys(system, reps):
-    """The square cells w P_2 of the system for the ring matrices w in
-    reps, in order, each given as nested lists or tuples.
+def _twist_fault(m):
+    """The first entry (i, j) of the ring matrix m, row by row, that
+    fails the twist test, or None.  An entry in row 0 or column 0, but
+    not both, must be sqrt2 times an element of Z[phi]: p = r = 0.  Every
+    other entry must lie in Z[phi]: q = s = 0."""
+    for i, row in enumerate(m):
+        for j, (p, q, r, s) in enumerate(row):
+            if (p or r) if (i == 0) != (j == 0) else (q or s):
+                return i, j
+    return None
 
-    Each w must preserve the form (preserves_form) and keep the time
-    orientation (keeps_time_orientation); the first that does not raises
-    ValueError naming it by its position i, as squares[i].  reps may be
-    a generator: each entry is checked before the next is drawn, so a
-    check the generator makes on a later entry comes after these.
+
+def _over_phi(x, k):
+    """x sqrt2^k as (a, b), for a + b phi, when it lies in Z[phi], for a
+    ring element x and an integer k; raises AssertionError if not."""
+    for _ in range(abs(k)):
+        x = rmul(x, (0, 1, 0, 0))
+    d = 1 << max(-k, 0)
+    p, q, r, s = x
+    if q or s or p % d or r % d:
+        raise AssertionError(f"{x} sqrt2^{k} leaves Z[phi]")
+    return p // d, r // d
+
+
+def _add_columns(columns):
+    """The entrywise sum of int columns, as a lazy iterator."""
+    return reduce(partial(map, add), columns)
+
+
+def _first_fault(system, coords, parts, vecs):
+    """The position of the first representative in coords that fails the
+    twist test, the Gram check or the time orientation, or None; parts
+    and vecs are those square_keys formed for them.
+
+    Each test reads one column of the document at a time: coordinate t
+    of entry (i, j) of every representative is coords[4 (i r + j) + t ::
+    4 r^2] for rank r.  The Gram check conjugates each representative M
+    that passes the twist test by Delta = diag(sqrt2, 1, ..., 1) into
+    M' = Delta M Delta^-1 over Z[phi], and compares M'^T B'' M' with
+    B'' = Delta^-1 4B Delta^-1 on and above the diagonal, through the
+    ring homomorphism Z[phi] -> Z/N that sends phi to F = 2^K, with
+    N = F^2 - F - 1.  With c the largest |coordinate| of the parts, an
+    entry of M' has both coordinates at most 2c, and one of B'' at most
+    4, so one of M'^T B'' M' - B'' has both at most 144 r^2 c^2 + 4.  A
+    difference u + v phi whose image is 0 mod N, with |u|, |v| < F/2,
+    is zero, so F > 288 r^2 c^2 + 8 makes the check exact.
     """
+    rank = system.rank
+    size = 4 * rank * rank
+    count = len(vecs)
+    faults = [count]
+    for o in system._twist_zeros:
+        col = coords[o::size]
+        if any(col):
+            faults.append(next(m for m, x in enumerate(col) if x))
+    flat = list(chain.from_iterable(parts))
+    c = max(max(map(max, flat)), -min(map(min, flat)))
+    k = (288 * rank * rank * c * c + 8).bit_length()
+    f = 1 << k
+    n = f * f - f - 1
+    # column j of M': its entry i of every representative, as a + b F
+    cols = [[None] * rank for _ in range(rank)]
+    for t, (a, b) in enumerate(parts):
+        i, j = divmod(t, rank)
+        double = i == 0 < j
+        b = map(lshift, b, repeat(k + double))
+        if double:
+            a = map(lshift, a, repeat(1))
+        cols[j][i] = list(map(add, a, b))
+    form = [[(t, a + (b << k)) for t, (a, b) in enumerate(row) if a or b]
+            for row in system._twisted_gram]
+    for j, col in enumerate(cols):
+        image = [list(_add_columns([map(mul, col[t], repeat(e))
+                                    for t, e in row]))
+                 for row in form]
+        for i in range(j + 1):
+            gram = list(map(mod, _add_columns(map(map, repeat(mul), cols[i],
+                                                  image)), repeat(n)))
+            a, b = system._twisted_gram[i][j]
+            want = (a + (b << k)) % n
+            if not {want}.issuperset(gram):
+                faults.append(next(m for m, g in enumerate(gram)
+                                   if g != want))
+    past = -system._centre_sign
+    if not {past}.issuperset(map(rsign, map(itemgetter(2), vecs))):
+        faults.append(next(m for m, v in enumerate(vecs)
+                           if rsign(v[2]) != past))
+    first = min(faults)
+    return None if first == count else first
+
+
+def square_keys(system, coords, start=0):
+    """The square cells w P_2 of the system for the ring matrices w whose
+    integer coordinates coords lists, in order: each w row by row, each
+    entry as its 4 coordinates.
+
+    Each w must preserve the form (preserves_form), keep the time
+    orientation (keeps_time_orientation) and pass the twist test.  The
+    twist w -> D sigma(w) D, with sigma the automorphism sqrt2 -> -sqrt2
+    and D = diag(-1, 1, ..., 1), is multiplicative and fixes every
+    generator, so it fixes every element of W (CoxeterSystem checks the
+    generators): an entry in row 0 or column 0, but not both, has
+    p = r = 0, and every other entry q = s = 0.  The test is necessary
+    only: a matrix that passes all three is not known to lie in W.
+
+    All representatives are checked in one batch (_first_fault), a
+    column of the document at a time, the form through an exact Gram
+    check modulo an integer chosen from the document's largest
+    coordinate.  Only the first representative that fails is checked
+    again with preserves_form and keeps_time_orientation, to name its
+    fault in that order, the twist last: ValueError names it by its
+    position, squares[start + i].  The vector w x_2 of each key is formed
+    from the same entries, twisted to Z[phi], with no general ring
+    product.
+    """
+    rank = system.rank
+    size = 4 * rank * rank
+    it = iter(coords)
+    mats = list(zip(*[zip(*[zip(*[it] * 4)] * rank)] * rank))
+    if not mats:
+        return []
+    # per entry, the columns of the coordinates (a, b) of its part
+    parts = [(coords[oa::size], coords[ob::size])
+             for oa, ob in system._twist_parts]
+    # w x_2 by rows: row 0 is sqrt2 (u + v phi), row i > 0 is u + v phi
+    rows = []
+    for i, terms in enumerate(system._centre_terms):
+        u, v = [], []
+        for t, x, y in terms:
+            a, b = parts[t]
+            u += [map(mul, col, repeat(e))
+                  for col, e in ((a, x), (b, y)) if e]
+            v += [map(mul, col, repeat(e))
+                  for col, e in ((a, y), (b, x + y)) if e]
+        u, v, zero = _add_columns(u), _add_columns(v), repeat(0)
+        rows.append(zip(zero, u, zero, v) if i == 0
+                    else zip(u, zero, v, zero))
+    vecs = list(zip(*rows))
     gens = system.parabolic_gens(2)
-    keys = []
-    for i, rep in enumerate(reps):
-        mat = tuple([tuple(map(tuple, row)) for row in rep])
+    bad = _first_fault(system, coords, parts, vecs)
+    if bad is not None:
+        mat = mats[bad]
         if not preserves_form(system, mat):
-            raise ValueError(f"squares[{i}]: matrix does not preserve the "
-                             "bilinear form")
-        key = CosetKey(system, gens, mat)
-        if not keeps_time_orientation(key):
-            raise ValueError(f"squares[{i}]: matrix reverses the time "
-                             "orientation")
-        keys.append(key)
-    return keys
+            why = "matrix does not preserve the bilinear form"
+        elif not keeps_time_orientation(CosetKey(system, gens, mat)):
+            why = "matrix reverses the time orientation"
+        else:
+            i, j = _twist_fault(mat)
+            why = ("matrix lies outside the reflection group: entry "
+                   f"[{i}][{j}] fails the twist test")
+        raise ValueError(f"squares[{start + bad}]: {why}")
+    return [CosetKey(system, gens, mat, vec) for mat, vec in zip(mats, vecs)]
 
 
 def _key_table(e):
@@ -296,6 +438,37 @@ class CoxeterSystem:
         if [k for k, e in enumerate(centre) if e != RZERO] != [2]:
             raise AssertionError("4B x_2 is not a multiple of e_2")
         self._centre_sign = rsign(centre[2])
+        # the twist test (square_keys): every generator passes it, so
+        # every element of W does.  Per entry, row by row, the offsets in
+        # a representative's 4 r^2 coordinates of the two that must be
+        # zero, and of the two (a, b) of its part a + b phi over Z[phi],
+        # which the entry is sqrt2 times in row 0 or column 0 but not both
+        if any(_twist_fault(g) is not None for g in gens):
+            raise AssertionError("a generator fails the twist test")
+        self._twist_zeros, self._twist_parts = zeros, parts = [], []
+        for i in range(rank):
+            for j in range(rank):
+                o = 4 * (i * rank + j)
+                edge = (i == 0) != (j == 0)
+                zeros += (o, o + 2) if edge else (o + 1, o + 3)
+                parts.append((o + 1, o + 3) if edge else (o, o + 2))
+        # B'' = Delta^-1 4B Delta^-1 over Z[phi] for Delta = diag(sqrt2,
+        # 1, ...); doubled in M' = Delta M Delta^-1 are the entries
+        # (0, j > 0) of M's parts
+        self._twisted_gram = tuple(
+            tuple(_over_phi(e, -(i == 0) - (j == 0))
+                  for j, e in enumerate(row))
+            for i, row in enumerate(b4))
+        # w x_2 row by row from the parts: x_2 = (sqrt2 xi_0, xi_1, ...)
+        # over Z[phi], so row 0 is sqrt2 times the sum of the parts times
+        # the xi_j, and row i > 0 that sum with its term j = 0 doubled
+        xi = [_over_phi(e, -(j == 0)) for j, e in enumerate(x[2])]
+        doubled = [(2 * xi[0][0], 2 * xi[0][1])] + xi[1:]
+        self._centre_terms = tuple(
+            tuple((i * rank + j, xa, xb)
+                  for j, (xa, xb) in enumerate(doubled if i else xi)
+                  if xa or xb)
+            for i in range(rank))
         # q = s_0 s_1 turns the base square a quarter: the corners of a
         # square w P_2 are the vertices w q^k P_0 (see corner_keys).
         # Each turn q^k is kept with the offset d_k = q^k x_0 - x_2 of its

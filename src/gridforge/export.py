@@ -8,9 +8,11 @@ vertex ray v maps to the point with coordinates B(v, s_i) / -B(v, t).
 That keeps straight honeycomb edges straight at the cost of metric
 distortion near the ball's rim.  The frame comes from the form's ring
 matrix 4B (CoxeterSystem.bilinear4), each entry a float through
-field.ring_float and divided by 4, which is exact.  A vertex's ring
+field.ring_float and divided by 4, which is exact.  A vertex's
 coordinates become floats the same way, bit for bit the floats of the
-exact field elements.  The eigenbasis is computed here, in plain float
+exact field elements, read through field.key_float straight from the
+key tuple the square index holds for it (coxeter.corner_keys), so no
+vertex cell is decoded.  The eigenbasis is computed here, in plain float
 arithmetic, and every sum is math.fsum's correctly rounded one, so the
 written digits depend on neither a linear algebra library nor the
 Python version.
@@ -37,7 +39,7 @@ from operator import mul
 from gridforge.coxeter import build_system
 from gridforge.lattice import GriddedComplex, ambient_dim, is_lattice_ambient
 from gridforge.surface import square_index
-from gridforge.field import ring_float
+from gridforge.field import key_float, ring_float
 
 
 # The sign of coordinate 0 of each frame axis, in order of increasing
@@ -94,10 +96,12 @@ def _klein_frame(system):
 
 
 def _klein_coords(system, keys):
+    """The Klein coordinates of vertex cells given by their key tuples
+    (CosetKey.key), each coordinate through field.key_float."""
     b, timelike, spacelike = _klein_frame(system)
     out = []
     for key in keys:
-        x = [ring_float(e) for e in key.vec]
+        x = [key_float(e) for e in key]
         xb = [_dot(x, row) for row in b]     # x B, as B is symmetric
         denom = -_dot(xb, timelike)
         if denom == 0:
@@ -112,18 +116,20 @@ def _gridded_index(obj):
     return square_index(obj)
 
 
-def _points(ambient, vertices):
-    """Coordinates of the given vertices, in their order."""
+def _points(ambient, index):
+    """Coordinates of the vertices of a gridded complex's SquareIndex, in
+    their order: a lattice's from the vertex tuples, a honeycomb's from
+    the corner key tuples, with no vertex cell decoded."""
     if is_lattice_ambient(ambient):
         return list(zip(*[[c / 2.0 for c in axis]
-                          for axis in zip(*vertices)]))
-    return _klein_coords(build_system(ambient), vertices)
+                          for axis in zip(*index.vertices)]))
+    return _klein_coords(build_system(ambient), index.vertex_codes)
 
 
 def vertex_coordinates(obj):
     """Map each vertex of a gridded complex to a tuple of floats."""
-    vertices = _gridded_index(obj).vertices
-    return dict(zip(vertices, _points(obj.ambient, vertices)))
+    index = _gridded_index(obj)
+    return dict(zip(index.vertices, _points(obj.ambient, index)))
 
 
 def _fmt(x):
@@ -150,7 +156,7 @@ def _mesh(obj):
     ambient = obj.ambient
     dim = (ambient_dim(ambient) if is_lattice_ambient(ambient)
            else build_system(ambient).rank - 1)
-    return (dim, _points(ambient, index.vertices), sorted(index.squares),
+    return (dim, _points(ambient, index), sorted(index.squares),
             len(index.edge_counts))
 
 

@@ -11,8 +11,9 @@ and rcofactor turns an exact division into one by the integer norm.
 QF, an element of the field with rational coefficients over (1, sqrt2,
 sqrt5, sqrt10) and an interval-Newton sign, is not used by the library.
 It is the reference the tests check the ring against, through
-qf_from_ring; ring_float is its float, bit for bit.  Only that code
-imports fractions, so the library never loads it.
+qf_from_ring; ring_float is its float, bit for bit, and key_float the
+same float read from a ring_key.  Only that code imports fractions, so
+the library never loads it.
 """
 
 from __future__ import annotations
@@ -282,12 +283,17 @@ def qf_from_ring(x):
 
 
 def ring_float(x):
-    """float(qf_from_ring(x)), bit for bit, without forming Fractions.
+    """float(qf_from_ring(x)), bit for bit, without forming Fractions:
+    key_float of its ring_key."""
+    return key_float(ring_key(x))
 
-    The QF coefficients are the halves (2p + r, 2q + s, r, s) / 2; int
-    true division rounds n / 2 correctly, as float(Fraction(n, 2)) does,
-    and the terms are summed in QF.__float__'s order.
+
+def key_float(key):
+    """ring_float of the ring element whose ring_key is key.
+
+    The key is twice the QF coefficients; int true division rounds n / 2
+    correctly, as float(Fraction(n, 2)) does, and the terms are summed in
+    QF.__float__'s order.
     """
-    p, q, r, s = x
-    return (2 * p + r) / 2 + (2 * q + s) / 2 * _S2 + r / 2 * _S5 \
-        + s / 2 * _S2 * _S5
+    a, b, c, d = key
+    return a / 2 + b / 2 * _S2 + c / 2 * _S5 + d / 2 * _S2 * _S5

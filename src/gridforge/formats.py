@@ -22,12 +22,14 @@ Loading checks JSON shape only, with JSON true and false rejected where
 an integer is expected, and, for honeycomb cells, that each mask is a
 square's (it leaves out generator 2 alone) and that each representative
 m preserves the bilinear form: m^T 4B m = 4B, compared on and above the
-diagonal only, since both sides are symmetric (see
-coxeter.preserves_form), and keeps the time orientation as the elements
-of the reflection group W do (coxeter.keeps_time_orientation), which the
-negation of a representative does not.  Membership in W itself is not
-checked: a matrix outside W that passes both loads too.  The loader
-hands entries over in document order to GriddedComplex or
+diagonal only, since both sides are symmetric; that it keeps the time
+orientation as the elements of the reflection group W do
+(coxeter.keeps_time_orientation), which the negation of a representative
+does not; and that it passes the twist test, which every element of W
+passes: an entry in row 0 or column 0, but not both, is sqrt2 times an
+element of Z[phi], and every other entry lies in Z[phi].  The twist test
+is necessary only: a matrix outside W that passes all three still loads.
+The loader hands entries over in document order to GriddedComplex or
 AbstractSquareComplex, which check each square and then look for
 repeats, so ValueError names the first bad entry by position.  Lattice
 keys are tested in bulk, by one set of the entry types and one of the
@@ -37,11 +39,16 @@ GriddedComplex, which checks the keys drawn before an entry the
 generator refuses, still names the first bad one.  Coset entries are
 tested in bulk the same way: set tests of the entry types, the masks,
 the types and lengths of the rep, its rows and entries, and the types
-of all coordinates.  Then coxeter.square_keys checks the form and the
-time orientation of each representative and keys it, in one pass.  Only
-when a set test fails are the entries walked one by one, each shape
-checked as square_keys draws it, after the entries before it have
-passed their own checks, so the first bad one is still named.
+of all coordinates.  Then coxeter.square_keys checks and keys all the
+representatives in one batch, from the flat list of their coordinates:
+the twist test on columns of coordinates, the form by an exact Gram
+check over Z[phi] modulo an integer chosen from the document's largest
+coordinate (coxeter.preserves_form checks again only the first
+representative that fails, to name its fault) and the time orientation.
+Only when a set test fails are the entries walked one by one, each
+shape checked, then its representative checked by square_keys as a
+batch of one, before the next entry is drawn, so the first bad one is
+still named.
 """
 
 from __future__ import annotations
@@ -181,39 +188,44 @@ def _walk_lattice_squares(raw):
 def _load_coset_squares(ambient, raw):
     """A document's coset squares, drawn once GriddedComplex has checked
     the ambient: coxeter.square_keys checks and keys the representatives
-    of _coset_reps in one pass."""
+    in one batch when _coset_coords lists their coordinates, and one at
+    a time, each as _walk_coset_reps draws it, when it does not."""
     system = build_system(ambient)
-    yield from square_keys(system, _coset_reps(system, raw))
+    coords = _coset_coords(system, raw)
+    if coords is not None:
+        yield from square_keys(system, coords)
+        return
+    for i, coords in enumerate(_walk_coset_reps(system, raw)):
+        yield from square_keys(system, coords, i)
 
 
-def _coset_reps(system, raw):
-    """A document's coset representatives, as nested lists, when set
-    tests over the whole document find every entry an object with the
-    square's mask and a rank x rank matrix of integer quadruples, and
-    otherwise _walk_coset_reps."""
+def _coset_coords(system, raw):
+    """The integer coordinates of a document's coset representatives, in
+    order, when set tests over the whole document find every entry an
+    object with the square's mask and a rank x rank matrix of integer
+    quadruples, and otherwise None."""
     rank, mask = system.rank, _square_mask(system)
     if not _DICT.issuperset(map(type, raw)):
-        return _walk_coset_reps(system, raw)
+        return None
     try:
         masks = list(map(itemgetter("mask"), raw))
-        reps = list(map(itemgetter("rep"), raw))
+        level = list(map(itemgetter("rep"), raw))
     except KeyError:
-        return _walk_coset_reps(system, raw)
-    level = reps
+        return None
     for size in (rank, rank, 4):
         if not (_LIST.issuperset(map(type, level))
                 and {size}.issuperset(map(len, level))):
-            return _walk_coset_reps(system, raw)
+            return None
         level = list(chain.from_iterable(level))
     if _all_ints(masks) and {mask}.issuperset(masks) and _all_ints(level):
-        return reps
-    return _walk_coset_reps(system, raw)
+        return level
+    return None
 
 
 def _walk_coset_reps(system, raw):
-    """A document's coset representatives, the shape of each checked as
-    it is drawn, so that square_keys, which checks each representative
-    before it draws the next, names the first bad entry."""
+    """The integer coordinates of each of a document's coset
+    representatives, its shape checked as it is drawn, so that the entry
+    before a bad one is checked first and the first bad entry is named."""
     rank, mask = system.rank, _square_mask(system)
     for i, entry in enumerate(raw):
         where = f"squares[{i}]"
@@ -230,7 +242,7 @@ def _walk_coset_reps(system, raw):
         _require(all(isinstance(e, list) and len(e) == 4 and _all_ints(e)
                      for row in rep for e in row),
                  f"{where}: entries must be integer quadruples")
-        yield rep
+        yield [t for row in rep for e in row for t in e]
 
 
 def _abstract_squares(raw):

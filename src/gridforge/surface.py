@@ -145,8 +145,10 @@ class SquareIndex:
     corner's two neighbours: the link of v has a node per edge at v,
     named by its other end.  edges, cycles and links are formed when
     first read.  On a gridded complex so are the vertices, decoded by
-    decode from the sorted vertex codes of a lattice or corner key tuples
-    of a honeycomb: only export and failure messages read them.  On a
+    decode from vertex_codes, the sorted cell codes of a lattice or
+    corner key tuples of a honeycomb (on an abstract complex, the
+    vertices themselves): only export and failure messages read them,
+    and the export of a honeycomb complex reads the key tuples.  On a
     lattice complex masks[v] has bit 4p + k set when corner k
     of a square spanning the p-th pair of odd axes in use lies at v, and
     arcs[4p + k] is that corner's arc in the link of v (see
@@ -157,7 +159,7 @@ class SquareIndex:
     def __init__(self, vertices, squares, square_edges, edge_counts, rises,
                  masks=None, arcs=None, decode=None):
         self.vertex_count = len(vertices)
-        self._vertices, self._decode = vertices, decode
+        self.vertex_codes, self._decode = vertices, decode
         self.squares, self.square_edges = squares, square_edges
         self.edge_counts, self.rises = edge_counts, rises
         self.masks, self.arcs = masks, arcs
@@ -165,8 +167,8 @@ class SquareIndex:
     @cached_property
     def vertices(self):
         if self._decode is None:
-            return self._vertices
-        return self._decode(self._vertices)
+            return self.vertex_codes
+        return self._decode(self.vertex_codes)
 
     @cached_property
     def edges(self):

@@ -248,6 +248,17 @@ def test_negated_representatives_exit_2(tmp_path, command, name):
 
 
 @pytest.mark.parametrize("command", ["validate", "classify", "export"])
+def test_a_matrix_outside_the_reflection_group_exits_2(command):
+    # its one rep preserves the form and keeps the time orientation, but
+    # fails the twist test that every element of W passes
+    path = Path(__file__).parent / "data" / "outside_w_435.json"
+    code, out, err = run([command, str(path)])
+    assert (code, out) == (2, "")
+    assert err == ("error: squares[0]: matrix lies outside the reflection "
+                   "group: entry [0][0] fails the twist test\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "export"])
 def test_euclidean_coset_document_exits_2(tmp_path, command):
     # {4,3,4} is the cubic lattice: its squares are Z3 keys, not cosets
     identity = [[[int(i == j), 0, 0, 0] for j in range(4)] for i in range(4)]

@@ -712,30 +712,33 @@ def test_tree_write_dot_count(monkeypatch, dots):
     assert dots[0] == 2837
 
 
-def test_tree_load_and_classify_dot_counts(monkeypatch, dots):
-    # exact: a loaded square costs rank = 4 dots for its key and one image
-    # 4B col per column for its Gram check, whose upper half is dotted
-    # inline; its time orientation reads one coordinate of its key, and
-    # classifying reads its corners off integer tables.  A dot per Gram
-    # entry, an image per entry, a dot for the time orientation or a
-    # product per corner raises them
+def test_tree_load_and_classify_dot_counts(monkeypatch, dots, products):
+    # exact: a load checks all its squares in one batch (_first_fault), on
+    # int columns, and keys each square from the same entries, with no
+    # ring product; classifying reads the corners off integer tables.  A
+    # check per square, a dot for a key or a Gram entry, an image 4B col
+    # or a product per corner raises them
     build_system("{4,3,5}")
-    images = [0]
-    image = coxeter._form_image
+    images, batches = [0], [0]
+    image, batch = coxeter._form_image, coxeter._first_fault
 
-    def counted(terms, col):
+    def counted_image(terms, col):
         images[0] += 1
         return image(terms, col)
 
-    monkeypatch.setattr(coxeter, "_form_image", counted)
+    def counted_batch(*args):
+        batches[0] += 1
+        return batch(*args)
+
+    monkeypatch.setattr(coxeter, "_form_image", counted_image)
+    monkeypatch.setattr(coxeter, "_first_fault", counted_batch)
     data = complex_to_jsonable(tree_of_life_435(3))
     assert len(data["squares"]) == 114
-    dots[0] = images[0] = 0
+    dots[0] = products[0] = 0
     loaded = jsonable_to_complex(data)
-    assert (dots[0], images[0]) == (114 * 4, 114 * 4)
-    dots[0] = images[0] = 0
+    assert (batches[0], dots[0], images[0], products[0]) == (1, 0, 0, 0)
     classify(loaded)
-    assert (dots[0], images[0]) == (0, 0)
+    assert (batches[0], dots[0], images[0], products[0]) == (1, 0, 0, 0)
 
 
 def test_only_proper_parabolics_are_enumerated(products):

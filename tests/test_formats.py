@@ -3,14 +3,16 @@
 import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridforge.constructors import crosscap_z4, frame_torus, tree_of_life
 from gridforge.coxeter import (
-    CosetKey, _identity, _mat_mul, build_system, cell_faces,
-    enumerate_parabolic,
+    CosetKey, _identity, _mat_mul, _signed_reflection, _twist_fault,
+    build_system, cell_faces, enumerate_parabolic, keeps_time_orientation,
+    preserves_form,
 )
 from gridforge.formats import (
     complex_to_jsonable, dumps_complex, jsonable_to_complex, load_complex,
@@ -282,6 +284,181 @@ def test_negated_representative_reverses_time(name, word):
         jsonable_to_complex(doc)
     assert str(info.value) == \
         "squares[0]: matrix reverses the time orientation"
+
+
+DATA = Path(__file__).parent / "data"
+
+# ring matrices that preserve the form and keep the time orientation but
+# fail the twist test, so lie outside W: sign * s_d for these d and signs
+# (tests/data/outside_w_435.json holds the first)
+_OUTSIDE_W = {
+    "{4,3,5}": (((0, -1, 0, 0), (-1, 1, -2, -1), (0, 2, 0, 0),
+                 (0, -2, -2, 1)), 1),
+    "{4,3,3,5}": (((0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 1, 0),
+                   (0, 0, 1, 0)), -1),
+}
+_WORDS = st.lists(st.integers(0, 4), max_size=8)
+
+
+def _outside_w(s):
+    return _signed_reflection(s, *_OUTSIDE_W[s.name])
+
+
+def _word(s, word):
+    w = _identity(s.rank)
+    for i in word:
+        w = _mat_mul(w, s.generators[i % s.rank])
+    return w
+
+
+def _long_word(s, left, k, right):
+    """left c^(2^k) right for the Coxeter element c = s_0 s_1 ... of
+    infinite order: at k = 7 the entries pass 2^64, at k = 8 2^200."""
+    c = _word(s, range(s.rank))
+    for _ in range(k):
+        c = _mat_mul(c, c)
+    return _mat_mul(_mat_mul(_word(s, left), c), _word(s, right))
+
+
+def _coset_doc(s, *reps):
+    mask = sum(1 << i for i in s.parabolic_gens(2))
+    return {"format": "gridded", "ambient": s.name,
+            "squares": [{"mask": mask, "rep": _as_json(m)} for m in reps]}
+
+
+def test_a_matrix_outside_w_is_refused():
+    # it passes the form and time orientation checks, which were all the
+    # loader made before the twist test
+    s = build_system("{4,3,5}")
+    m = _outside_w(s)
+    assert json.loads((DATA / "outside_w_435.json").read_text()) == \
+        _coset_doc(s, m)
+    assert preserves_form(s, m)
+    assert keeps_time_orientation(CosetKey(s, s.parabolic_gens(2), m))
+    with pytest.raises(ValueError) as info:
+        load_complex(DATA / "outside_w_435.json")
+    assert str(info.value) == ("squares[0]: matrix lies outside the "
+                               "reflection group: entry [0][0] fails the "
+                               "twist test")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("{4,3,5}", "{4,3,3,5}")), _WORDS)
+def test_a_word_loads_and_a_matrix_outside_w_times_it_is_refused(name,
+                                                                  word):
+    # the twist is multiplicative and fixes w, so it moves m w as it
+    # moves m
+    s = build_system(name)
+    w = _word(s, word)
+    assert jsonable_to_complex(_coset_doc(s, w)).squares == \
+        {CosetKey(s, s.parabolic_gens(2), w)}
+    with pytest.raises(ValueError) as info:
+        jsonable_to_complex(_coset_doc(s, _mat_mul(_outside_w(s), w)))
+    assert str(info.value).startswith(
+        "squares[0]: matrix lies outside the reflection group: entry [")
+
+
+@pytest.mark.parametrize("name", ["{4,3,5}", "{4,3,3,5}"])
+@pytest.mark.parametrize("k,bits", [(7, 64), (8, 200)])
+def test_huge_entries_load_and_a_unit_change_is_refused(name, k, bits):
+    # the modulus of the Gram check grows with the entries: a unit change
+    # in any coordinate the twist test allows still shows
+    s = build_system(name)
+    w = _long_word(s, [], k, [])
+    assert max(abs(t) for row in w for e in row for t in e) > 2 ** bits
+    doc = _coset_doc(s, w)
+    assert jsonable_to_complex(doc).squares == \
+        {CosetKey(s, s.parabolic_gens(2), w)}
+    rep = doc["squares"][0]["rep"]
+    for i, j in itertools.product(range(s.rank), repeat=2):
+        for t in (1, 3) if (i == 0) != (j == 0) else (0, 2):
+            for step in (-1, 1):
+                rep[i][j][t] += step
+                with pytest.raises(ValueError) as info:
+                    jsonable_to_complex(doc)
+                assert str(info.value) == \
+                    "squares[0]: matrix does not preserve the bilinear form"
+                rep[i][j][t] -= step
+
+
+@pytest.mark.parametrize("name", ["{4,3,5}", "{4,3,3,5}"])
+@pytest.mark.parametrize("k", [4, 16, 40, 64, 100])
+def test_a_form_break_that_a_fixed_modulus_would_miss_is_refused(name, k):
+    # diag(1, ..., 1, lam) for lam = 1 + 2^k - phi: its Gram matrix
+    # differs from 4B by multiples of lam - 1 = 2^k - phi, which
+    # phi -> F = 2^k sends to 0 mod F^2 - F - 1, so only a modulus chosen
+    # from the size of the entries refuses it
+    s = build_system(name)
+    m = _identity(s.rank)
+    m = m[:-1] + (m[-1][:-1] + ((1 + 2 ** k, 0, -1, 0),),)
+    with pytest.raises(ValueError) as info:
+        jsonable_to_complex(_coset_doc(s, m))
+    assert str(info.value) == \
+        "squares[0]: matrix does not preserve the bilinear form"
+
+
+def _expected_fault(s, reps):
+    """The message naming the first of reps that preserves_form,
+    keeps_time_orientation or _twist_fault refuses, in that order, or
+    None."""
+    for p, m in enumerate(reps):
+        if not preserves_form(s, m):
+            why = "matrix does not preserve the bilinear form"
+        elif not keeps_time_orientation(CosetKey(s, s.parabolic_gens(2), m)):
+            why = "matrix reverses the time orientation"
+        elif _twist_fault(m) is not None:
+            why = ("matrix lies outside the reflection group: entry "
+                   "[%d][%d] fails the twist test" % _twist_fault(m))
+        else:
+            continue
+        return f"squares[{p}]: {why}"
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("{4,3,5}", "{4,3,3,5}")), st.data())
+def test_the_batched_check_agrees_with_the_exact_checks(name, data):
+    # a document of words, short or long, each perhaps changed in one
+    # coordinate by a small or a huge step, negated or moved outside W,
+    # and perhaps a last entry of a bad shape, which makes the loader
+    # check the reps one at a time
+    s = build_system(name)
+    reps = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        m = _long_word(s, data.draw(_WORDS), data.draw(st.integers(0, 8)),
+                       data.draw(_WORDS))
+        kind = data.draw(st.sampled_from(["sound", "step", "negated",
+                                          "outside"]))
+        if kind == "step":
+            i, j, t = (data.draw(st.integers(0, n - 1))
+                       for n in (s.rank, s.rank, 4))
+            e = list(m[i][j])
+            e[t] += data.draw(st.integers(-3, 3) | st.integers(-2 ** 250,
+                                                               2 ** 250))
+            m = tuple(tuple(tuple(e) if (a, b) == (i, j) else m[a][b]
+                            for b in range(s.rank)) for a in range(s.rank))
+        elif kind == "negated":
+            m = tuple(tuple(tuple(-t for t in e) for e in row) for row in m)
+        elif kind == "outside":
+            m = _mat_mul(_outside_w(s), m)
+        reps.append(m)
+    doc = _coset_doc(s, *reps)
+    expected = _expected_fault(s, reps)
+    if data.draw(st.booleans()):
+        doc["squares"].append({"mask": True, "rep": doc["squares"][0]["rep"]})
+        expected = expected or (f"squares[{len(reps)}]: mask must be "
+                                f"{doc['squares'][0]['mask']}, every "
+                                "generator but 2 (a square)")
+    keys = [CosetKey(s, s.parabolic_gens(2), m) for m in reps]
+    if expected is None and len(set(keys)) == len(keys):
+        assert jsonable_to_complex(doc).squares == set(keys)
+        return
+    with pytest.raises(ValueError) as info:
+        jsonable_to_complex(doc)
+    if expected is None:
+        assert " same square as " in str(info.value)
+    else:
+        assert str(info.value) == expected
 
 
 @pytest.mark.parametrize("square,message", [

@@ -491,10 +491,11 @@ def test_coset_index_of_catalogue_builds_is_the_reference_index(build):
 @pytest.mark.parametrize("command", [validate_surface, classify, to_off])
 def test_each_command_walks_the_squares_once(monkeypatch, build, command):
     obj = build()
-    passes, corner_walks = [], []
+    passes, corner_walks, vertex_cells = [], [], []
     cycles = surface.square_cycles
     encode = lattice.cell_codes
     corner_keys = coxeter.corner_keys
+    corner_vertex = coxeter.corner_vertex
     corners = lattice.corners_cyclic
     monkeypatch.setattr(surface, "square_cycles",
                         lambda o: passes.append(o) or cycles(o))
@@ -502,6 +503,8 @@ def test_each_command_walks_the_squares_once(monkeypatch, build, command):
                         lambda keys: passes.append(keys) or encode(keys))
     monkeypatch.setattr(coxeter, "corner_keys",
                         lambda sq: corner_walks.append(sq) or corner_keys(sq))
+    monkeypatch.setattr(coxeter, "corner_vertex", lambda sq, k, key: (
+        vertex_cells.append(key) or corner_vertex(sq, k, key)))
     for module in (lattice, surface):
         monkeypatch.setattr(module, "corners_cyclic",
                             lambda sq: corner_walks.append(sq) or corners(sq))
@@ -512,9 +515,11 @@ def test_each_command_walks_the_squares_once(monkeypatch, build, command):
         assert corner_walks == []
     else:
         # one corner-key pass per square, in key order, and no cycles of
-        # vertex cells
+        # vertex cells; export reads the corner keys, and decodes no vertex
+        # cell from them
         assert passes == []
         assert corner_walks == sorted(obj.squares)
+        assert vertex_cells == []
 
 
 @pytest.mark.parametrize("obj,counts,failures", [
