@@ -49,8 +49,9 @@ N = F^2 - F - 1 by phi -> F = 2^K, with K chosen from the document's
 largest coordinate so that no difference of Z[phi] elements it meets
 vanishes mod N unless it is zero.  Whether it keeps the time orientation
 is read off one coordinate of its key vector, formed from the same
-entries.  Only a matrix that fails is checked again by preserves_form,
-to name its fault.
+entries.  Only a matrix that fails is checked again, to name its fault,
+by preserves_form: the definition m^T 4B m = 4B in two ring-matrix
+products, which also checks the generators when a system is set up.
 """
 
 from __future__ import annotations
@@ -147,58 +148,10 @@ def _pivot_signs(minors):
     return [a * b for a, b in zip(signs, signs[1:])]
 
 
-def _form_image(terms, col):
-    """4B col, from the _form_terms of the rows of 4B: each term scales
-    one entry by an integer and a unit, with no general ring product."""
-    out = []
-    for row in terms:
-        a = b = c = d = 0
-        for k, u, n in row:
-            p, q, r, s = col[k]
-            if u == 0:
-                a += n * p
-                b += n * q
-                c += n * r
-                d += n * s
-            elif u == 1:    # sqrt2 (p, q, r, s) = (2q, p, 2s, r)
-                a += 2 * n * q
-                b += n * p
-                c += 2 * n * s
-                d += n * r
-            else:           # phi (p, q, r, s) = (r, s, p + r, q + s)
-                a += n * r
-                b += n * s
-                c += n * (p + r)
-                d += n * (q + s)
-        out.append((a, b, c, d))
-    return out
-
-
 def preserves_form(system, m):
-    """Whether the ring matrix m preserves the bilinear form: m^T 4B m = 4B.
-
-    Both sides are symmetric, so only the entries on and above the
-    diagonal are compared; entry (i, j) is column i of m dotted with 4B
-    times column j, the ring products written out inline as in _dot
-    (without its test for zero terms, which a loaded matrix seldom has).
-    """
-    cols = tuple(zip(*m))
-    b4, terms = system.bilinear4, system._form_terms
-    for j, col in enumerate(cols):
-        image = _form_image(terms, col)
-        for i in range(j + 1):
-            a = b = c = d = 0
-            for (p1, q1, r1, s1), (p2, q2, r2, s2) in zip(cols[i], image):
-                rr = r1 * r2
-                ss = s1 * s2
-                rs = r1 * s2 + s1 * r2
-                a += p1 * p2 + rr + 2 * (q1 * q2 + ss)
-                b += p1 * q2 + q1 * p2 + rs
-                c += p1 * r2 + r1 * p2 + rr + 2 * (q1 * s2 + s1 * q2 + ss)
-                d += p1 * s2 + s1 * p2 + q1 * r2 + r1 * q2 + rs
-            if (a, b, c, d) != b4[i][j]:
-                return False
-    return True
+    """Whether the ring matrix m preserves the bilinear form: m^T 4B m = 4B."""
+    b4 = system.bilinear4
+    return _mat_mul(tuple(zip(*m)), _mat_mul(b4, m)) == b4
 
 
 def keeps_time_orientation(square):
@@ -398,13 +351,9 @@ class CoxeterSystem:
         two_cos = [[_TWO_COS[m_of(i, k)] for k in range(rank)]
                    for i in range(rank)]
         # 4B = -4 cos(pi/m_ik) has all entries in the integer ring, enabling
-        # exact B-preservation checks on ring matrices; per row, each
-        # nonzero entry as (column, unit index, integer factor)
+        # exact B-preservation checks on ring matrices
         self.bilinear4 = b4 = tuple(
             tuple(_unit(u, -2 * n) for u, n in row) for row in two_cos)
-        self._form_terms = tuple(
-            tuple((k, u, -2 * n) for k, (u, n) in enumerate(row) if n)
-            for row in two_cos)
         # s_i e_k = e_k + 2 cos(pi/m_ik) e_i: row i of the identity moves
         ident = _identity(rank)
         gens = []
@@ -434,7 +383,7 @@ class CoxeterSystem:
         # 4B x_2, the form against a square's centre, is zero but at
         # coordinate 2, as x_2 is B-orthogonal to every e_j with j != 2;
         # the sign of that entry is kept (keeps_time_orientation)
-        centre = _form_image(self._form_terms, x[2])
+        centre = _mat_vec(b4, x[2])
         if [k for k, e in enumerate(centre) if e != RZERO] != [2]:
             raise AssertionError("4B x_2 is not a multiple of e_2")
         self._centre_sign = rsign(centre[2])

@@ -43,12 +43,13 @@ of all coordinates.  Then coxeter.square_keys checks and keys all the
 representatives in one batch, from the flat list of their coordinates:
 the twist test on columns of coordinates, the form by an exact Gram
 check over Z[phi] modulo an integer chosen from the document's largest
-coordinate (coxeter.preserves_form checks again only the first
-representative that fails, to name its fault) and the time orientation.
-Only when a set test fails are the entries walked one by one, each
-shape checked, then its representative checked by square_keys as a
-batch of one, before the next entry is drawn, so the first bad one is
-still named.
+coordinate, and the time orientation.  Only the first representative
+that fails is checked again, to name its fault: the form by
+coxeter.preserves_form, which is its definition in two ring-matrix
+products.  Only when a set test fails are the entries walked one by
+one, each shape checked, then its representative checked by square_keys
+as a batch of one, before the next entry is drawn, so the first bad one
+is still named.
 """
 
 from __future__ import annotations

@@ -31,10 +31,12 @@ on the key tuples of its squares' corners (coxeter.corner_keys), integer
 sums off each square's own key with no ring product, which hash and sort
 as the vertex cells do; the cells are decoded from them only when the
 vertices are first read, as the lattice vertices are.  Abstract
-complexes build it from their vertex cycles (square_cycles).
-Classify validates on the index it builds, and orients the squares
-through their sides' edge ids, one tree of squares per component: two
-sides on one edge run the same way iff both rise or both fall.
+complexes build it from their squares, which are vertex cycles already.
+The index is the one source of each square's cyclic corners:
+square_cycles reads them from it.  Classify validates on the index it
+builds, and orients the squares through their sides' edge ids, one tree
+of squares per component: two sides on one edge run the same way iff
+both rise or both fall.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from operator import add, attrgetter
 
 from gridforge import coxeter, lattice
 from gridforge.lattice import (
-    Frozen, GriddedComplex, corners_cyclic, distinct, is_lattice_ambient,
+    Frozen, GriddedComplex, distinct, is_lattice_ambient,
 )
 
 
@@ -117,16 +119,9 @@ class AbstractSquareComplex(Frozen):
 
 
 def square_cycles(obj):
-    """The squares of a complex as cyclic vertex 4-tuples."""
-    if isinstance(obj, AbstractSquareComplex):
-        return list(obj.squares)
-    if isinstance(obj, GriddedComplex):
-        if is_lattice_ambient(obj.ambient):
-            return [corners_cyclic(s) for s in sorted(obj.squares)]
-        from gridforge.coxeter import square_vertex_cycle
-
-        return [square_vertex_cycle(s) for s in sorted(obj.squares)]
-    raise TypeError(f"not a square complex: {type(obj).__name__}")
+    """The squares of a complex as cyclic vertex 4-tuples, in the order of
+    its SquareIndex."""
+    return square_index(obj).cycles
 
 
 class SquareIndex:
@@ -134,26 +129,26 @@ class SquareIndex:
 
     A vertex's id is its position in the sorted vertices, so ids compare
     as the vertices do, and vertex_count is their number.  squares are
-    the cycles of square_cycles, in order, as id 4-tuples, and cycles the
-    same with the vertices themselves.  Edges are numbered in order of
-    first sight: square_edges[4 * i + k] is the id of side k of square i,
-    the side from its corner k to corner k + 1 (mod 4), rises[4 * i + k]
-    whether that side runs from the lower vertex id to the higher, and
-    edge_counts[e] the number of squares containing edge e.  edges maps
-    each edge (a, b) with a < b to that number, in id order.  links[v]
-    has one arc (u, w) per square corner at v, where u and w are the
-    corner's two neighbours: the link of v has a node per edge at v,
-    named by its other end.  edges, cycles and links are formed when
-    first read.  On a gridded complex so are the vertices, decoded by
-    decode from vertex_codes, the sorted cell codes of a lattice or
-    corner key tuples of a honeycomb (on an abstract complex, the
-    vertices themselves): only export and failure messages read them,
-    and the export of a honeycomb complex reads the key tuples.  On a
-    lattice complex masks[v] has bit 4p + k set when corner k
-    of a square spanning the p-th pair of odd axes in use lies at v, and
-    arcs[4p + k] is that corner's arc in the link of v (see
-    _lattice_index), so masks[v] fixes the link of v up to renaming its
-    nodes; on other complexes masks and arcs are None.
+    the vertex cycles of the squares, taken in sorted order, as id
+    4-tuples, and cycles the same with the vertices themselves.  Edges
+    are numbered in order of first sight: square_edges[4 * i + k] is the
+    id of side k of square i, the side from its corner k to corner k + 1
+    (mod 4), rises[4 * i + k] whether that side runs from the lower
+    vertex id to the higher, and edge_counts[e] the number of squares
+    containing edge e.  edges maps each edge (a, b) with a < b to that
+    number, in id order.  links[v] has one arc (u, w) per square corner
+    at v, where u and w are the corner's two neighbours: the link of v
+    has a node per edge at v, named by its other end.  edges, cycles and
+    links are formed when first read.  On a gridded complex so are the
+    vertices, decoded by decode from vertex_codes, the sorted cell codes
+    of a lattice or corner key tuples of a honeycomb (on an abstract
+    complex, the vertices themselves): only export, square_cycles and
+    failure messages read them, and the export of a honeycomb complex
+    reads the key tuples.  On a lattice complex masks[v] has bit 4p + k
+    set when corner k of a square spanning the p-th pair of odd axes in
+    use lies at v, and arcs[4p + k] is that corner's arc in the link of v
+    (see _lattice_index), so masks[v] fixes the link of v up to renaming
+    its nodes; on other complexes masks and arcs are None.
     """
 
     def __init__(self, vertices, squares, square_edges, edge_counts, rises,
@@ -202,8 +197,10 @@ def square_index(obj):
         if is_lattice_ambient(obj.ambient):
             return _lattice_index(obj.squares)
         return _coset_index(obj.squares)
-    # abstract complexes may declare vertices that no square uses
-    return _cycle_index(square_cycles(obj), obj.vertices)
+    if isinstance(obj, AbstractSquareComplex):
+        # abstract complexes may declare vertices that no square uses
+        return _cycle_index(obj.squares, obj.vertices)
+    raise TypeError(f"not a square complex: {type(obj).__name__}")
 
 
 def _coset_index(squares):
@@ -211,8 +208,8 @@ def _coset_index(squares):
     their corners (coxeter.corner_keys), which order and hash as the
     vertex cells do, in C.
 
-    The squares are taken in their key order, as square_cycles takes
-    them.  Each vertex is decoded into a cell only when the vertices are
+    The squares are taken in their key order, which is their sorted
+    order.  Each vertex is decoded into a cell only when the vertices are
     first read, as corner k of the first square that has it as corner k,
     so that its rep is that square's times q^k.
     """
@@ -266,7 +263,7 @@ def _edge_ids(keys):
 
 
 # The signs of each corner's step from a lattice square's center along its
-# odd axes i < j, in the order of corners_cyclic
+# odd axes i < j, in the order of lattice.corners_cyclic
 _CORNERS = ((-1, -1), (1, -1), (1, 1), (-1, 1))
 
 

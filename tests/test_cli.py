@@ -259,6 +259,21 @@ def test_a_matrix_outside_the_reflection_group_exits_2(command):
 
 
 @pytest.mark.parametrize("command", ["validate", "classify", "export"])
+def test_a_matrix_that_breaks_the_form_exits_2(tmp_path, command):
+    # the identity with entry [0][0] = 2 passes the twist test, and
+    # doubles B(e_0, e_0)
+    rep = [[[int(i == j), 0, 0, 0] for j in range(4)] for i in range(4)]
+    rep[0][0][0] = 2
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"format": "gridded", "ambient": "{4,3,5}",
+                                "squares": [{"mask": 11, "rep": rep}]}))
+    code, out, err = run([command, str(path)])
+    assert (code, out) == (2, "")
+    assert err == ("error: squares[0]: matrix does not preserve the "
+                   "bilinear form\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "export"])
 def test_euclidean_coset_document_exits_2(tmp_path, command):
     # {4,3,4} is the cubic lattice: its squares are Z3 keys, not cosets
     identity = [[[int(i == j), 0, 0, 0] for j in range(4)] for i in range(4)]

@@ -153,6 +153,37 @@ def test_b_preservation_on_random_words():
             assert gram == s.bilinear4 and preserves_form(s, w)
 
 
+def _qf_mat_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), QF(0))
+             for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_preserves_form_agrees_with_the_field_reference(name):
+    # the reference computes m^T B m = B over Q(sqrt2, sqrt5), with B from
+    # the labels, not 4B from the ring; a word preserves the form, and
+    # one coordinate moved by a nonzero step almost always breaks it, so
+    # both answers are checked
+    s = build_system(name)
+    form = qf_form(s)
+    rng = random.Random(27)
+    answers = []
+    for _ in range(12):
+        w = random_word(s, rng, rng.randrange(0, 10))
+        rows = [list(row) for row in w]
+        i, j, t = (rng.randrange(s.rank), rng.randrange(s.rank),
+                   rng.randrange(4))
+        e = list(rows[i][j])
+        e[t] += rng.choice((-3, -1, 1, 2))
+        rows[i][j] = tuple(e)
+        for m in (w, tuple(map(tuple, rows))):
+            q = qf_matrix(m)
+            want = _qf_mat_mul(_qf_mat_mul(list(zip(*q)), form), q) == form
+            assert preserves_form(s, m) == want
+            answers.append(want)
+    assert answers.count(True) >= 12 and False in answers
+
+
 def test_matrix_inverse():
     rng = random.Random(7)
     s = build_system("{4,3,5}")
@@ -716,29 +747,29 @@ def test_tree_load_and_classify_dot_counts(monkeypatch, dots, products):
     # exact: a load checks all its squares in one batch (_first_fault), on
     # int columns, and keys each square from the same entries, with no
     # ring product; classifying reads the corners off integer tables.  A
-    # check per square, a dot for a key or a Gram entry, an image 4B col
-    # or a product per corner raises them
+    # check per square, a dot for a key or a Gram entry, a preserves_form
+    # call on a sound load or a product per corner raises them
     build_system("{4,3,5}")
-    images, batches = [0], [0]
-    image, batch = coxeter._form_image, coxeter._first_fault
+    checks, batches = [0], [0]
+    check, batch = coxeter.preserves_form, coxeter._first_fault
 
-    def counted_image(terms, col):
-        images[0] += 1
-        return image(terms, col)
+    def counted_check(*args):
+        checks[0] += 1
+        return check(*args)
 
     def counted_batch(*args):
         batches[0] += 1
         return batch(*args)
 
-    monkeypatch.setattr(coxeter, "_form_image", counted_image)
+    monkeypatch.setattr(coxeter, "preserves_form", counted_check)
     monkeypatch.setattr(coxeter, "_first_fault", counted_batch)
     data = complex_to_jsonable(tree_of_life_435(3))
     assert len(data["squares"]) == 114
     dots[0] = products[0] = 0
     loaded = jsonable_to_complex(data)
-    assert (batches[0], dots[0], images[0], products[0]) == (1, 0, 0, 0)
+    assert (batches[0], dots[0], checks[0], products[0]) == (1, 0, 0, 0)
     classify(loaded)
-    assert (batches[0], dots[0], images[0], products[0]) == (1, 0, 0, 0)
+    assert (batches[0], dots[0], checks[0], products[0]) == (1, 0, 0, 0)
 
 
 def test_only_proper_parabolics_are_enumerated(products):

@@ -43,6 +43,25 @@ def mobius_strip():
     return AbstractSquareComplex.from_squares(squares)
 
 
+def _reference_cycles(obj):
+    """The vertex cycles of a complex's squares, in sorted order, walked
+    one square at a time by the per-square corner functions, not read
+    from the square index."""
+    if isinstance(obj, AbstractSquareComplex):
+        return list(obj.squares)
+    if lattice.is_lattice_ambient(obj.ambient):
+        return [lattice.corners_cyclic(s) for s in sorted(obj.squares)]
+    return [coxeter.square_vertex_cycle(s) for s in sorted(obj.squares)]
+
+
+def test_square_cycles_reads_the_index():
+    for obj in (mobius_strip(), sphere_cube(), hyperbolic_torus_435()):
+        assert surface.square_cycles(obj) == _reference_cycles(obj)
+    for obj in (None, {(1, 1)}, [(0, 1, 2, 3)]):
+        with pytest.raises(TypeError, match="not a square complex"):
+            surface.square_cycles(obj)
+
+
 def test_cube_is_a_sphere():
     rep = classify(sphere_cube())
     assert rep.is_surface and rep.is_closed
@@ -189,7 +208,7 @@ def test_mobius_strip():
 def _assert_odd_dual_loop(obj):
     loop = classify(obj).nonorientable_witness
     assert loop is not None and len(loop) >= 2
-    assert set(loop) <= set(surface.square_cycles(obj))
+    assert set(loop) <= set(_reference_cycles(obj))
     product = 1
     for i in range(len(loop)):
         flip = orientation_flip(loop[i], loop[(i + 1) % len(loop)])
@@ -421,10 +440,11 @@ def test_lattice_vertices_are_decoded_only_when_read(
 def _assert_coset_index_is_the_reference(obj):
     """The index of a coset complex, built on corner key tuples, equals
     the one _cycle_index builds from its cycles of vertex cells, field by
-    field; each decoded vertex is its corner in square_cycles and is the
-    coset of its own rep."""
+    field; each decoded vertex is its corner in the reference cycles,
+    walked square by square, and is the coset of its own rep."""
     index = square_index(obj)
-    cycles = surface.square_cycles(obj)
+    cycles = _reference_cycles(obj)
+    assert surface.square_cycles(obj) == cycles
     reference = surface._cycle_index(cycles)
     for field in ("vertex_count", "squares", "square_edges", "edge_counts",
                   "rises", "masks", "arcs", "vertices", "edges", "cycles",
@@ -491,12 +511,13 @@ def test_coset_index_of_catalogue_builds_is_the_reference_index(build):
 @pytest.mark.parametrize("command", [validate_surface, classify, to_off])
 def test_each_command_walks_the_squares_once(monkeypatch, build, command):
     obj = build()
-    passes, corner_walks, vertex_cells = [], [], []
+    passes, corner_walks, cycle_walks, vertex_cells = [], [], [], []
     cycles = surface.square_cycles
     encode = lattice.cell_codes
     corner_keys = coxeter.corner_keys
     corner_vertex = coxeter.corner_vertex
     corners = lattice.corners_cyclic
+    vertex_cycle = coxeter.square_vertex_cycle
     monkeypatch.setattr(surface, "square_cycles",
                         lambda o: passes.append(o) or cycles(o))
     monkeypatch.setattr(lattice, "cell_codes",
@@ -505,10 +526,13 @@ def test_each_command_walks_the_squares_once(monkeypatch, build, command):
                         lambda sq: corner_walks.append(sq) or corner_keys(sq))
     monkeypatch.setattr(coxeter, "corner_vertex", lambda sq, k, key: (
         vertex_cells.append(key) or corner_vertex(sq, k, key)))
-    for module in (lattice, surface):
-        monkeypatch.setattr(module, "corners_cyclic",
-                            lambda sq: corner_walks.append(sq) or corners(sq))
+    # the per-square corner walks, which no command calls
+    monkeypatch.setattr(lattice, "corners_cyclic",
+                        lambda sq: cycle_walks.append(sq) or corners(sq))
+    monkeypatch.setattr(coxeter, "square_vertex_cycle",
+                        lambda sq: cycle_walks.append(sq) or vertex_cycle(sq))
     command(obj)
+    assert cycle_walks == []
     if build is sphere_cube:
         # one encoding of the lattice squares, and no corner tuples
         assert passes == [obj.squares]
@@ -671,7 +695,7 @@ def test_pool_annuli_match_brute_surface_check(rows, extra):
 @given(st.sets(st.sampled_from(BOX_SQUARES), min_size=1))
 def test_box_square_subsets_match_brute_surface_check(squares):
     _check_against_brute_surface_check(
-        surface.square_cycles(GriddedComplex("Z3", squares)))
+        _reference_cycles(GriddedComplex("Z3", squares)))
 
 
 # The lattice index against the generic one built from corner cycles.
@@ -706,7 +730,8 @@ def _summary(rep):
 
 def _check_lattice_index(g):
     index = square_index(g)
-    cycles = surface.square_cycles(g)
+    cycles = _reference_cycles(g)
+    assert surface.square_cycles(g) == cycles
     generic = surface._cycle_index(cycles)
     for name in ("vertex_count", "vertices", "squares", "square_edges",
                  "edge_counts", "rises", "cycles", "links"):
