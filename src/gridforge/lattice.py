@@ -303,7 +303,11 @@ def ambient_dim(ambient):
     """Coordinate dimension for a lattice ambient tag like "Z3"."""
     if not is_lattice_ambient(ambient):
         raise ValueError(f"not a lattice ambient: {ambient!r}")
-    return int(ambient[1:])
+    try:
+        return int(ambient[1:])
+    except ValueError:  # past the interpreter's int string digit limit
+        raise ValueError(f"ambient dimension has {len(ambient) - 1} digits,"
+                         " too many to read") from None
 
 
 def distinct(items, name, message):

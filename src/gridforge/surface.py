@@ -14,29 +14,27 @@ single simple path.
 
 Validation, classification, the Euler characteristic, mesh export,
 to_abstract and the embedded sum's vertex clash test read one SquareIndex:
-dense int vertex ids, int squares, the edge ids of each square's sides
-(one numbering, _edge_ids), whether each side rises from the lower
-vertex id to the higher, and the number of squares on each edge.  A
+dense int vertex ids, numbered by one rule (_numbered) from the sorted
+corners, int squares, the edge ids of each square's sides (one
+numbering, _edge_ids), and the number of squares on each edge.  A
 lattice complex builds it in one pass over int cell codes
 (lattice.cell_codes), where a square's corners are its code plus or minus
-two weights and its sides' midpoints, which key its edges, its code plus
-or minus one.  It marks the corners at each vertex in a bit mask, 4 bits
-per pair of odd axes in use, that fixes the vertex's link up to renaming,
-so each distinct mask is checked once.  Corner ids rise with the code, so
-sides 0 and 1 of every lattice square rise and sides 2 and 3 fall.  The
-vertex tuples are decoded from their codes only when first read, which
-export does and validate and classify do only to name a failure or a
-nonorientable loop: they count vertices.  A honeycomb complex builds it
-on the key tuples of its squares' corners (coxeter.corner_keys), integer
-sums off each square's own key with no ring product, which hash and sort
-as the vertex cells do; the cells are decoded from them only when the
-vertices are first read, as the lattice vertices are.  Abstract
-complexes build it from their squares, which are vertex cycles already.
-The index is the one source of each square's cyclic corners:
-square_cycles reads them from it.  Classify validates on the index it
-builds, and orients the squares through their sides' edge ids, one tree
-of squares per component: two sides on one edge run the same way iff
-both rise or both fall.
+two weights and each side's edge is keyed by the sum of its two corners'
+codes.  It marks the corners at each vertex in a bit mask, 4 bits per
+pair of odd axes in use, that fixes the vertex's link up to renaming, so
+each distinct mask is checked once.  The vertex tuples are decoded from
+their codes only when first read, which export does and validate and
+classify do only to name a failure or a nonorientable loop: they count
+vertices.  A honeycomb complex builds it on the key tuples of its
+squares' corners (coxeter.corner_keys), integer sums off each square's
+own key with no ring product, which hash and sort as the vertex cells
+do; the cells are decoded from them only when the vertices are first
+read, as the lattice vertices are.  Abstract complexes build it from
+their squares, which are vertex cycles already.  The index is the one
+source of each square's cyclic corners: square_cycles reads them from
+it.  Classify validates on the index it builds, and orients the squares
+through their sides' edge ids, one tree of squares per component: two
+sides on one edge run the same way iff they start at the same vertex.
 """
 
 from __future__ import annotations
@@ -127,37 +125,34 @@ def square_cycles(obj):
 class SquareIndex:
     """The squares of a complex in dense integer form.
 
-    A vertex's id is its position in the sorted vertices, so ids compare
-    as the vertices do, and vertex_count is their number.  squares are
-    the vertex cycles of the squares, taken in sorted order, as id
-    4-tuples, and cycles the same with the vertices themselves.  Edges
-    are numbered in order of first sight: square_edges[4 * i + k] is the
-    id of side k of square i, the side from its corner k to corner k + 1
-    (mod 4), rises[4 * i + k] whether that side runs from the lower
-    vertex id to the higher, and edge_counts[e] the number of squares
-    containing edge e.  edges maps each edge (a, b) with a < b to that
-    number, in id order.  links[v] has one arc (u, w) per square corner
-    at v, where u and w are the corner's two neighbours: the link of v
-    has a node per edge at v, named by its other end.  edges, cycles and
-    links are formed when first read.  On a gridded complex so are the
-    vertices, decoded by decode from vertex_codes, the sorted cell codes
-    of a lattice or corner key tuples of a honeycomb (on an abstract
-    complex, the vertices themselves): only export, square_cycles and
-    failure messages read them, and the export of a honeycomb complex
-    reads the key tuples.  On a lattice complex masks[v] has bit 4p + k
-    set when corner k of a square spanning the p-th pair of odd axes in
-    use lies at v, and arcs[4p + k] is that corner's arc in the link of v
-    (see _lattice_index), so masks[v] fixes the link of v up to renaming
-    its nodes; on other complexes masks and arcs are None.
+    A vertex's id is its position in the sorted vertices, so ids compare as
+    the vertices do, and vertex_count is their number.  squares are the
+    vertex cycles of the squares, taken in sorted order, as id 4-tuples, and
+    cycles the same with the vertices themselves.  Edges are numbered in
+    order of first sight: square_edges[4 * i + k] is the id of side k of
+    square i, the side from its corner k to corner k + 1 (mod 4), and
+    edge_counts[e] the number of squares containing edge e.  edges maps each
+    edge (a, b) with a < b to that number, in id order.  links[v] has one
+    arc (u, w) per square corner at v, where u and w are the corner's two
+    neighbours: the link of v has a node per edge at v, named by its other
+    end.  edges, cycles and links are formed when first read.  On a gridded
+    complex so are the vertices, decoded by decode from vertex_codes, the
+    sorted cell codes of a lattice or corner key tuples of a honeycomb (on
+    an abstract complex, the vertices themselves): only export,
+    square_cycles and failure messages read them, and the export of a
+    honeycomb complex reads the key tuples.  On a lattice complex masks[v]
+    has bit 4p + k set when corner k of a square spanning the p-th pair of
+    odd axes in use lies at v, and arcs[4p + k] is that corner's arc in the
+    link of v (see _lattice_index), so masks[v] fixes the link of v up to
+    renaming its nodes; on other complexes masks and arcs are None.
     """
 
-    def __init__(self, vertices, squares, square_edges, edge_counts, rises,
+    def __init__(self, vertices, squares, square_edges, edge_counts,
                  masks=None, arcs=None, decode=None):
         self.vertex_count = len(vertices)
         self.vertex_codes, self._decode = vertices, decode
         self.squares, self.square_edges = squares, square_edges
-        self.edge_counts, self.rises = edge_counts, rises
-        self.masks, self.arcs = masks, arcs
+        self.edge_counts, self.masks, self.arcs = edge_counts, masks, arcs
 
     @cached_property
     def vertices(self):
@@ -230,28 +225,24 @@ def _cycle_index(cycles, declared=(), decode=None):
     """The SquareIndex of square vertex cycles, given in order, whose
     vertices decode, if given, turns into the vertices read.
 
-    Each corner costs one hash lookup to find its vertex, each vertex one
-    more to rank it, and each side one to number its edge; everything
-    after that works on ints.  Side (a, b) with a < b has the key
-    a * n + b over n vertex ids.
+    Each corner costs one hash lookup to find its vertex id and each side
+    one to number its edge; everything after that works on ints.  Side
+    (a, b) with a < b has the key a * n + b over n vertex ids.
     """
-    first = {v: i for i, v in enumerate(declared)}
-    see = first.setdefault
-    raw = [(see(a, len(first)), see(b, len(first)), see(c, len(first)),
-            see(d, len(first))) for a, b, c, d in cycles]
-    vertices = sorted(first)
+    vertices, squares = _numbered(list(zip(*cycles)), declared)
     n = len(vertices)
-    rank = [0] * n
-    for new, v in enumerate(vertices):
-        rank[first[v]] = new
-    squares = [(rank[a], rank[b], rank[c], rank[d]) for a, b, c, d in raw]
-    sides = [pair for a, b, c, d in squares
-             for pair in ((a, b), (b, c), (c, d), (d, a))]
-    rises = [a < b for a, b in sides]
-    keys = [a * n + b if up else b * n + a
-            for (a, b), up in zip(sides, rises)]
-    return SquareIndex(vertices, squares, *_edge_ids(keys), rises,
-                       decode=decode)
+    keys = [x * n + y if x < y else y * n + x for a, b, c, d in squares
+            for x, y in ((a, b), (b, c), (c, d), (d, a))]
+    return SquareIndex(vertices, squares, *_edge_ids(keys), decode=decode)
+
+
+def _numbered(corners, declared=()):
+    """The sorted vertices of squares whose corner k is corners[k][i] on
+    square i, and of the declared ones, and the squares as 4-tuples of
+    vertex ids, a vertex's id its position in that order."""
+    order = sorted(set(declared).union(*corners))
+    vid = dict(zip(order, range(len(order))))
+    return order, list(zip(*[map(vid.__getitem__, c) for c in corners]))
 
 
 def _edge_ids(keys):
@@ -272,54 +263,46 @@ def _lattice_index(keys):
 
     A square with code S whose odd axes i < j have the weights w_i, w_j
     (lattice.cell_codes) has corner k at S + si * w_i + sj * w_j, where
-    (si, sj) is _CORNERS[k], and side k, from corner k to corner k + 1,
-    has its midpoint, a cell of the tiling too, at the mean of theirs:
-    S - w_j, S + w_i, S + w_j and S - w_i.  Those midpoint codes key the
-    edges.  Corner ids rise with the code, so sides 0 and 1 rise and
-    sides 2 and 3 fall.  Each odd-axes mask in use gets the next 4 bits
-    of masks and their arcs.  The vertices are decoded from the sorted
-    corner codes when first read.
+    (si, sj) is _CORNERS[k].  Side k runs from corner k to corner k + 1,
+    and the sum of their codes keys its edge: it is twice the code of
+    the cell at the side's centre, so no two edges share it.  Each
+    odd-axes mask in use gets the next 4 bits of masks and their arcs.
+    The vertices are decoded from the sorted corner codes when first
+    read.
     """
     if not keys:
-        return SquareIndex([], [], [], [], [])
+        return SquareIndex([], [], [], [])
     codes, odd, weights, decode = lattice.cell_codes(keys)
-    # per odd-axes mask m: the offsets from a square's code of its corner
-    # k and of the midpoint of its side k, and the bit of its corner 0
+    # per odd-axes mask m: the offset from a square's code of its corner
+    # k, and the bit of its corner 0
     corner_at = [{} for _ in _CORNERS]
-    side_at = [{} for _ in _CORNERS]
     bit_at, arcs = {}, []
     for m in sorted(set(odd)):
         i, j = (m & -m).bit_length() - 1, m.bit_length() - 1
         wi, wj = weights[i], weights[j]
         for k, (si, sj) in enumerate(_CORNERS):
             corner_at[k][m] = si * wi + sj * wj
-        for k, step in enumerate((-wj, wi, wj, -wi)):
-            side_at[k][m] = step
         bit_at[m] = 1 << len(arcs)
         # the square lies at -si along i from its corner: the link node
         # of the edge along -i or +i is 2i or 2i + 1
         arcs += [(2 * i + (si < 0), 2 * j + (sj < 0)) for si, sj in _CORNERS]
-    F = len(codes)
-    sides = [0] * (4 * F)
-    for k, at in enumerate(side_at):
-        sides[k::4] = map(add, codes, map(at.__getitem__, odd))
-    square_edges, edge_counts = _edge_ids(sides)
-    del sides  # it would raise the peak memory of the corner pass by a third
     corners = [list(map(add, codes, map(at.__getitem__, odd)))
                for at in corner_at]
-    order = sorted(set().union(*corners))
-    n = len(order)
-    vid = dict(zip(order, range(n)))
-    squares = list(zip(*[map(vid.__getitem__, c) for c in corners]))
-    del corners, vid
-    masks = [0] * n
+    sides = [0] * (4 * len(codes))
+    for k in range(4):
+        sides[k::4] = map(add, corners[k], corners[k + 1 & 3])
+    square_edges, edge_counts = _edge_ids(sides)
+    del sides
+    order, squares = _numbered(corners)
+    del corners
+    masks = [0] * len(order)
     for (a, b, c, d), bit in zip(squares, map(bit_at.__getitem__, odd)):
         masks[a] |= bit
         masks[b] |= bit << 1
         masks[c] |= bit << 2
         masks[d] |= bit << 3
-    return SquareIndex(order, squares, square_edges, edge_counts,
-                       [True, True, False, False] * F, masks, arcs, decode)
+    return SquareIndex(order, squares, square_edges, edge_counts, masks,
+                       arcs, decode)
 
 
 def declared_vertices(obj):
@@ -451,12 +434,13 @@ def _orient_components(index):
     directions.  An inconsistency yields a witness loop of squares whose
     orientations cannot be reconciled.  Every edge must lie in at most two
     squares, as it does once the complex has validated.  Two sides on an
-    edge run the same way iff both rise or both fall (index.rises).
+    edge run the same way iff they start at the same vertex.
     Returns the tree of each square, the trees numbered in order of their
     first square, and per tree its orientability and witness.
     """
-    squares, square_edges, rises = (index.squares, index.square_edges,
-                                    index.rises)
+    squares, square_edges = index.squares, index.square_edges
+    # side p starts at corner p of the squares laid end to end
+    start = list(chain.from_iterable(squares))
     # mate[p] is the position in square_edges of the other side on the
     # same edge as position p, or -1 on the boundary
     mate = [-1] * len(square_edges)
@@ -489,7 +473,7 @@ def _orient_components(index):
                 if q < 0:
                     continue
                 other = q >> 2
-                need = -here if rises[p] == rises[q] else here
+                need = -here if start[p] == start[q] else here
                 if not sign[other]:
                     sign[other] = need
                     tree[other] = t

@@ -17,6 +17,7 @@ from gridforge import cli, constructors
 from gridforge.cli import main
 from gridforge.constructors import spiral_tree
 from gridforge.coxeter import _mat_mul, build_system
+from gridforge.lattice import GriddedComplex
 
 # a subprocess finds the package in the checkout, installed or not
 SRC_ENV = {**os.environ,
@@ -178,6 +179,18 @@ def test_sum_bad_input_exits_2(tmp_path, first, extra, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("faces,message", [
+    (["--face-a", "x", "--face-b", "1,1,0"],
+     "expected comma-separated integers, got 'x'"),
+    (["--face-a", "1,1,2", "--face-b", "1,1,7"],
+     "(1, 1, 7) is not a square of the second complex"),
+], ids=["not-integers", "not-in-the-second"])
+def test_sum_bad_faces_exit_2(tmp_path, faces, message):
+    s = build(tmp_path, "sphere")
+    assert run(["sum", str(s), str(s), *faces]) == (
+        2, "", f"error: {message}\n")
+
+
 def test_sum_in_z2_exits_2(tmp_path):
     path = tmp_path / "z2.json"
     path.write_text(json.dumps({"format": "gridded", "ambient": "Z2",
@@ -297,6 +310,25 @@ def test_non_canonical_lattice_ambient_exits_2(tmp_path, command, ambient):
     assert (code, out) == (2, "")
     assert err == (f"error: unknown system {ambient!r}; known: {{4,3,3,4}}, "
                    "{4,3,3,5}, {4,3,4}, {4,3,5}, {4,4}\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int string digit limit")
+def test_a_dimension_past_the_int_digit_limit_names_the_ambient(tmp_path):
+    ambient = "Z" + "9" * 5000
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"format": "gridded", "ambient": ambient,
+                                "squares": [[1, 1, 0]]}))
+    message = "ambient dimension has 5000 digits, too many to read"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError) as exc:
+            GriddedComplex(ambient, {(1, 1, 0)})
+        assert str(exc.value) == message
+        assert run(["validate", str(path)]) == (2, "", f"error: {message}\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _identity_with_a_true():
@@ -421,6 +453,15 @@ def test_pruned_tree_rejects_negative_counts(option, value):
                           option, value])
     assert (code, out) == (2, "")
     assert err == f"error: {option[2:]} must be >= 0, got {value}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["closed-surface", "--genus", "-1"], "count must be nonnegative"),
+    (["tree-spiral", "--depth", "-1"], "depth must be nonnegative"),
+    (["tree-of-life", "--depth", "-1"], "depth must be nonnegative"),
+], ids=["closed-surface", "tree-spiral", "tree-of-life"])
+def test_negative_sizes_exit_2(argv, message):
+    assert run(["build", *argv]) == (2, "", f"error: {message}\n")
 
 
 def test_bad_end_length_names_the_entry():

@@ -19,7 +19,9 @@ from gridforge.constructors import (
 )
 from gridforge.export import to_off
 from gridforge.formats import dumps_complex, jsonable_to_complex
-from gridforge.honeycombs import hyperbolic_torus_435, pants_4335, torus_4335
+from gridforge.honeycombs import (
+    hyperbolic_torus_435, pants_4335, surface_4335, torus_4335,
+)
 from gridforge.lattice import GriddedComplex, cube_union_boundary
 from gridforge.surface import (
     AbstractSquareComplex, GridCollisionError, SurfaceReport, classify,
@@ -447,8 +449,7 @@ def _assert_coset_index_is_the_reference(obj):
     assert surface.square_cycles(obj) == cycles
     reference = surface._cycle_index(cycles)
     for field in ("vertex_count", "squares", "square_edges", "edge_counts",
-                  "rises", "masks", "arcs", "vertices", "edges", "cycles",
-                  "links"):
+                  "masks", "arcs", "vertices", "edges", "cycles", "links"):
         assert getattr(index, field) == getattr(reference, field), field
     vertices = index.vertices
     for cycle, ids in zip(cycles, index.squares):
@@ -734,7 +735,7 @@ def _check_lattice_index(g):
     assert surface.square_cycles(g) == cycles
     generic = surface._cycle_index(cycles)
     for name in ("vertex_count", "vertices", "squares", "square_edges",
-                 "edge_counts", "rises", "cycles", "links"):
+                 "edge_counts", "cycles", "links"):
         assert getattr(index, name) == getattr(generic, name), name
     assert list(index.edges.items()) == list(generic.edges.items())
     abstract = AbstractSquareComplex.from_squares(cycles)
@@ -776,6 +777,47 @@ def test_lattice_index_equals_the_generic_index(g):
         "z7-scattered-pairs", "klein-bottle", "crosscap-z4"])
 def test_lattice_index_fixed_cases(g):
     _check_lattice_index(g)
+
+
+def _moved(cycles, rng):
+    """Each cycle turned to start at a random corner, and reversed at
+    random."""
+    moved = []
+    for cycle in cycles:
+        r = rng.randrange(4)
+        cycle = cycle[r:] + cycle[:r]
+        moved.append(cycle[::-1] if rng.random() < 0.5 else cycle)
+    return moved
+
+
+def _trees(index):
+    """The tree of each square, and per tree its orientability."""
+    return surface._orient_components(index)[:2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_complexes(), st.randoms(use_true_random=False))
+def test_orientation_does_not_depend_on_the_direction_of_each_cycle(g, rng):
+    index = square_index(g)
+    assume(max(index.edge_counts, default=0) <= 2)
+    moved = surface._cycle_index(_moved(_reference_cycles(g), rng))
+    assert _trees(moved) == _trees(index)
+
+
+@pytest.mark.parametrize("build", [
+    klein_bottle, crosscap_z4, hyperbolic_torus_435, torus_4335, pants_4335,
+    lambda: surface_4335(False, 2)],
+    ids=["klein-bottle", "crosscap-z4", "torus-435", "torus-4335",
+         "pants-4335", "crosscaps-4335"])
+def test_catalogue_orientation_does_not_depend_on_the_corner_starts(build):
+    # a loaded coset complex starts its squares' cycles at the corners
+    # its least reps pick, which the built one need not
+    obj = build()
+    trees = _trees(square_index(obj))
+    loaded = jsonable_to_complex(json.loads(dumps_complex(obj)))
+    assert _trees(square_index(loaded)) == trees
+    moved = _moved(_reference_cycles(obj), random.Random(28))
+    assert _trees(surface._cycle_index(moved)) == trees
 
 
 def test_lattice_link_bits_cover_only_the_axis_pairs_in_use():
