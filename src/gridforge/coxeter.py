@@ -57,7 +57,7 @@ products, which also checks the generators when a system is set up.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial, reduce, total_ordering
+from functools import cache, partial, reduce, total_ordering
 from itertools import chain, repeat
 from operator import add, itemgetter, lshift, mod, mul
 
@@ -515,12 +515,19 @@ class CoxeterSystem:
         return f"CoxeterSystem({self.name!r})"
 
 
-@lru_cache(maxsize=None)
+@cache
 def build_system(name):
     return CoxeterSystem(name)
 
 
-_ENUM_CACHE = {}
+def _require_proper(system, gens):
+    """gens as a frozenset; ValueError unless it is a proper subset of the
+    system's generators, the index sets of its finite parabolics."""
+    gens = frozenset(gens)
+    if not gens < frozenset(range(system.rank)):
+        raise ValueError(f"parabolic {sorted(gens)} of {system.name} is not "
+                         "a proper subset of its generators")
+    return gens
 
 
 def enumerate_parabolic(system, gens):
@@ -532,14 +539,11 @@ def enumerate_parabolic(system, gens):
     gens, the whole group or a generator the system lacks, raises
     ValueError before a product is formed.
     """
-    gens = frozenset(gens)
-    if not gens < frozenset(range(system.rank)):
-        raise ValueError(f"parabolic {sorted(gens)} of {system.name} is not "
-                         "a proper subset of its generators")
-    cache_key = (system.name, gens)
-    hit = _ENUM_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
+    return _parabolic(system, _require_proper(system, gens))
+
+
+@cache
+def _parabolic(system, gens):
     mats = [system.generators[i] for i in sorted(gens)]
     ident = _identity(system.rank)
     seen = {ident}
@@ -553,9 +557,7 @@ def enumerate_parabolic(system, gens):
                     seen.add(wg)
                     nxt.append(wg)
         frontier = nxt
-    result = tuple(sorted(seen, key=matrix_key))
-    _ENUM_CACHE[cache_key] = result
-    return result
+    return tuple(sorted(seen, key=matrix_key))
 
 
 def parabolic_order(system, gens):
@@ -592,10 +594,7 @@ def diagram_order(system, gens):
     of consecutive generators, and a run of n generators is the linear
     diagram of the n - 1 labels between them.
     """
-    gens = frozenset(gens)
-    if not gens < frozenset(range(system.rank)):
-        raise ValueError(f"parabolic {sorted(gens)} of {system.name} is not "
-                         "a proper subset of its generators")
+    gens = _require_proper(system, gens)
     order, n = 1, 0
     for i in range(system.rank + 1):
         if i in gens:
@@ -745,18 +744,12 @@ def identity_cell(system, d):
     return CosetKey(system, system.parabolic_gens(d), _identity(system.rank))
 
 
-_TRANSVERSAL_CACHE = {}
-
-
+@cache
 def _transversal(system, d, j):
     """Triples (t, t * x_j, kept) such that the j-cells incident to a
     d-cell w P_d are exactly the w t P_j, each exactly once.  kept is a
     list, empty until the least matrix of a face w t P_j is first asked
     for; it then holds _columns(t, P_j) for every later face with t."""
-    key = (system.name, d, j)
-    hit = _TRANSVERSAL_CACHE.get(key)
-    if hit is not None:
-        return hit
     gens_j = system.parabolic_gens(j)
     seen = set()
     reps = []
@@ -765,9 +758,7 @@ def _transversal(system, d, j):
         if k not in seen:
             seen.add(k)
             reps.append((p, k.vec, []))
-    reps = tuple(reps)
-    _TRANSVERSAL_CACHE[key] = reps
-    return reps
+    return tuple(reps)
 
 
 def cell_faces(cell, j):

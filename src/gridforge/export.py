@@ -117,19 +117,23 @@ def _gridded_index(obj):
 
 
 def _points(ambient, index):
-    """Coordinates of the vertices of a gridded complex's SquareIndex, in
-    their order: a lattice's from the vertex tuples, a honeycomb's from
-    the corner key tuples, with no vertex cell decoded."""
+    """The dimension of a gridded complex's points, and the coordinates
+    of the vertices of its SquareIndex in their order.  A lattice Zn has
+    n, and its points come from the vertex tuples; a honeycomb has
+    rank - 1, as its points lie in the Klein ball, and they come from the
+    corner key tuples, with no vertex cell decoded.  The dimension is the
+    ambient's, so an empty complex has one too."""
     if is_lattice_ambient(ambient):
-        return list(zip(*[[c / 2.0 for c in axis]
-                          for axis in zip(*index.vertices)]))
-    return _klein_coords(build_system(ambient), index.vertex_codes)
+        halves = [[c / 2.0 for c in axis] for axis in zip(*index.vertices)]
+        return ambient_dim(ambient), list(zip(*halves))
+    system = build_system(ambient)
+    return system.rank - 1, _klein_coords(system, index.vertex_codes)
 
 
 def vertex_coordinates(obj):
     """Map each vertex of a gridded complex to a tuple of floats."""
     index = _gridded_index(obj)
-    return dict(zip(index.vertices, _points(obj.ambient, index)))
+    return dict(zip(index.vertices, _points(obj.ambient, index)[1]))
 
 
 def _fmt(x):
@@ -147,16 +151,11 @@ class _Digits(dict):
 
 
 def _mesh(obj):
-    """The dimension of the points, the points in sorted vertex order,
-    faces as sorted 4-tuples of point positions, and the number of
-    edges.  The dimension is the ambient's, so an empty complex has one
-    too: n in Zn, and rank - 1 for a honeycomb, whose points lie in the
-    Klein ball."""
+    """The dimension of the points and the points in sorted vertex order,
+    as _points gives them, faces as sorted 4-tuples of point positions,
+    and the number of edges."""
     index = _gridded_index(obj)
-    ambient = obj.ambient
-    dim = (ambient_dim(ambient) if is_lattice_ambient(ambient)
-           else build_system(ambient).rank - 1)
-    return (dim, _points(ambient, index), sorted(index.squares),
+    return (*_points(obj.ambient, index), sorted(index.squares),
             len(index.edge_counts))
 
 

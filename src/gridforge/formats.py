@@ -10,51 +10,43 @@ Three document shapes, told apart by their "format" key:
 - abstract:         {"format": "abstract", "vertices": ["a", ...],
                      "squares": [["a", "b", "c", "d"], ...]}
 
-Output is deterministic: squares and vertices are sorted, coset
-representatives are canonicalized to the least matrix of their coset,
-keys are sorted and the text always ends in one newline; it is the text
-of json.dumps(..., sort_keys=True, indent=2).  Gridded documents are
-written from one template per square, not through json.dumps.  Abstract
-vertex labels are stringified on write and stay strings on load.
-In-memory `meta` annotations are not serialized.
+Output is deterministic.  complex_to_jsonable sorts the squares and
+vertices and writes each coset square as the least matrix of its coset;
+dumps_complex writes the text json.dumps(..., sort_keys=True, indent=2)
+gives for it and one newline, a gridded document from one template per
+square.  Abstract vertex labels are stringified on write and stay
+strings on load.  In-memory `meta` annotations are not serialized.
 
 Loading checks JSON shape only, with JSON true and false rejected where
-an integer is expected, and, for honeycomb cells, that each mask is a
-square's (it leaves out generator 2 alone) and that each representative
-m preserves the bilinear form: m^T 4B m = 4B, compared on and above the
-diagonal only, since both sides are symmetric; that it keeps the time
-orientation as the elements of the reflection group W do
-(coxeter.keeps_time_orientation), which the negation of a representative
-does not; and that it passes the twist test, which every element of W
-passes: an entry in row 0 or column 0, but not both, is sqrt2 times an
-element of Z[phi], and every other entry lies in Z[phi].  The twist test
-is necessary only: a matrix outside W that passes all three still loads.
-The loader hands entries over in document order to GriddedComplex or
-AbstractSquareComplex, which check each square and then look for
-repeats, so ValueError names the first bad entry by position.  Lattice
-keys are tested in bulk, by one set of the entry types and one of the
-types of all their coordinates; only when that fails does the loader
-hand over a generator that checks each entry as it is drawn, and
-GriddedComplex, which checks the keys drawn before an entry the
-generator refuses, still names the first bad one.  Coset entries are
-tested in bulk the same way: set tests of the entry types, the masks,
-the types and lengths of the rep, its rows and entries, and the types
-of all coordinates.  Then coxeter.square_keys checks and keys all the
-representatives in one batch, from the flat list of their coordinates:
-the twist test on columns of coordinates, the form by an exact Gram
-check over Z[phi] modulo an integer chosen from the document's largest
-coordinate, and the time orientation.  Only the first representative
-that fails is checked again, to name its fault: the form by
-coxeter.preserves_form, which is its definition in two ring-matrix
-products.  Only when a set test fails are the entries walked one by
-one, each shape checked, then its representative checked by square_keys
-as a batch of one, before the next entry is drawn, so the first bad one
-is still named.
+an integer is expected.  A honeycomb square must carry a square's mask
+(it leaves out generator 2 alone), and its representative m must
+preserve the bilinear form, m^T 4B m = 4B (compared on and above the
+diagonal, as both sides are symmetric), keep the time orientation as the
+elements of the reflection group W do (coxeter.keeps_time_orientation),
+which its negation does not, and pass the twist test, which every
+element of W passes: an entry in row 0 or column 0, but not both, is
+sqrt2 times an element of Z[phi], and every other entry lies in Z[phi].
+The twist test is necessary only: a matrix outside W that passes all
+three still loads.
+
+ValueError names the first bad entry by position.  Entries are tested in
+bulk: lattice keys by one set of the entry types and one of the types of
+all their coordinates; coset squares by set tests of the entry types,
+the masks, the types and lengths of each rep, its rows and entries, and
+the coordinate types, then by one batch of coxeter.square_keys over the
+flat list of all their coordinates (the twist test, an exact Gram check
+over Z[phi] modulo an integer chosen from the largest coordinate, and
+the time orientation), which checks only the first representative that
+fails again, by coxeter.preserves_form, to name its fault.  Only when a
+set test fails are the entries walked one by one, each checked as it is
+drawn, so GriddedComplex and AbstractSquareComplex, which check each
+square and then look for repeats, still name the first bad one.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from itertools import chain
 from operator import itemgetter
 
@@ -81,24 +73,19 @@ def _square_mask(system):
     return sum(1 << i for i in system.parabolic_gens(2))
 
 
-def _gridded_squares(obj):
-    """The squares of a gridded complex in document order: lattice keys,
-    or the least matrices of coset squares."""
-    if is_lattice_ambient(obj.ambient):
-        return sorted(obj.squares)
-    return sorted(key.min_rep() for key in obj.squares)
-
-
 def complex_to_jsonable(obj):
+    """The document of a complex as lists and dicts, in document order:
+    lattice keys sorted, coset squares as the sorted least matrices of
+    their cosets, abstract squares by cycle_key.  dumps_complex writes
+    its text, a gridded one without building it."""
     if isinstance(obj, GriddedComplex):
-        squares = _gridded_squares(obj)
         if is_lattice_ambient(obj.ambient):
-            squares = [list(s) for s in squares]
+            squares = [list(s) for s in sorted(obj.squares)]
         else:
             mask = _square_mask(build_system(obj.ambient))
             squares = [{"mask": mask,
                         "rep": [[list(e) for e in row] for row in rep]}
-                       for rep in squares]
+                       for rep in sorted(k.min_rep() for k in obj.squares)]
         return {"format": "gridded", "ambient": obj.ambient,
                 "squares": squares}
     if isinstance(obj, AbstractSquareComplex):
@@ -136,22 +123,21 @@ def dumps_complex(obj):
     if not isinstance(obj, GriddedComplex):
         return json.dumps(complex_to_jsonable(obj), sort_keys=True,
                           indent=2) + "\n"
-    squares = _gridded_squares(obj)
-    if not squares:
-        body = "[]"
+    if not obj.squares:
+        texts = ()
+    elif is_lattice_ambient(obj.ambient):
+        squares = sorted(obj.squares)
+        template = _layout((len(squares[0]),), 2)
+        texts = [template % s for s in squares]
     else:
-        if is_lattice_ambient(obj.ambient):
-            template = _layout((len(squares[0]),), 2)
-            texts = [template % s for s in squares]
-        else:
-            rank = len(squares[0])
-            mask = _square_mask(build_system(obj.ambient))
-            template = ('{\n      "mask": %d,\n      "rep": ' % mask
-                        + _layout((rank, rank, 4), 3) + "\n    }")
-            texts = [template % tuple([t for row in rep
-                                       for e in row for t in e])
-                     for rep in squares]
-        body = "[\n    " + ",\n    ".join(texts) + "\n  ]"
+        reps = sorted(k.min_rep() for k in obj.squares)
+        rank = len(reps[0])
+        mask = _square_mask(build_system(obj.ambient))
+        template = ('{\n      "mask": %d,\n      "rep": ' % mask
+                    + _layout((rank, rank, 4), 3) + "\n    }")
+        texts = [template % tuple([t for row in rep for e in row for t in e])
+                 for rep in reps]
+    body = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
     return ('{\n  "ambient": ' + json.dumps(obj.ambient)
             + ',\n  "format": "gridded",\n  "squares": ' + body + "\n}\n")
 
@@ -281,9 +267,20 @@ def jsonable_to_complex(data):
 
 
 def load_complex(path):
+    """The complex in the JSON file at path, checked by
+    jsonable_to_complex.  Two faults the decoder reports with no position
+    get a ValueError of their own: nesting too deep for it, and an
+    integer with more digits than sys.get_int_max_str_digits() allows.
+    Every other decoding error passes through unchanged."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except RecursionError:
             raise ValueError("JSON nests too deeply to read") from None
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except ValueError:
+            raise ValueError("a JSON integer has more than "
+                             f"{sys.get_int_max_str_digits()} digits, too "
+                             "many to read") from None
     return jsonable_to_complex(data)

@@ -101,10 +101,10 @@ def hyperbolic_pants_435():
     """
     system = build_system("{4,3,5}")
     base = identity_cell(system, 3)
-    faces = sorted(cell_faces(base, 2))
+    faces = cell_faces(base, 2)
     f_stem = faces[0]
     f_back = opposite_face(base, f_stem)
-    f_arm = min(f for f in faces if f not in (f_stem, f_back))
+    f_arm = next(f for f in faces if f not in (f_stem, f_back))
     f_arm2 = opposite_face(base, f_arm)
     shared = (f_stem, f_arm, f_arm2)
     outer = tuple(neighbor(base, f) for f in shared)
@@ -139,8 +139,8 @@ def _pants_unit(stem, entry, up):
     center, up_c = _step(stem, exit_face, up)
     back = opposite_face(center, exit_face)
     down = opposite_face(center, up_c)
-    arm_faces = sorted(f for f in cell_faces(center, 2)
-                       if f not in (exit_face, back, up_c, down))
+    arm_faces = [f for f in cell_faces(center, 2)
+                 if f not in (exit_face, back, up_c, down)]
     if len(arm_faces) != 2:
         raise AssertionError("expected 2 arm directions")
     cubes = [stem, center]
@@ -218,10 +218,10 @@ def tree_of_life_435(depth):
             f"{depth} has 16 * 2^{depth} - 14 squares, more than 65536")
     system = build_system("{4,3,5}")
     stem = identity_cell(system, 3)
-    faces = sorted(cell_faces(stem, 2))
+    faces = cell_faces(stem, 2)
     entry = faces[0]
     back = opposite_face(stem, entry)
-    up = min(f for f in faces if f not in (entry, back))
+    up = next(f for f in faces if f not in (entry, back))
 
     unit, moves = _pants_moves(stem, entry, up)
     cubes = list(unit)
@@ -315,7 +315,7 @@ def _hypercube_ring(hypercube, first=None, avoid=()):
     `first` picks the starting cell (least by default) and cells whose
     square set meets `avoid` are not used as the second pair.
     """
-    cells = sorted(cell_faces(hypercube, 3))
+    cells = cell_faces(hypercube, 3)
     a = first if first is not None else cells[0]
     a_op = opposite_face(hypercube, a)
     avoid = set(avoid)
@@ -379,7 +379,7 @@ def _cube_row_4335(count):
     cubes = [cube]
     hypers = [hyper]
     shared = []
-    exit_face = min(cell_faces(cube, 2))
+    exit_face = cell_faces(cube, 2)[0]
     for _ in range(count - 1):
         shared.append(exit_face)
         cube, hyper = _straight_step_4335(cube, hyper, exit_face)
@@ -453,12 +453,9 @@ def surface_4335(orientable, genus, boundary_circles=0):
     row = set(cubes)
     row_boundary = union_boundary(cubes)
 
-    sites = []
-    for i in range(pieces):
-        mid = cubes[3 * i + 1]
-        off_row = [f for f in cell_faces(mid, 2)
-                   if f not in (shared[3 * i], shared[3 * i + 1])]
-        sites.append(min(off_row))
+    sites = [next(f for f in cell_faces(cubes[3 * i + 1], 2)
+                  if f not in (shared[3 * i], shared[3 * i + 1]))
+             for i in range(pieces)]
 
     ends = []
     if boundary_circles >= 1:
@@ -480,9 +477,9 @@ def surface_4335(orientable, genus, boundary_circles=0):
         all_cubes = list(cubes)
         for i in range(genus):
             site = sites[i]
-            host = min(c for c in cell_faces(site, 3) if c not in row)
-            hyper = min(h for h in cell_faces(host, 4)
-                        if all(c not in row for c in cell_faces(h, 3)))
+            host = next(c for c in cell_faces(site, 3) if c not in row)
+            hyper = next(h for h in cell_faces(host, 4)
+                         if all(c not in row for c in cell_faces(h, 3)))
             ring = _hypercube_ring(hyper, first=host, avoid={site})
             ring_boundary = union_boundary(ring)
             overlap = ring_boundary & row_boundary

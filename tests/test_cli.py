@@ -17,6 +17,7 @@ from gridforge import cli, constructors
 from gridforge.cli import main
 from gridforge.constructors import spiral_tree
 from gridforge.coxeter import _mat_mul, build_system
+from gridforge.formats import load_complex
 from gridforge.lattice import GriddedComplex
 
 # a subprocess finds the package in the checkout, installed or not
@@ -191,6 +192,19 @@ def test_sum_bad_faces_exit_2(tmp_path, faces, message):
         2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("faces,message", [
+    (["--face-a", "1,1,0", "--face-b", "1,0,1"],
+     "chosen squares are not parallel, cannot align them"),
+    (["--face-a", "1,1,0", "--face-b", "1,1,0", "--axis", "0"],
+     "axis 0 is tangent to (1, 1, 0), not normal"),
+], ids=["not-parallel", "tangent-axis"])
+def test_sum_of_squares_that_cannot_be_aligned_exits_2(tmp_path, faces,
+                                                       message):
+    s = build(tmp_path, "sphere")
+    assert run(["sum", str(s), str(s), *faces]) == (
+        2, "", f"error: {message}\n")
+
+
 def test_sum_in_z2_exits_2(tmp_path):
     path = tmp_path / "z2.json"
     path.write_text(json.dumps({"format": "gridded", "ambient": "Z2",
@@ -331,6 +345,47 @@ def test_a_dimension_past_the_int_digit_limit_names_the_ambient(tmp_path):
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int string digit limit")
+def test_an_integer_past_the_int_digit_limit_exits_2(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"format": "gridded", "ambient": "Z3", "squares": '
+                    "[[1, 1, " + "9" * 5000 + "]]}")
+    message = "a JSON integer has more than 4300 digits, too many to read"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError) as exc:
+            load_complex(path)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == message
+        assert run(["validate", str(path)]) == (2, "", f"error: {message}\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_file_that_is_not_utf8_keeps_the_codec_message(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff{}")
+    with pytest.raises(UnicodeDecodeError):
+        load_complex(path)
+    assert run(["validate", str(path)]) == (
+        2, "", "error: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n")
+
+
+@pytest.mark.parametrize("command,document,message", [
+    ("validate", [], "top level must be an object"),
+    ("classify", {"format": "abstract", "vertices": [1, 2], "squares": []},
+     "abstract vertices must be strings"),
+], ids=["a-list", "int-vertices"])
+def test_documents_of_the_wrong_kind_exit_2(tmp_path, command, document,
+                                            message):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(document))
+    assert run([command, str(path)]) == (2, "", f"error: {message}\n")
+
+
 def _identity_with_a_true():
     # JSON true equals 1, so this would load as the identity square
     rep = [[[int(i == j), 0, 0, 0] for j in range(4)] for i in range(4)]
@@ -462,6 +517,29 @@ def test_pruned_tree_rejects_negative_counts(option, value):
 ], ids=["closed-surface", "tree-spiral", "tree-of-life"])
 def test_negative_sizes_exit_2(argv, message):
     assert run(["build", *argv]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["hyp-closed", "--genus", "-1"], "genus must be nonnegative"),
+    (["h4-surface", "--genus", "-1"],
+     "genus and boundary circle count must be >= 0"),
+    (["h4-surface", "--crosscaps", "0"],
+     "a nonorientable surface needs at least 1 crosscap"),
+    (["closed-surface", "--crosscaps", "0"],
+     "a closed nonorientable surface needs >= 1 crosscap"),
+    (["closed-surface"],
+     "closed-surface needs exactly one of --genus/--crosscaps"),
+], ids=["hyp-closed-genus", "h4-surface-genus", "h4-surface-crosscaps",
+        "closed-surface-crosscaps", "closed-surface-neither"])
+def test_build_refusals_exit_2(argv, message):
+    assert run(["build", *argv]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["off", "obj"])
+def test_export_of_an_abstract_complex_exits_2(tmp_path, fmt):
+    path = build(tmp_path, "h4-crosscap")
+    assert run(["export", str(path), "--format", fmt]) == (
+        2, "", "error: only gridded complexes have coordinates\n")
 
 
 def test_bad_end_length_names_the_entry():

@@ -88,8 +88,13 @@ def test_diagram_orders_match_the_enumeration():
                 assert diagram_order(s, gens) == parabolic_order(s, gens), \
                     (name, gens)
                 count += 1
-        with pytest.raises(ValueError, match="not a proper subset"):
-            diagram_order(s, range(s.rank))
+        # the whole generator set, and a generator the system lacks
+        for gens in (range(s.rank), {0, s.rank}):
+            with pytest.raises(ValueError, match="not a proper subset") as got:
+                diagram_order(s, gens)
+            with pytest.raises(ValueError) as want:
+                enumerate_parabolic(s, gens)
+            assert str(got.value) == str(want.value)
     assert count == 99
 
 
@@ -701,7 +706,7 @@ def test_square_corners_make_no_products(products):
     assert products[0] == 0
 
 
-def test_tree_build_and_write_product_count(monkeypatch, products):
+def test_tree_build_and_write_product_count(products):
     # exact: each pants piece is placed by one product with an arm move,
     # its stem is the coset of that product, opposite faces and up
     # markers are closed-form images, keys come from fixed vectors and a
@@ -709,8 +714,8 @@ def test_tree_build_and_write_product_count(monkeypatch, products):
     # piece, a product by the identity for a stem, a face search or an
     # eager product anywhere on this path raises the count
     build_system("{4,3,5}")
-    monkeypatch.setattr(coxeter, "_ENUM_CACHE", {})
-    monkeypatch.setattr(coxeter, "_TRANSVERSAL_CACHE", {})
+    coxeter._parabolic.cache_clear()
+    coxeter._transversal.cache_clear()
     products[0] = 0
     dumps_complex(tree_of_life_435(3))
     assert products[0] == 233
@@ -730,13 +735,13 @@ def dots(monkeypatch):
     return count
 
 
-def test_tree_write_dot_count(monkeypatch, dots):
+def test_tree_write_dot_count(dots):
     # exact: the least matrices are pruned entry by entry and the square
     # faces' candidates are the transversal's columns of t P_2, formed
     # once per t; row pruning or a product per face raises the count
     build_system("{4,3,5}")
-    monkeypatch.setattr(coxeter, "_ENUM_CACHE", {})
-    monkeypatch.setattr(coxeter, "_TRANSVERSAL_CACHE", {})
+    coxeter._parabolic.cache_clear()
+    coxeter._transversal.cache_clear()
     tree = tree_of_life_435(3)
     dots[0] = 0
     complex_to_jsonable(tree)

@@ -23,6 +23,7 @@ from gridforge.honeycombs import (
     hyperbolic_torus_435, pants_4335, surface_4335, torus_4335,
     tree_of_life_435,
 )
+from gridforge.export import to_off
 from gridforge.lattice import GriddedComplex
 from gridforge.surface import (
     AbstractSquareComplex, classify, cycle_key, validate_surface,
@@ -143,11 +144,15 @@ def test_writer_equals_the_json_oracle(obj):
 
 
 @pytest.mark.parametrize("ambient", ["Z2", "Z3", "Z4", "{4,3,5}",
-                                     "{4,3,3,5}"])
+                                     "{4,3,3,5}", "Z" + "9" * 30])
 def test_writer_of_an_empty_complex(ambient):
+    # no lattice template is built for an empty complex: the one of a
+    # 10^30 - 1 dimensional key would never finish
     empty = GriddedComplex(ambient, frozenset())
     assert dumps_complex(empty) == oracle_text(empty)
     assert '"squares": []' in dumps_complex(empty)
+    if ambient == "Z" + "9" * 30:
+        assert to_off(empty).startswith("nOFF\n" + "9" * 30 + "\n0 0 0\n")
     nothing = AbstractSquareComplex(frozenset(), ())
     assert dumps_complex(nothing) == oracle_text(nothing)
 
