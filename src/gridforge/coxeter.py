@@ -257,7 +257,7 @@ def _first_fault(system, coords, parts, vecs):
     return None if first == count else first
 
 
-def square_keys(system, coords, start=0):
+def square_keys(system, coords):
     """The square cells w P_2 of the system for the ring matrices w whose
     integer coordinates coords lists, in order: each w row by row, each
     entry as its 4 coordinates.
@@ -277,7 +277,7 @@ def square_keys(system, coords, start=0):
     coordinate.  Only the first representative that fails is checked
     again with preserves_form and keeps_time_orientation, to name its
     fault in that order, the twist last: ValueError names it by its
-    position, squares[start + i].  The vector w x_2 of each key is formed
+    position, squares[i].  The vector w x_2 of each key is formed
     from the same entries, twisted to Z[phi], with no general ring
     product.
     """
@@ -316,7 +316,7 @@ def square_keys(system, coords, start=0):
             i, j = _twist_fault(mat)
             why = ("matrix lies outside the reflection group: entry "
                    f"[{i}][{j}] fails the twist test")
-        raise ValueError(f"squares[{start + bad}]: {why}")
+        raise ValueError(f"squares[{bad}]: {why}")
     return [CosetKey(system, gens, mat, vec) for mat, vec in zip(mats, vecs)]
 
 

@@ -36,11 +36,11 @@ the masks, the types and lengths of each rep, its rows and entries, and
 the coordinate types, then by one batch of coxeter.square_keys over the
 flat list of all their coordinates (the twist test, an exact Gram check
 over Z[phi] modulo an integer chosen from the largest coordinate, and
-the time orientation), which checks only the first representative that
-fails again, by coxeter.preserves_form, to name its fault.  Only when a
-set test fails are the entries walked one by one, each checked as it is
-drawn, so GriddedComplex and AbstractSquareComplex, which check each
-square and then look for repeats, still name the first bad one.
+the time orientation).  Only when a set test fails are the entries
+walked, to the first one of the wrong shape: the entries before it are
+checked as a document would be, by lattice.check_squares or one batch,
+and then its shape is named, so the first bad entry is the one named.
+Abstract squares are checked as AbstractSquareComplex draws them.
 """
 
 from __future__ import annotations
@@ -51,20 +51,13 @@ from itertools import chain
 from operator import itemgetter
 
 from gridforge.coxeter import build_system, square_keys
-from gridforge.lattice import GriddedComplex, is_lattice_ambient
+from gridforge.lattice import (GriddedComplex, all_ints, check_squares,
+                               is_lattice_ambient)
 from gridforge.surface import AbstractSquareComplex, cycle_key
 
 
-_INT = frozenset([int])
 _LIST = frozenset([list])
 _DICT = frozenset([dict])
-
-
-def _all_ints(items):
-    """Whether every item is an int proper, of type int: a float, even
-    1.0, is not, and nor are JSON true and false, which load as bools
-    and which isinstance(x, int) would let through."""
-    return _INT.issuperset(map(type, items))
 
 
 def _square_mask(system):
@@ -152,38 +145,44 @@ def _require(cond, message):
         raise ValueError(message)
 
 
-def _load_lattice_squares(raw):
-    """A document's lattice keys: a list of tuples when every entry is a
-    list of ints, which two set tests over the whole document tell, and
-    otherwise _walk_lattice_squares."""
-    if (_LIST.issuperset(map(type, raw))
-            and _all_ints(chain.from_iterable(raw))):
-        return list(map(tuple, raw))
-    return _walk_lattice_squares(raw)
+def _load_lattice_squares(ambient, raw):
+    """A document's lattice keys as a list of tuples, once every entry is
+    a list of ints: two set tests over the whole document tell, and only
+    when they fail does _walk_lattice_squares look for the bad entry."""
+    if not (_LIST.issuperset(map(type, raw))
+            and all_ints(chain.from_iterable(raw))):
+        _walk_lattice_squares(ambient, raw)
+    return list(map(tuple, raw))
 
 
-def _walk_lattice_squares(raw):
-    """A document's lattice keys, each checked as it is drawn, so that
-    GriddedComplex, which checks the keys drawn before a refused one,
-    names the first bad entry."""
+def _walk_lattice_squares(ambient, raw):
+    """Raise ValueError at the first entry, if any, that is not a list of
+    ints, once check_squares has checked the entries before it, so that
+    the first bad entry is the one named."""
     for i, s in enumerate(raw):
-        _require(isinstance(s, list) and _all_ints(s),
-                 f"squares[{i}]: expected a list of integers")
-        yield tuple(s)
+        if not (isinstance(s, list) and all_ints(s)):
+            check_squares(ambient, list(map(tuple, raw[:i])))
+            raise ValueError(f"squares[{i}]: expected a list of integers")
 
 
 def _load_coset_squares(ambient, raw):
     """A document's coset squares, drawn once GriddedComplex has checked
-    the ambient: coxeter.square_keys checks and keys the representatives
-    in one batch when _coset_coords lists their coordinates, and one at
-    a time, each as _walk_coset_reps draws it, when it does not."""
+    the ambient, from one batch of coxeter.square_keys over the
+    coordinates of all representatives.  When _coset_coords cannot list
+    them, the entries are walked to the first one _shape_fault refuses:
+    the batch runs on the entries before it, so that an earlier fault of
+    a representative is named first, and then its shape is."""
     system = build_system(ambient)
     coords = _coset_coords(system, raw)
-    if coords is not None:
-        yield from square_keys(system, coords)
-        return
-    for i, coords in enumerate(_walk_coset_reps(system, raw)):
-        yield from square_keys(system, coords, i)
+    if coords is None:
+        coords = []
+        for i, entry in enumerate(raw):
+            fault = _shape_fault(system, entry)
+            if fault is not None:
+                square_keys(system, coords)
+                raise ValueError(f"squares[{i}]: {fault}")
+            coords += [t for row in entry["rep"] for e in row for t in e]
+    yield from square_keys(system, coords)
 
 
 def _coset_coords(system, raw):
@@ -204,32 +203,29 @@ def _coset_coords(system, raw):
                 and {size}.issuperset(map(len, level))):
             return None
         level = list(chain.from_iterable(level))
-    if _all_ints(masks) and {mask}.issuperset(masks) and _all_ints(level):
+    if all_ints(masks) and {mask}.issuperset(masks) and all_ints(level):
         return level
     return None
 
 
-def _walk_coset_reps(system, raw):
-    """The integer coordinates of each of a document's coset
-    representatives, its shape checked as it is drawn, so that the entry
-    before a bad one is checked first and the first bad entry is named."""
+def _shape_fault(system, entry):
+    """What is wrong with the shape of a coset entry, or None if it is an
+    object (a dict, or a subclass of one) with the square's mask and a
+    rank x rank matrix of integer quadruples."""
     rank, mask = system.rank, _square_mask(system)
-    for i, entry in enumerate(raw):
-        where = f"squares[{i}]"
-        _require(isinstance(entry, dict) and {"mask", "rep"} <= set(entry),
-                 f"{where}: expected an object with mask and rep")
-        _require(type(entry["mask"]) is int and entry["mask"] == mask,
-                 f"{where}: mask must be {mask}, every generator but 2 "
-                 "(a square)")
-        rep = entry["rep"]
-        _require(isinstance(rep, list) and len(rep) == rank
-                 and all(isinstance(row, list) and len(row) == rank
-                         for row in rep),
-                 f"{where}: rep must be a {rank}x{rank} matrix")
-        _require(all(isinstance(e, list) and len(e) == 4 and _all_ints(e)
-                     for row in rep for e in row),
-                 f"{where}: entries must be integer quadruples")
-        yield [t for row in rep for e in row for t in e]
+    if not (isinstance(entry, dict) and {"mask", "rep"} <= set(entry)):
+        return "expected an object with mask and rep"
+    if not (type(entry["mask"]) is int and entry["mask"] == mask):
+        return f"mask must be {mask}, every generator but 2 (a square)"
+    rep = entry["rep"]
+    if not (isinstance(rep, list) and len(rep) == rank
+            and all(isinstance(row, list) and len(row) == rank
+                    for row in rep)):
+        return f"rep must be a {rank}x{rank} matrix"
+    if not all(isinstance(e, list) and len(e) == 4 and all_ints(e)
+               for row in rep for e in row):
+        return "entries must be integer quadruples"
+    return None
 
 
 def _abstract_squares(raw):
@@ -254,12 +250,11 @@ def jsonable_to_complex(data):
         ambient = _field(data, "ambient", str, "a string")
         raw = _field(data, "squares", list, "a list")
         return GriddedComplex(ambient, (
-            _load_lattice_squares(raw) if is_lattice_ambient(ambient)
+            _load_lattice_squares(ambient, raw) if is_lattice_ambient(ambient)
             else _load_coset_squares(ambient, raw)))
     if fmt == "abstract":
-        verts = data.get("vertices")
-        _require(isinstance(verts, list)
-                 and all(isinstance(v, str) for v in verts),
+        verts = _field(data, "vertices", list, "a list")
+        _require(all(isinstance(v, str) for v in verts),
                  "abstract vertices must be strings")
         raw = _field(data, "squares", list, "a list")
         return AbstractSquareComplex(verts, _abstract_squares(raw))

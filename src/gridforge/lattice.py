@@ -255,22 +255,28 @@ def cube_union_boundary(cells):
     return frozenset(decode([f for f, m in counts.items() if m == 1]))
 
 
+def all_ints(items):
+    """Whether every item is of type int: a float, even 1.0, is not, and
+    nor are bools (JSON true and false), which isinstance(x, int) lets
+    through.  The one int test of the gridded checks and the loader."""
+    return _INT.issuperset(map(type, items))
+
+
 def _check_keys(cells, n, odd=None, message=None):
     """Raise ValueError naming the first cell that is not a tuple of n
-    ints (a bool or a float is not one) or, given odd, that has other
-    than odd odd coordinates.
+    ints (all_ints) or, given odd, that has other than odd odd
+    coordinates.
 
     The tests run in bulk: one set of the cell types, one of their
-    lengths, one of the types of all their coordinates, and the count of
-    odd coordinates of every cell, summed column by column.  Only when
-    one fails are the cells walked, to name the first bad one by
-    message(i, c) of its position i and the cell c, or by default by
-    what is wrong with it.
+    lengths, all_ints of all their coordinates, and the count of odd
+    coordinates of every cell, summed column by column.  Only when one
+    fails are the cells walked, to name the first bad one by message(i,
+    c) of its position i and the cell c, or by default by what is wrong
+    with it.
     """
     if (_TUPLE.issuperset(map(type, cells))
             and {n}.issuperset(map(len, cells))
-            and _INT.issuperset(map(type, itertools.chain.from_iterable(
-                cells)))):
+            and all_ints(itertools.chain.from_iterable(cells))):
         if odd is None:
             return
         counts = [0] * len(cells)
@@ -279,7 +285,7 @@ def _check_keys(cells, n, odd=None, message=None):
         if {odd}.issuperset(counts):
             return
     for i, c in enumerate(cells):
-        if not (isinstance(c, tuple) and all(type(x) is int for x in c)):
+        if not (isinstance(c, tuple) and all_ints(c)):
             why = "not a tuple of ints"
         elif len(c) != n:
             why = f"{len(c)} coordinates, cells[0] has {n}"
@@ -289,6 +295,23 @@ def _check_keys(cells, n, odd=None, message=None):
             continue
         raise ValueError(message(i, c) if message
                          else f"cells[{i}]: {why}: {c!r}")
+
+
+def check_squares(ambient, squares):
+    """Raise ValueError naming the first of a list of squares that is not
+    a square of the ambient, one GriddedComplex accepts: "squares[i]: not
+    a square of Z3: (1, 1, 1)".  Repeats are not looked for.  Lattice keys
+    are checked in bulk (_check_keys), and walked only to name a bad one."""
+    def message(i, c):
+        return f"squares[{i}]: not a square of {ambient}: {c!r}"
+
+    if is_lattice_ambient(ambient):
+        _check_keys(squares, ambient_dim(ambient), 2, message)
+        return
+    for i, s in enumerate(squares):
+        if not (isinstance(s, CosetKey) and s.system.name == ambient
+                and s.dim == 2):
+            raise ValueError(message(i, s))
 
 
 def is_lattice_ambient(ambient):
@@ -383,11 +406,8 @@ class GriddedComplex(Frozen):
     named by its position in the order given, and so is a repeated square,
     looked for once every cell has passed.  meta is not compared.
 
-    Lattice keys are checked in bulk (_check_keys): tuple type, length,
-    int coordinates and two odd ones each, walked one by one only to name
-    the first bad key.  If the squares iterable itself raises ValueError
-    for an entry, as the loader's does, the keys drawn before it are
-    checked first, so a bad one among them is named instead.
+    The ambient is checked before any square is drawn, and the squares
+    by check_squares.
     """
 
     __slots__ = ("ambient", "squares", "meta")
@@ -395,38 +415,17 @@ class GriddedComplex(Frozen):
     def __init__(self, ambient, squares, meta=None):
         if not isinstance(ambient, str):
             raise ValueError(f"ambient must be a string: {ambient!r}")
-        n = ambient_dim(ambient) if is_lattice_ambient(ambient) else 0
-        if not n:
+        if is_lattice_ambient(ambient):
+            ambient_dim(ambient)  # refuses a dimension too long to read
+        else:
             system = build_system(ambient)  # rejects an unknown ambient
             if system.affine:
                 raise ValueError(f"{ambient} is a lattice: use ambient "
                                  f"Z{system.rank - 1}")
-        checked = []
-        try:
-            checked.extend(squares)
-        except ValueError:
-            # the iterable refused an entry: a bad one drawn before it
-            # is named first
-            self._check(ambient, n, checked)
-            raise
-        self._check(ambient, n, checked)
+        squares = list(squares)
+        check_squares(ambient, squares)
         self._set(ambient, distinct(
-            checked, "squares", "same square as squares[{i}]"), meta=meta)
-
-    @staticmethod
-    def _check(ambient, n, squares):
-        """Raise ValueError naming the first entry that is not a square
-        of the ambient, of dimension n or 0 for a honeycomb."""
-        def message(i, c):
-            return f"squares[{i}]: not a square of {ambient}: {c!r}"
-
-        if n:
-            _check_keys(squares, n, 2, message)
-            return
-        for i, s in enumerate(squares):
-            if not (isinstance(s, CosetKey) and s.system.name == ambient
-                    and s.dim == 2):
-                raise ValueError(message(i, s))
+            squares, "squares", "same square as squares[{i}]"), meta=meta)
 
     def __len__(self):
         return len(self.squares)

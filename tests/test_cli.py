@@ -478,8 +478,12 @@ def test_a_cell_that_is_not_a_square_exits_2_naming_it(tmp_path, command):
     ({"format": "abstract", "vertices": []}, "missing squares"),
     ({"format": "abstract", "vertices": [], "squares": {}},
      "squares must be a list"),
+    ({"format": "abstract", "squares": []}, "missing vertices"),
+    ({"format": "abstract", "vertices": {}, "squares": []},
+     "vertices must be a list"),
 ], ids=["no ambient", "ambient 3", "no squares", "squares {}",
-        "abstract no squares", "abstract squares {}"])
+        "abstract no squares", "abstract squares {}", "no vertices",
+        "vertices {}"])
 @pytest.mark.parametrize("command", ["validate", "classify"])
 def test_document_shape_errors_say_what_is_wrong(tmp_path, command, document,
                                                  message):

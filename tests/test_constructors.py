@@ -3,8 +3,9 @@ import pytest
 from gridforge.constructors import (
     EndDecoration, PlaneTree, box_column, closed_surface, crosscap_z4,
     frame_torus, klein_bottle, prune_and_decorate, spiral_tree, tree_of_life,
+    _plane_square,
 )
-from gridforge.lattice import cube_union_boundary
+from gridforge.lattice import GriddedComplex, cube_union_boundary
 from gridforge.surface import classify
 
 
@@ -182,3 +183,12 @@ def test_box_column():
     col = box_column(4)
     assert len(col) == 4 * 4 + 2
     assert classify(col).genus == 0
+
+
+def test_refusals_of_an_empty_column_and_a_missing_plane():
+    with pytest.raises(ValueError) as info:
+        box_column(0)
+    assert str(info.value) == "height must be >= 1"
+    with pytest.raises(ValueError) as info:
+        _plane_square(GriddedComplex("Z3", [(1, 1, 0)]), 0, 1)
+    assert str(info.value) == "no squares normal to axis 0"

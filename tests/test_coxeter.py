@@ -260,6 +260,16 @@ def test_coset_key_requires_maximal_parabolic():
             CosetKey(s, [1, 0], _identity(s.rank))
 
 
+def test_a_cell_of_the_wrong_dimension_is_refused():
+    s = build_system("{4,3,5}")
+    with pytest.raises(ValueError) as info:
+        coxeter.corner_keys(identity_cell(s, 3))
+    assert str(info.value) == "not a square cell"
+    with pytest.raises(ValueError) as info:
+        s.parabolic_gens(4)
+    assert str(info.value) == "no 4-cells in rank 4"
+
+
 def test_euclidean_systems_have_no_coset_keys():
     for name, lattice in (("{4,4}", "Z2"), ("{4,3,4}", "Z3"),
                           ("{4,3,3,4}", "Z4")):

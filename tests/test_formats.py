@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,9 @@ from gridforge.constructors import crosscap_z4, frame_torus, tree_of_life
 from gridforge.coxeter import (
     CosetKey, _identity, _mat_mul, _signed_reflection, _twist_fault,
     build_system, cell_faces, enumerate_parabolic, keeps_time_orientation,
-    preserves_form,
+    preserves_form, square_keys,
 )
+from gridforge import formats
 from gridforge.formats import (
     complex_to_jsonable, dumps_complex, jsonable_to_complex, load_complex,
     save_complex,
@@ -587,6 +589,49 @@ def test_an_earlier_rep_fault_is_named_before_a_later_shape_fault(
     with pytest.raises(ValueError) as info:
         jsonable_to_complex(data)
     assert str(info.value).startswith("squares[2]: ")
+
+
+def test_a_coset_document_is_checked_in_one_batch(monkeypatch):
+    # one coxeter.square_keys batch per document, sound or not: a shape
+    # fault at entry 9 checks entries 0..8 in one batch, then is named
+    batches = []
+
+    def counted(system, coords):
+        batches.append(len(coords))
+        return square_keys(system, coords)
+
+    monkeypatch.setattr(formats, "square_keys", counted)
+    data = json.loads(dumps_complex(hyperbolic_pants_435()))
+    assert jsonable_to_complex(data) == hyperbolic_pants_435()
+    assert batches == [len(data["squares"]) * 64]
+    batches.clear()
+    data["squares"][9]["mask"] = 3
+    with pytest.raises(ValueError) as info:
+        jsonable_to_complex(data)
+    assert str(info.value) == ("squares[9]: mask must be 11, every "
+                               "generator but 2 (a square)")
+    assert batches == [9 * 64]
+
+
+class _List(list):
+    pass
+
+
+def test_entries_of_list_and_dict_subclasses_load():
+    # only Python callers can pass them; the set tests refuse them, and
+    # the walk, which tests isinstance, finds no fault
+    lattice = complex_to_jsonable(frame_torus())
+    lattice["squares"][3] = _List(lattice["squares"][3])
+    assert jsonable_to_complex(lattice) == frame_torus()
+    coset = json.loads(dumps_complex(hyperbolic_pants_435()))
+    coset["squares"] = [OrderedDict(e) for e in coset["squares"]]
+    assert jsonable_to_complex(coset) == hyperbolic_pants_435()
+
+
+def test_a_complex_of_another_type_is_not_written():
+    with pytest.raises(TypeError) as info:
+        complex_to_jsonable(object())
+    assert str(info.value) == "not a square complex: object"
 
 
 def _lattice_corruption(draw, squares, p):

@@ -13,9 +13,9 @@ from helpers import brute_cofaces, brute_faces, coface_count
 from gridforge import honeycombs
 from gridforge.coxeter import build_system, cell_faces, identity_cell, neighbor
 from gridforge.lattice import (
-    GriddedComplex, ambient_dim, cell_codes, cell_dim, cofaces,
-    corners_cyclic, cube_union_boundary, embed_higher, faces,
-    is_lattice_ambient, translate,
+    GriddedComplex, all_ints, ambient_dim, cell_codes, cell_dim,
+    check_squares, cofaces, corners_cyclic, cube_union_boundary,
+    embed_higher, faces, is_lattice_ambient, translate,
 )
 from gridforge.formats import dumps_complex, jsonable_to_complex
 from gridforge.surface import classify
@@ -390,6 +390,26 @@ def test_gridded_complex_rejects_foreign_coset_cells():
     for cell in (identity_cell(s, 3), (1, 1, 0, 0, 0)):
         with pytest.raises(ValueError, match=re.escape(repr(cell))):
             GriddedComplex(s.name, {identity_cell(s, 2), cell})
+
+
+def test_all_ints_is_true_of_ints_proper_only():
+    assert all_ints([]) and all_ints([0, -3, 10 ** 30])
+    for bad in (True, False, 1.0, "1", None):
+        assert not all_ints([1, bad])
+
+
+def test_check_squares_names_the_first_bad_entry_and_not_a_repeat():
+    check_squares("Z3", [(1, 1, 0), (1, 1, 0)])
+    with pytest.raises(ValueError) as info:
+        check_squares("Z3", [(1, 1, 0), (1, 1, 1), (1,)])
+    assert str(info.value) == "squares[1]: not a square of Z3: (1, 1, 1)"
+    s = build_system("{4,3,5}")
+    square, cube = identity_cell(s, 2), identity_cell(s, 3)
+    check_squares(s.name, [square, square])
+    with pytest.raises(ValueError) as info:
+        check_squares(s.name, [square, cube])
+    assert str(info.value) == ("squares[1]: not a square of {4,3,5}: "
+                               + repr(cube))
 
 
 def test_gridded_complex_equality_ignores_meta():

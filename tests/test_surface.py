@@ -281,6 +281,13 @@ def test_connected_sum_abstract_rejects_missing_square():
         connected_sum_abstract(t, ((9, 9), (8, 8), (7, 7), (6, 6)), t, t.squares[0])
 
 
+def test_connected_sum_abstract_names_the_complex_missing_the_square():
+    a = AbstractSquareComplex.from_squares([(1, 2, 3, 4)])
+    with pytest.raises(ValueError) as info:
+        connected_sum_abstract(a, (1, 2, 3, 4), a, (5, 6, 7, 8))
+    assert str(info.value) == "square (5, 6, 7, 8) not in second complex"
+
+
 def test_connected_sum_embedded_stacks_spheres():
     # two cubes joined through a connecting cube: a 1x1x3 column
     a = sphere_cube()
