@@ -32,10 +32,7 @@ corners of a square are keyed from the square's own key, as plain tuples
 (corner_keys): each lies at a constant offset from the square's vector
 that reads two columns of the representative, through integer tables
 formed once per system, and opposite corners sum to twice it.  A corner
-becomes a vertex cell only when one is asked for (corner_vertex).  The
-least matrix of a coset is built one entry at a time, going on only with
-the candidates still tied for least; a face w t P_j takes it from the
-factors, as the least w (t p), so the product w t is never formed.
+becomes a vertex cell only when one is asked for (corner_vertex).
 Loaded matrices are checked and keyed in one batch per document
 (square_keys), a column of ints across all of them at a time.  Each must
 pass the twist test: the twist M -> D sigma(M) D, for the automorphism
@@ -52,14 +49,23 @@ is read off one coordinate of its key vector, formed from the same
 entries.  Only a matrix that fails is checked again, to name its fault,
 by preserves_form: the definition m^T 4B m = 4B in two ring-matrix
 products, which also checks the generators when a system is set up.
+
+The least matrix of a coset, its canonical form, is read over Z[phi] in
+the same way, with no ring product (least_reps).  The keys that share a
+set of candidates p, the parabolic or, for a face w t P_j, the columns
+of t P_j that the transversal keeps, form one batch.  The entries of the
+products w p are compared one at a time, row-major, each as a column of
+ints across the keys, and each key goes on only with its candidates
+still tied for least; the least products are then formed a column of
+the matrices at a time.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache, partial, reduce, total_ordering
-from itertools import chain, repeat
-from operator import add, itemgetter, lshift, mod, mul
+from itertools import chain, compress, product, repeat, starmap
+from operator import add, eq, itemgetter, lshift, mod, mul, rshift
 
 from gridforge.field import (
     RONE, RZERO, radd, rcofactor, ring_key, rmul, rneg, rscale, rsign, rsub,
@@ -195,6 +201,17 @@ def _add_columns(columns):
     return reduce(partial(map, add), columns)
 
 
+def _first_twist_fault(system, coords):
+    """The position of the first of the matrices whose coordinates coords
+    lists (as square_keys reads them) that fails the twist test, or None:
+    a column of the document at a time, each offset of _twist_zeros."""
+    size = 4 * system.rank * system.rank
+    faults = [next(m for m, x in enumerate(col) if x)
+              for col in (coords[o::size] for o in system._twist_zeros)
+              if any(col)]
+    return min(faults, default=None)
+
+
 def _first_fault(system, coords, parts, vecs):
     """The position of the first representative in coords that fails the
     twist test, the Gram check or the time orientation, or None; parts
@@ -214,13 +231,9 @@ def _first_fault(system, coords, parts, vecs):
     is zero, so F > 288 r^2 c^2 + 8 makes the check exact.
     """
     rank = system.rank
-    size = 4 * rank * rank
     count = len(vecs)
-    faults = [count]
-    for o in system._twist_zeros:
-        col = coords[o::size]
-        if any(col):
-            faults.append(next(m for m, x in enumerate(col) if x))
+    twist = _first_twist_fault(system, coords)
+    faults = [count if twist is None else twist]
     flat = list(chain.from_iterable(parts))
     c = max(max(map(max, flat)), -min(map(min, flat)))
     k = (288 * rank * rank * c * c + 8).bit_length()
@@ -313,9 +326,7 @@ def square_keys(system, coords):
         elif not keeps_time_orientation(CosetKey(system, gens, mat)):
             why = "matrix reverses the time orientation"
         else:
-            i, j = _twist_fault(mat)
-            why = ("matrix lies outside the reflection group: entry "
-                   f"[{i}][{j}] fails the twist test")
+            why = _outside_w(mat)
         raise ValueError(f"squares[{bad}]: {why}")
     return [CosetKey(system, gens, mat, vec) for mat, vec in zip(mats, vecs)]
 
@@ -605,52 +616,206 @@ def diagram_order(system, gens):
     return order
 
 
+def _candidates(parabolic, image):
+    """A candidate set of least_reps: the table of the distinct columns of
+    the matrices that image makes of the elements of the parabolic, over
+    Z[phi], and each such matrix as the indices of its columns in it, so
+    that columns are compared and hashed as ints.  image maps each column
+    of an element of the parabolic to the ring column it stands for; the
+    matrices so made must pass the twist test.
+
+    A column holds the pairs (a, b) of the entries a + b phi of M' =
+    Delta M Delta^-1, Delta = diag(sqrt2, 1, ..., 1).  An entry of M in
+    row 0 or column 0, but not both, is sqrt2 times its part; M' takes
+    that factor off in column 0 and puts a second one on in row 0."""
+    table, index, mats = [], {}, []
+    for g in parabolic:
+        ids = []
+        for j, col in enumerate(zip(*g)):
+            at = index.setdefault((col, j > 0), len(table))
+            if at == len(table):
+                table.append(tuple([
+                    (2 * q, 2 * s) if i == 0 < j
+                    else (q, s) if j == 0 < i else (p, r)
+                    for i, (p, q, r, s) in enumerate(image[col])]))
+            ids.append(at)
+        mats.append(tuple(ids))
+    return tuple(table), tuple(mats)
+
+
 def _columns(t, parabolic):
-    """The columns of t * p for each p of the parabolic, a tuple per p;
-    each distinct column of the parabolic is multiplied by t once."""
+    """The candidates of a face w t P_j: the columns of t * p for each p
+    of the parabolic (_candidates); each distinct column of the parabolic
+    is multiplied by t once."""
     image = {}
     for p in parabolic:
         for col in zip(*p):
             if col not in image:
                 image[col] = _mat_vec(t, col)
-    return tuple([tuple([image[col] for col in zip(*p)]) for p in parabolic])
+    return _candidates(parabolic, image)
 
 
-def _least_product(left, candidates):
-    """The least under matrix_key of the products left * m, for m the
-    matrices whose columns the candidates list.
+@cache
+def _parabolic_columns(system, gens):
+    """The candidates of any other key: the columns of each element of its
+    parabolic (_candidates)."""
+    parabolic = enumerate_parabolic(system, gens)
+    return _candidates(parabolic,
+                       {col: col for p in parabolic for col in zip(*p)})
 
-    The entries are formed in row-major order, and only the candidates
-    tied on every entry so far go on to the next.  An entry is left[i]
-    dotted with a column, so it costs one dot per distinct column among
-    the tied candidates, memoized for the row: over the 16 elements
-    stabilising a {4,3,5} square, the first entry sees only 4 distinct
-    columns, and a unique least candidate is usually left after a few
-    entries.  Candidates tied on every entry are equal products, so the
-    matrix returned is the one the full min picks.
+
+def _outside_w(m):
+    """Why a ring matrix that fails the twist test is refused."""
+    i, j = _twist_fault(m)
+    return (f"matrix lies outside the reflection group: entry [{i}][{j}] "
+            "fails the twist test")
+
+
+def _products(xs, ys, cols):
+    """sum_t (x_t + y_t phi)(u_t + v_t phi) for every key of the int
+    columns x_t, y_t and every candidate column of cols, whose entries t
+    are the pairs (u_t, v_t): the int columns (A, B) of A + B phi, lazily,
+    key by key, k * len(cols) + d for key k and column d.  phi^2 = phi + 1
+    gives the coefficients."""
+    a, b = [], []
+    for x, y, pairs in zip(xs, ys, zip(*cols)):
+        u, v = zip(*pairs)
+        w = tuple(map(add, u, v))
+        a += [starmap(mul, product(c, e)) for c, e in ((x, u), (y, v))
+              if any(e)]
+        b += [starmap(mul, product(c, e)) for c, e in ((x, v), (y, w))
+              if any(e)]
+    return _add_columns(a), _add_columns(b)
+
+
+def _ring_column(a, b, j, m):
+    """Column j of m products M c as ring entries, rows stacked, from the
+    int columns a and b of the entries a + b phi of (M c)' = M' c'."""
+    zero, one = repeat(0), repeat(1)
+    a, b = list(a), list(b)
+    if j:
+        return [*zip(zero, map(rshift, a[:m], one), zero,
+                     map(rshift, b[:m], one)),
+                *zip(a[m:], zero, b[m:], zero)]
+    return [*zip(a[:m], zero, b[:m], zero), *zip(zero, a[m:], zero, b[m:])]
+
+
+def _least_group(system, candidates, keys, lefts):
+    """The least products left * c over the candidates c, in order, for
+    the left factors of keys that share one candidate set (least_reps).
+
+    The left factors are read as int columns of their coordinates, each
+    over Z[phi] as M' = Delta M Delta^-1, as _first_fault reads them; the
+    rows of a column t of the M' are stacked, so that one product forms a
+    whole column of every product.  A bucket holds the keys tied on the
+    same candidates, and is worked one entry at a time, row-major: where
+    its candidates differ in the column of the entry, each distinct
+    column gives that entry of every key in it, compared by (2A + B, B)
+    for A + B phi, which orders the entries of one place as ring_key
+    does.  Each key keeps the candidates tied for its least, and the
+    bucket splits by the columns kept.  Once one candidate is left, or
+    every entry is compared (tied candidates are equal products), the
+    bucket's products are formed column by column.
     """
-    tied = candidates
-    out = []
-    for row in left:
-        if len(tied) == 1:
-            out.append(tuple([_dot(row, col) for col in tied[0]]))
+    rank = system.rank
+    size = 4 * rank * rank
+    coords = list(chain.from_iterable(chain.from_iterable(
+        chain.from_iterable(lefts))))
+    bad = _first_twist_fault(system, coords)
+    if bad is not None:
+        raise ValueError(_outside_w(keys[bad].rep))
+    parts = [(coords[oa::size], coords[ob::size])
+             for oa, ob in system._twist_parts]
+    # row 0 of M' is twice the parts past column 0
+    parts[1:rank] = [(list(map(add, a, a)), list(map(add, b, b)))
+                     for a, b in parts[1:rank]]
+    xs, ys = ([[*chain.from_iterable([parts[i * rank + t][h]
+                                      for i in range(rank)])]
+               for t in range(rank)] for h in (0, 1))
+    table, tied = candidates
+    out = [None] * len(lefts)
+    work = [(range(len(lefts)), xs, ys, tied, 0)]
+    while work:
+        ids, xs, ys, tied, e = work.pop()
+        m = len(ids)
+        while len(tied) > 1 and e < rank * rank:
+            i, j = divmod(e, rank)
+            e += 1
+            cols = list(dict.fromkeys([c[j] for c in tied]))
+            if len(cols) == 1:
+                continue
+            row = slice(i * m, (i + 1) * m)
+            a, b = map(list, _products([x[row] for x in xs],
+                                       [y[row] for y in ys],
+                                       [table[c] for c in cols]))
+            ranked = list(zip(map(add, map(add, a, a), b), b))
+            entries = [ranked[d::len(cols)] for d in range(len(cols))]
+            low = list(map(min, *entries))
+            # per key, which of the columns give its least
+            ties = list(zip(*[map(eq, k, low) for k in entries]))
+            splits = [({c for c, k in zip(cols, pattern) if k}, pattern)
+                      for pattern in dict.fromkeys(ties)]
+            if len(splits) > 1:
+                for kept, pattern in splits:
+                    mask = list(map(eq, ties, repeat(pattern)))
+                    rows = mask * rank
+                    work.append(([*compress(ids, mask)],
+                                 [[*compress(x, rows)] for x in xs],
+                                 [[*compress(y, rows)] for y in ys],
+                                 [c for c in tied if c[j] in kept], e))
+                break
+            kept = splits[0][0]
+            tied = [c for c in tied if c[j] in kept]
+        else:
+            least = tied[0]
+            cols = [_ring_column(*_products(xs, ys, [table[c]]), j, m)
+                    for j, c in enumerate(least)]
+            rows = list(zip(*cols))
+            mats = zip(*[rows[i * m:(i + 1) * m] for i in range(rank)])
+            for n, mat in zip(ids, mats):
+                out[n] = mat
+    return out
+
+
+def least_reps(keys):
+    """The least matrix of the coset of each key, in order: its canonical
+    form, the least under matrix_key.
+
+    That of w P_d is the least product w p over its parabolic, and that
+    of a face w t P_j of cell_faces is the least w (t p), so the product
+    w t is never formed: the columns of t P_j are kept by its transversal
+    entry (_columns), for every face that shares it.  The keys are grouped
+    by these candidate sets, the columns of t P_j for a face and those of
+    its parabolic for any other key, formed once per system and generator
+    set, and each group is searched in one batch (_least_group) over
+    Z[phi].  That reading needs each representative to pass the twist
+    test: ValueError names the entry of one that fails.  Each least
+    matrix is kept on its key, for min_rep and for later calls.
+    """
+    keys = list(keys)
+    groups = {}
+    for key in keys:
+        if key._minrep is not None:
             continue
-        dots = {}
-        entries = []
-        for k in range(len(row)):
-            keys = {}
-            for cols in tied:
-                col = cols[k]
-                if col not in keys:
-                    if col not in dots:
-                        dots[col] = _dot(row, col)
-                    keys[col] = ring_key(dots[col])
-            least = min(keys.values())
-            if len(keys) > 1:
-                tied = [cols for cols in tied if keys[cols[k]] == least]
-            entries.append(dots[tied[0][k]])
-        out.append(tuple(entries))
-    return tuple(out)
+        factors = key._factors
+        if factors is not None and len(factors) == 3:
+            left, t, kept = factors
+            if not kept:
+                kept.append(_columns(
+                    t, enumerate_parabolic(key.system, key.gens)))
+            candidates = kept[0]
+        else:
+            left = key.rep
+            candidates = _parabolic_columns(key.system, key.gens)
+        group = groups.setdefault(id(candidates),
+                                  (key.system, candidates, [], []))
+        group[2].append(key)
+        group[3].append(left)
+    for system, candidates, members, lefts in groups.values():
+        for key, least in zip(members, _least_group(system, candidates,
+                                                    members, lefts)):
+            key._minrep = least
+    return [key._minrep for key in keys]
 
 
 @total_ordering
@@ -659,7 +824,8 @@ class CosetKey:
 
     Two keys are equal iff the cosets agree, which the exact fixed-point
     vector rep * x_d decides; min_rep() gives the canonical matrix of the
-    coset, its lexicographically least one, built entry by entry.  A
+    coset, its lexicographically least one, which least_reps finds for
+    many keys at once.  A
     Euclidean system raises ValueError: its cells are lattice keys.
     `key`, the ring_key of each coordinate of vec, is a plain tuple of
     int 4-tuples that orders and hashes the cells of one system and
@@ -670,7 +836,8 @@ class CosetKey:
     product is formed on the first read of `rep`, so a cell that is only
     hashed and compared costs one matrix-vector product.  The faces of
     cell_faces carry a third factor, the list their transversal entry
-    keeps the columns of right * P_j in, so that min_rep needs no product.
+    keeps the columns of right * P_j in, so that least_reps needs no
+    product and takes every face with that entry in one batch.
     """
 
     __slots__ = ("system", "gens", "dim", "vec", "key", "_rep", "_factors",
@@ -707,21 +874,9 @@ class CosetKey:
         return self._rep
 
     def min_rep(self):
-        """Lexicographically least matrix of the coset (canonical form)."""
-        if self._minrep is None:
-            parabolic = enumerate_parabolic(self.system, self.gens)
-            if self._factors is not None and len(self._factors) == 3:
-                # a face w t P_j of cell_faces: the least w (t p), with
-                # the columns of t P_j kept by the transversal
-                left, t, kept = self._factors
-                if not kept:
-                    kept.append(_columns(t, parabolic))
-                candidates = kept[0]
-            else:
-                left = self.rep
-                candidates = [tuple(zip(*p)) for p in parabolic]
-            self._minrep = _least_product(left, candidates)
-        return self._minrep
+        """Lexicographically least matrix of the coset (canonical form),
+        least_reps of this key alone."""
+        return least_reps([self])[0]
 
     def __eq__(self, other):
         if not isinstance(other, CosetKey):
@@ -748,8 +903,9 @@ def identity_cell(system, d):
 def _transversal(system, d, j):
     """Triples (t, t * x_j, kept) such that the j-cells incident to a
     d-cell w P_d are exactly the w t P_j, each exactly once.  kept is a
-    list, empty until the least matrix of a face w t P_j is first asked
-    for; it then holds _columns(t, P_j) for every later face with t."""
+    list, empty until least_reps first needs the least matrix of a face
+    w t P_j; it then holds _columns(t, P_j), the candidates of every face
+    with t, which least_reps searches in one batch."""
     gens_j = system.parabolic_gens(j)
     seen = set()
     reps = []

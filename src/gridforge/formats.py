@@ -11,7 +11,8 @@ Three document shapes, told apart by their "format" key:
                      "squares": [["a", "b", "c", "d"], ...]}
 
 Output is deterministic.  complex_to_jsonable sorts the squares and
-vertices and writes each coset square as the least matrix of its coset;
+vertices and writes each coset square as the least matrix of its coset,
+found for every square of the document by one coxeter.least_reps call;
 dumps_complex writes the text json.dumps(..., sort_keys=True, indent=2)
 gives for it and one newline, a gridded document from one template per
 square.  Abstract vertex labels are stringified on write and stay
@@ -50,7 +51,7 @@ import sys
 from itertools import chain
 from operator import itemgetter
 
-from gridforge.coxeter import build_system, square_keys
+from gridforge.coxeter import build_system, least_reps, square_keys
 from gridforge.lattice import (GriddedComplex, all_ints, check_squares,
                                is_lattice_ambient)
 from gridforge.surface import AbstractSquareComplex, cycle_key
@@ -78,7 +79,7 @@ def complex_to_jsonable(obj):
             mask = _square_mask(build_system(obj.ambient))
             squares = [{"mask": mask,
                         "rep": [[list(e) for e in row] for row in rep]}
-                       for rep in sorted(k.min_rep() for k in obj.squares)]
+                       for rep in sorted(least_reps(obj.squares))]
         return {"format": "gridded", "ambient": obj.ambient,
                 "squares": squares}
     if isinstance(obj, AbstractSquareComplex):
@@ -123,7 +124,7 @@ def dumps_complex(obj):
         template = _layout((len(squares[0]),), 2)
         texts = [template % s for s in squares]
     else:
-        reps = sorted(k.min_rep() for k in obj.squares)
+        reps = sorted(least_reps(obj.squares))
         rank = len(reps[0])
         mask = _square_mask(build_system(obj.ambient))
         template = ('{\n      "mask": %d,\n      "rep": ' % mask

@@ -17,9 +17,9 @@ from gridforge import coxeter
 from gridforge.coxeter import (
     CLAIMED_INCIDENCE, CosetKey, build_system, cell_faces, central_symmetry,
     diagram_order, enumerate_parabolic, identity_cell,
-    incidence_counts, keeps_time_orientation, matrix_key, neighbor,
-    parabolic_order, preserves_form, reflection, square_vertex_cycle,
-    transform,
+    incidence_counts, keeps_time_orientation, least_reps, matrix_key,
+    neighbor, parabolic_order, preserves_form, reflection,
+    square_vertex_cycle, transform,
     _identity, _leading_minors, _mat_mul, _mat_vec, _pivot_signs,
     _transversal,
 )
@@ -577,6 +577,47 @@ def test_min_rep_of_square_faces_is_the_least_product():
                 assert least == [_brute_min_rep(sq) for sq in squares]
 
 
+@pytest.mark.parametrize("name", HYPERBOLIC)
+@settings(max_examples=15)
+@given(words, st.lists(words, min_size=1, max_size=3), words, st.data())
+def test_least_reps_is_the_least_product_of_every_key(name, word, reps,
+                                                      image, data):
+    # one shuffled batch of every kind of key a write meets: faces of
+    # cell_faces (squares, whose parabolic has 80 elements in {4,3,3,5},
+    # and cells of a second dimension), transform images, plain reps,
+    # squares loaded from a document, a repeated key and a key whose
+    # least matrix is already kept
+    s = build_system(name)
+    gens = s.parabolic_gens(2)
+    assert parabolic_order(s, gens) == {"{4,3,5}": 16,
+                                        "{4,3,3,5}": 80}[name]
+    rng = data.draw(st.randoms(use_true_random=False))
+    d = rng.choice(range(3, s.rank))
+    j = rng.choice([j for j in small_dims(name) if j not in (2, d)])
+    cell = CosetKey(s, s.parabolic_gens(d), naive_word(s, word))
+    faces = (rng.sample(cell_faces(cell, 2), 3)
+             + rng.sample(cell_faces(cell, j), 2))
+    g = naive_word(s, image)
+    images = [transform(g, f) for f in rng.sample(cell_faces(cell, 2), 2)]
+    plain = [CosetKey(s, gens, naive_word(s, w)) for w in reps]
+    # one rep per coset: a document refuses a square twice
+    distinct = {k: k.rep for k in plain}.values()
+    mask = sum(1 << i for i in gens)
+    doc = {"format": "gridded", "ambient": name,
+           "squares": [{"mask": mask,
+                        "rep": [[list(e) for e in row] for row in m]}
+                       for m in distinct]}
+    loaded = sorted(jsonable_to_complex(doc).squares)
+    cached = CosetKey(s, gens, naive_word(s, image + word))
+    cached.min_rep()
+    keys = faces + images + plain + loaded + [cached, faces[0]]
+    rng.shuffle(keys)
+    least = least_reps(keys)
+    # the factor path: no face's own product is formed
+    assert all(f._rep is None for f in faces)
+    assert least == [_brute_min_rep(k) for k in keys]
+
+
 def _assert_same_key(lazy, eager, rep):
     assert lazy == eager and hash(lazy) == hash(eager)
     assert lazy.vec == eager.vec
@@ -745,17 +786,28 @@ def dots(monkeypatch):
     return count
 
 
-def test_tree_write_dot_count(dots):
-    # exact: the least matrices are pruned entry by entry and the square
-    # faces' candidates are the transversal's columns of t P_2, formed
-    # once per t; row pruning or a product per face raises the count
+def test_tree_write_dot_count(monkeypatch, dots):
+    # exact: the least matrices are searched in one batch per candidate
+    # set, on Z[phi] int columns, with no ring dot per square.  The only
+    # dots are those of _columns, which forms the square faces'
+    # candidates, the columns of t P_2, once per transversal entry t: 5
+    # entries, each 18 distinct columns of 4 rows.  A dot per square, or a
+    # batch per square rather than per candidate set, raises a count
     build_system("{4,3,5}")
     coxeter._parabolic.cache_clear()
     coxeter._transversal.cache_clear()
+    groups = [0]
+    inner = coxeter._least_group
+
+    def counted(*args):
+        groups[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(coxeter, "_least_group", counted)
     tree = tree_of_life_435(3)
     dots[0] = 0
     complex_to_jsonable(tree)
-    assert dots[0] == 2837
+    assert (dots[0], groups[0]) == (360, 5)
 
 
 def test_tree_load_and_classify_dot_counts(monkeypatch, dots, products):

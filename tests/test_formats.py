@@ -13,7 +13,7 @@ from gridforge.constructors import crosscap_z4, frame_torus, tree_of_life
 from gridforge.coxeter import (
     CosetKey, _identity, _mat_mul, _signed_reflection, _twist_fault,
     build_system, cell_faces, enumerate_parabolic, keeps_time_orientation,
-    preserves_form, square_keys,
+    least_reps, preserves_form, square_keys,
 )
 from gridforge import formats
 from gridforge.formats import (
@@ -347,6 +347,31 @@ def test_a_matrix_outside_w_is_refused():
     assert str(info.value) == ("squares[0]: matrix lies outside the "
                                "reflection group: entry [0][0] fails the "
                                "twist test")
+
+
+def test_the_least_matrix_of_a_rep_outside_w_is_refused():
+    # the least-matrix search reads every matrix over Z[phi], which only
+    # the twist test allows: a key built in process from the matrix of
+    # outside_w_435.json, or a face of a cube built from it, is refused
+    # as the loader refuses the document, naming the entry of its rep
+    s = build_system("{4,3,5}")
+    m = _outside_w(s)
+    assert json.loads((DATA / "outside_w_435.json").read_text()) == \
+        _coset_doc(s, m)
+    good = CosetKey(s, s.parabolic_gens(2), _word(s, [0, 1, 3]))
+    square = CosetKey(s, s.parabolic_gens(2), m)
+    face = cell_faces(CosetKey(s, s.parabolic_gens(3), m), 2)[0]
+    left, t, _ = face._factors
+    rep = _mat_mul(left, t)
+    for key, fault in ((square, (0, 0)), (face, _twist_fault(rep))):
+        assert fault is not None
+        for least in (key.min_rep, lambda: least_reps([good, key])):
+            with pytest.raises(ValueError) as info:
+                least()
+            assert str(info.value) == (
+                "matrix lies outside the reflection group: entry "
+                f"[{fault[0]}][{fault[1]}] fails the twist test")
+    assert least_reps([good]) == [good.min_rep()]
 
 
 @settings(max_examples=40, deadline=None)
